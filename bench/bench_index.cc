@@ -1,9 +1,9 @@
 // Experiment E17 — path & value indexes vs structural joins: the same
 // XMark queries answered (a) from the path synopsis / value index, (b) by
-// the navigational engine with indexes disabled, and (c) through the
-// holistic twig-join executor. Index build cost is measured separately so
-// the steady-state query numbers exclude it (the engine amortizes one
-// build per document snapshot).
+// the navigational engine with indexes disabled, and (c) by the holistic
+// twig join forced as the access path. Index build cost is measured
+// separately so the steady-state query numbers exclude it (the engine
+// amortizes one build per document snapshot).
 
 #include <benchmark/benchmark.h>
 
@@ -31,18 +31,21 @@ const char* IndexQueryText(int which) {
   }
 }
 
-std::unique_ptr<XQueryEngine> MakeEngine(double scale, bool indexes) {
+std::unique_ptr<XQueryEngine> MakeEngine(
+    double scale, bool indexes, AccessPath force = AccessPath::kAuto) {
   EngineOptions options;
   options.enable_indexes = indexes;
+  options.force_access_path = force;
   auto engine = std::make_unique<XQueryEngine>(options);
   Status st = engine->RegisterDocument("xmark.xml", bench::XMarkDoc(scale));
   if (!st.ok()) std::abort();
   return engine;
 }
 
-void RunQueryLoop(benchmark::State& state, bool indexes) {
+void RunQueryLoop(benchmark::State& state, bool indexes,
+                  AccessPath force = AccessPath::kAuto) {
   auto engine =
-      MakeEngine(bench::ScaleFromArg(state.range(0)), indexes);
+      MakeEngine(bench::ScaleFromArg(state.range(0)), indexes, force);
   auto compiled = bench::MustCompile(
       engine.get(), IndexQueryText(static_cast<int>(state.range(1))));
   // Warm engine-side caches (tag index / synopsis build) outside the
@@ -71,25 +74,12 @@ BENCHMARK(BM_UnindexedExecute)
     ->Args({100, 0})->Args({100, 1})->Args({100, 2})->Args({100, 3})
     ->Args({100, 4})->Args({500, 0})->Args({500, 2});
 
-/// The twig executor on the twig-convertible subset (queries 0, 1, 4),
-/// with its own caches warm: what the index answer has to beat.
+/// The holistic twig join as the access path of every chain it can answer
+/// (queries 0, 1, 4), with its caches warm: what the index answer has to
+/// beat. Indexes stay on because the twig strategy consults the synopsis
+/// and declines without it.
 void BM_TwigJoinExecute(benchmark::State& state) {
-  auto engine = MakeEngine(bench::ScaleFromArg(state.range(0)),
-                           /*indexes=*/false);
-  auto compiled = bench::MustCompile(
-      engine.get(), IndexQueryText(static_cast<int>(state.range(1))));
-  if (!compiled->IsTwigConvertible()) {
-    state.SkipWithError("not twig convertible");
-    return;
-  }
-  size_t items = compiled->ExecuteViaTwigJoin().ValueOrDie().size();
-  for (auto _ : state) {
-    auto result = compiled->ExecuteViaTwigJoin();
-    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["items"] = static_cast<double>(items);
-  state.SetLabel(IndexQueryText(static_cast<int>(state.range(1))));
+  RunQueryLoop(state, /*indexes=*/true, AccessPath::kTwig);
 }
 BENCHMARK(BM_TwigJoinExecute)
     ->Args({100, 0})->Args({100, 1})->Args({100, 4})->Args({500, 0});

@@ -19,7 +19,7 @@ void RunEngine(benchmark::State& state, const std::string& query, bool lazy) {
   XQueryEngine engine;
   auto compiled = Compile(&engine, query);
   CompiledQuery::ExecOptions options;
-  options.use_lazy_engine = lazy;
+  options.backend = lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   for (auto _ : state) {
     auto result = compiled->Execute(options);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
@@ -100,7 +100,7 @@ void BM_FirstBidder_Eager(benchmark::State& state) {
       engine.get(),
       "(doc('xmark.xml')/site/open_auctions/open_auction/bidder)[1]");
   CompiledQuery::ExecOptions options;
-  options.use_lazy_engine = false;
+  options.backend = ExecBackend::kEager;
   for (auto _ : state) {
     auto result = compiled->Execute(options);
     benchmark::DoNotOptimize(result);

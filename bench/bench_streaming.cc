@@ -22,7 +22,7 @@ void BM_TotalTime_Eager(benchmark::State& state) {
   auto engine = bench::MakeXMarkEngine(bench::ScaleFromArg(state.range(0)));
   auto query = bench::MustCompile(engine.get(), kQuery);
   CompiledQuery::ExecOptions options;
-  options.use_lazy_engine = false;
+  options.backend = ExecBackend::kEager;
   for (auto _ : state) {
     auto result = query->Execute(options);
     benchmark::DoNotOptimize(result);
@@ -35,7 +35,7 @@ void BM_TotalTime_Lazy(benchmark::State& state) {
   auto engine = bench::MakeXMarkEngine(bench::ScaleFromArg(state.range(0)));
   auto query = bench::MustCompile(engine.get(), kQuery);
   CompiledQuery::ExecOptions options;
-  options.use_lazy_engine = true;
+  options.backend = ExecBackend::kLazy;
   for (auto _ : state) {
     auto result = query->Execute(options);
     benchmark::DoNotOptimize(result);
@@ -69,7 +69,7 @@ void BM_FirstItem_Eager(benchmark::State& state) {
   auto engine = bench::MakeXMarkEngine(bench::ScaleFromArg(state.range(0)));
   auto query = bench::MustCompile(engine.get(), kQuery);
   CompiledQuery::ExecOptions options;
-  options.use_lazy_engine = false;
+  options.backend = ExecBackend::kEager;
   for (auto _ : state) {
     // The eager engine cannot yield early: first item costs a full run.
     auto result = query->Execute(options);

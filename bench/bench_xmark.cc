@@ -20,7 +20,7 @@ void RunXMarkQuery(benchmark::State& state, bool lazy, bool optimize) {
   copts.optimize = optimize;
   auto compiled = bench::MustCompile(engine.get(), q.text, copts);
   CompiledQuery::ExecOptions eopts;
-  eopts.use_lazy_engine = lazy;
+  eopts.backend = lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   size_t items = 0;
   for (auto _ : state) {
     auto result = compiled->Execute(eopts);

@@ -63,7 +63,7 @@ int main() {
     return 1;
   }
 
-  std::printf("optimized plan:\n  %s\n\n", (*compiled)->Explain().c_str());
+  std::printf("optimized plan:\n%s\n", (*compiled)->ExplainTree().c_str());
   std::printf("rewrites applied:\n");
   for (const auto& [rule, count] : (*compiled)->rewrite_stats()) {
     std::printf("  %-24s x%d\n", rule.c_str(), count);
@@ -80,7 +80,7 @@ int main() {
 
   // ...and on the eager reference interpreter — same answer.
   CompiledQuery::ExecOptions eager;
-  eager.use_lazy_engine = false;
+  eager.backend = ExecBackend::kEager;
   auto reference = (*compiled)->ExecuteToXml(eager);
   std::printf("eager reference engine:\n  %s\n", reference->c_str());
   std::printf("\nengines agree: %s\n",

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     }
     CompiledQuery::ExecOptions lazy;
     CompiledQuery::ExecOptions eager;
-    eager.use_lazy_engine = false;
+    eager.backend = ExecBackend::kEager;
 
     t0 = std::chrono::steady_clock::now();
     auto lazy_result = (*compiled)->Execute(lazy);

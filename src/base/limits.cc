@@ -1,7 +1,5 @@
 #include "base/limits.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <string>
 
 #include "base/metrics.h"
@@ -11,25 +9,6 @@ namespace xqp {
 namespace {
 
 thread_local ResourceGovernor* tls_governor = nullptr;
-
-/// Parses "64m", "2g", "1048576" into bytes; 0 on anything malformed.
-uint64_t ParseByteSize(const char* s) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return 0;
-  switch (std::tolower(static_cast<unsigned char>(*end))) {
-    case 'k':
-      return v * 1024ull;
-    case 'm':
-      return v * 1024ull * 1024ull;
-    case 'g':
-      return v * 1024ull * 1024ull * 1024ull;
-    case '\0':
-      return v;
-    default:
-      return 0;
-  }
-}
 
 void NoteTrip(bool cancelled) {
   // Trips are rare and worth counting even when tracing is off, so they
@@ -42,21 +21,6 @@ void NoteTrip(bool cancelled) {
 }
 
 }  // namespace
-
-QueryLimits ApplyLimitsEnv(QueryLimits base) {
-  if (base.timeout.count() == 0) {
-    if (const char* env = std::getenv("XQP_DEADLINE_MS")) {
-      long ms = std::atol(env);
-      if (ms > 0) base.timeout = std::chrono::milliseconds(ms);
-    }
-  }
-  if (base.memory_budget_bytes == 0) {
-    if (const char* env = std::getenv("XQP_MEM_BUDGET")) {
-      base.memory_budget_bytes = ParseByteSize(env);
-    }
-  }
-  return base;
-}
 
 ResourceGovernor::ResourceGovernor(const QueryLimits& limits,
                                    std::shared_ptr<CancelToken> extra_cancel)

@@ -77,10 +77,6 @@ struct QueryLimits {
   }
 };
 
-/// Reads XQP_DEADLINE_MS / XQP_MEM_BUDGET (bytes, with optional k/m/g
-/// suffix) over `base`: env values fill in fields that `base` leaves at 0.
-QueryLimits ApplyLimitsEnv(QueryLimits base);
-
 /// One execution's governor: owns the absolute deadline, the byte/item
 /// accounts, and a sticky trip latch. Lives on the engine's stack for the
 /// duration of one Execute/Open/Profile run; pointed to by DynamicContext

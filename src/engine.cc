@@ -2,6 +2,8 @@
 
 #include <sys/stat.h>
 
+#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -12,13 +14,10 @@
 #include "base/fault.h"
 #include "storage/snapshot.h"
 #include "tokens/token_stream.h"
-#include "index/index_planner.h"
 #include "base/limits.h"
 #include "base/parallel.h"
 #include "exec/interpreter.h"
 #include "exec/iterators.h"
-#include "join/twig.h"
-#include "join/twig_planner.h"
 #include "opt/access_path.h"
 #include "opt/inline_functions.h"
 #include "opt/properties.h"
@@ -42,56 +41,125 @@ const char* ExecBackendName(ExecBackend backend) {
   return "lazy";
 }
 
+std::optional<ExecBackend> ParseExecBackend(std::string_view name) {
+  for (ExecBackend b :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    if (name == ExecBackendName(b)) return b;
+  }
+  return std::nullopt;
+}
+
+namespace {
+
+/// Plain unsigned decimal: digits only, no sign, no trailing text.
+std::optional<uint64_t> ParseUnsigned(std::string_view s) {
+  uint64_t v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+/// "1048576", "64k", "64m", "2g" (suffix case-insensitive) in bytes.
+std::optional<uint64_t> ParseByteSize(std::string_view s) {
+  int shift = 0;
+  if (!s.empty()) {
+    switch (std::tolower(static_cast<unsigned char>(s.back()))) {
+      case 'k': shift = 10; break;
+      case 'm': shift = 20; break;
+      case 'g': shift = 30; break;
+    }
+  }
+  if (shift != 0) s.remove_suffix(1);
+  std::optional<uint64_t> v = ParseUnsigned(s);
+  if (!v.has_value() || *v > (UINT64_MAX >> shift)) return std::nullopt;
+  return *v << shift;
+}
+
+/// One XQP_* environment knob the engine constructor applies over its
+/// options. `apply` parses a non-empty value into `options`; false means
+/// the value is unrecognized, which is a startup error (exit 2), the same
+/// contract as XQP_FAULT.
+struct EnvKnob {
+  const char* name;
+  const char* expected;
+  bool (*apply)(std::string_view value, EngineOptions* options);
+};
+
+constexpr EnvKnob kEnvKnobs[] = {
+    {"XQP_BACKEND", "lazy, eager or vm",
+     [](std::string_view v, EngineOptions* o) {
+       std::optional<ExecBackend> backend = ParseExecBackend(v);
+       if (backend.has_value()) o->backend = *backend;
+       return backend.has_value();
+     }},
+    {"XQP_ACCESS_PATH", "auto, nav, sjoin, twig or index",
+     [](std::string_view v, EngineOptions* o) {
+       std::optional<AccessPath> forced = ParseAccessPath(v);
+       if (forced.has_value()) o->force_access_path = *forced;
+       return forced.has_value();
+     }},
+    {"XQP_INDEXES", "off, 0, on, 1, all, path, string or numeric",
+     [](std::string_view v, EngineOptions* o) {
+       if (v == "0" || v == "off") {
+         o->enable_indexes = false;
+         return true;
+       }
+       if (v == "1" || v == "on" || v == "all") {
+         o->index_value_kinds = kIndexValueAll;
+       } else if (v == "path") {
+         o->index_value_kinds = 0;
+       } else if (v == "string") {
+         o->index_value_kinds = kIndexValueString;
+       } else if (v == "numeric") {
+         o->index_value_kinds = kIndexValueNumeric;
+       } else {
+         return false;
+       }
+       o->enable_indexes = true;
+       return true;
+     }},
+    // The limit knobs fill in default_limits fields the options leave at 0;
+    // the deadline cap keeps the governor's now() + timeout from
+    // overflowing the clock.
+    {"XQP_DEADLINE_MS", "a whole number of milliseconds up to 2147483647",
+     [](std::string_view v, EngineOptions* o) {
+       std::optional<uint64_t> ms = ParseUnsigned(v);
+       if (!ms.has_value() || *ms > INT32_MAX) return false;
+       if (o->default_limits.timeout.count() == 0) {
+         o->default_limits.timeout = std::chrono::milliseconds(*ms);
+       }
+       return true;
+     }},
+    {"XQP_MEM_BUDGET", "bytes with an optional k, m or g suffix",
+     [](std::string_view v, EngineOptions* o) {
+       std::optional<uint64_t> bytes = ParseByteSize(v);
+       if (bytes.has_value() && o->default_limits.memory_budget_bytes == 0) {
+         o->default_limits.memory_budget_bytes = *bytes;
+       }
+       return bytes.has_value();
+     }},
+    {"XQP_SNAPSHOT", "a directory",
+     [](std::string_view v, EngineOptions* o) {
+       o->snapshot_dir = std::string(v);
+       return true;
+     }},
+};
+
+}  // namespace
+
 XQueryEngine::XQueryEngine(const EngineOptions& options)
     : options_(options), cancel_token_(std::make_shared<CancelToken>()) {
   if (options_.collect_stats || metrics::TraceEnvRequested()) {
     metrics::MetricsRegistry::Global().set_enabled(true);
   }
-  options_.default_limits = ApplyLimitsEnv(options_.default_limits);
-  // XQP_INDEXES overrides the index knobs: off / on / synopsis-only / one
-  // value family. Unrecognized values are ignored.
-  if (const char* env = std::getenv("XQP_INDEXES")) {
-    std::string_view v(env);
-    if (v == "0" || v == "off") {
-      options_.enable_indexes = false;
-    } else if (v == "1" || v == "on" || v == "all") {
-      options_.enable_indexes = true;
-      options_.index_value_kinds = kIndexValueAll;
-    } else if (v == "path") {
-      options_.enable_indexes = true;
-      options_.index_value_kinds = 0;
-    } else if (v == "string") {
-      options_.enable_indexes = true;
-      options_.index_value_kinds = kIndexValueString;
-    } else if (v == "numeric") {
-      options_.enable_indexes = true;
-      options_.index_value_kinds = kIndexValueNumeric;
+  for (const EnvKnob& knob : kEnvKnobs) {
+    const char* env = std::getenv(knob.name);
+    if (env == nullptr || *env == '\0') continue;
+    if (!knob.apply(env, &options_)) {
+      std::fprintf(stderr, "%s: unrecognized value \"%s\" (expected %s)\n",
+                   knob.name, env, knob.expected);
+      std::exit(2);
     }
-  }
-  // XQP_BACKEND overrides the default execution backend. Unrecognized
-  // values are ignored.
-  if (const char* env = std::getenv("XQP_BACKEND")) {
-    std::string_view v(env);
-    if (v == "lazy") {
-      options_.backend = ExecBackend::kLazy;
-    } else if (v == "eager") {
-      options_.backend = ExecBackend::kEager;
-    } else if (v == "vm") {
-      options_.backend = ExecBackend::kVm;
-    }
-  }
-  // XQP_ACCESS_PATH forces one access-path strategy for every chain it can
-  // answer (auto / nav / sjoin / twig / index). Unrecognized values are
-  // ignored.
-  if (const char* env = std::getenv("XQP_ACCESS_PATH")) {
-    if (std::optional<AccessPath> forced = ParseAccessPath(env)) {
-      options_.force_access_path = *forced;
-    }
-  }
-  // XQP_SNAPSHOT points ParseAndRegister at a persistent snapshot
-  // directory (empty value disables, matching the unset default).
-  if (const char* env = std::getenv("XQP_SNAPSHOT")) {
-    options_.snapshot_dir = env;
   }
   if (!options_.snapshot_dir.empty()) {
     // Best effort: a missing directory otherwise just makes every save
@@ -512,27 +580,12 @@ Result<std::unique_ptr<CompiledQuery>> XQueryEngine::Compile(
     if (g.init != nullptr) AnalyzeExpr(g.init.get(), m);
   }
   AnalyzeExpr(m->body.get(), m);
+  compiled->engine_ = this;
   // Annotate the chosen access path on index-candidate chains for EXPLAIN.
   // Peek-only: compiling a query must neither build indexes (no governor
   // charge, no fault-site hits) nor block on a build; a cold cache leaves
   // the annotation at kAuto and ExplainTree refreshes it later.
-  if (options_.enable_indexes) {
-    IndexPeek peek = [this](const std::string& uri) {
-      return index_manager_.Peek(uri);
-    };
-    for (UserFunction& fn : m->functions) {
-      if (fn.body != nullptr) {
-        AnnotateAccessPaths(fn.body.get(), peek, options_.force_access_path);
-      }
-    }
-    for (GlobalVariable& g : m->globals) {
-      if (g.init != nullptr) {
-        AnnotateAccessPaths(g.init.get(), peek, options_.force_access_path);
-      }
-    }
-    AnnotateAccessPaths(m->body.get(), peek, options_.force_access_path);
-  }
-  compiled->engine_ = this;
+  compiled->AnnotateForExplain();
   return compiled;
 }
 
@@ -589,6 +642,13 @@ Result<Sequence> DrainGoverned(const Expr* body, DynamicContext* ctx) {
   return out;
 }
 
+uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  return ns < 0 ? 0 : uint64_t(ns);
+}
+
 }  // namespace
 
 QueryLimits CompiledQuery::EffectiveLimits(const ExecOptions& options) const {
@@ -601,9 +661,8 @@ std::shared_ptr<CancelToken> CompiledQuery::EngineToken() const {
 }
 
 ExecBackend CompiledQuery::ResolvedBackend(const ExecOptions& options) const {
-  if (options.backend.has_value()) return *options.backend;
-  if (!options.use_lazy_engine) return ExecBackend::kEager;
-  return engine_ != nullptr ? engine_->options().backend : ExecBackend::kLazy;
+  return options.backend.value_or(
+      engine_ != nullptr ? engine_->options().backend : ExecBackend::kLazy);
 }
 
 Result<std::shared_ptr<const vm::Program>> CompiledQuery::VmProgram() const {
@@ -663,7 +722,9 @@ std::string CompiledQuery::ExplainTree(const ExecOptions& options) const {
 }
 
 Status CompiledQuery::SetupContext(const ExecOptions& options,
+                                   ResourceGovernor* governor,
                                    DynamicContext* ctx) const {
+  ctx->governor = governor;
   ctx->module = module_.get();
   ctx->provider = engine_;
   if (engine_ != nullptr) {
@@ -697,18 +758,19 @@ Status CompiledQuery::SetupContext(const ExecOptions& options,
   return Status::OK();
 }
 
-Result<Sequence> CompiledQuery::Execute(const ExecOptions& options) const {
+Result<Sequence> CompiledQuery::RunPlan(const ExecOptions& options,
+                                        QueryProfile* profile) const {
   ResourceGovernor governor(EffectiveLimits(options), EngineToken());
   GovernorScope scope(&governor);
   DynamicContext ctx;
-  ctx.governor = &governor;
-  XQP_RETURN_NOT_OK(SetupContext(options, &ctx));
+  ctx.profile = profile;
+  XQP_RETURN_NOT_OK(SetupContext(options, &governor, &ctx));
+  const Expr* body = module_->body.get();
   switch (ResolvedBackend(options)) {
     case ExecBackend::kLazy:
-      return DrainGoverned(module_->body.get(), &ctx);
+      return DrainGoverned(body, &ctx);
     case ExecBackend::kEager: {
-      XQP_ASSIGN_OR_RETURN(Sequence result,
-                           EvalExpr(module_->body.get(), &ctx));
+      XQP_ASSIGN_OR_RETURN(Sequence result, EvalExpr(body, &ctx));
       XQP_RETURN_NOT_OK(governor.ChargeResultItems(result.size()));
       return result;
     }
@@ -717,9 +779,21 @@ Result<Sequence> CompiledQuery::Execute(const ExecOptions& options) const {
       if (prog.ok() && !prog.value()->trivial_bailout) {
         XQP_RETURN_NOT_OK(
             governor.ChargeBytes(prog.value()->const_pool_bytes));
+        std::chrono::steady_clock::time_point start;
+        if (profile != nullptr) start = std::chrono::steady_clock::now();
         XQP_ASSIGN_OR_RETURN(Sequence result,
                              vm::RunProgram(*prog.value(), &ctx));
         XQP_RETURN_NOT_OK(governor.ChargeResultItems(result.size()));
+        if (profile != nullptr) {
+          // The VM does not profile per compiled operator (compiled
+          // subtrees have no operator boundaries); bailout thunks profile
+          // normally via the lazy engine. Account the run to the plan root
+          // so root-based invariants (items == result cardinality) hold.
+          OpStats* root = profile->StatsFor(body);
+          root->next_calls += 1;
+          root->items += result.size();
+          root->wall_ns += NanosSince(start);
+        }
         return result;
       }
       // Whole-plan fallback: the root is uncompilable (or compilation
@@ -730,19 +804,21 @@ Result<Sequence> CompiledQuery::Execute(const ExecOptions& options) const {
             metrics::MetricsRegistry::Global().counter("vm.fallbacks");
         fallbacks->Add(1);
       }
-      return DrainGoverned(module_->body.get(), &ctx);
+      return DrainGoverned(body, &ctx);
     }
   }
   return Status::Internal("unknown execution backend");
+}
+
+Result<Sequence> CompiledQuery::Execute(const ExecOptions& options) const {
+  return RunPlan(options, nullptr);
 }
 
 Result<ProfileReport> CompiledQuery::Profile(const ExecOptions& options) const {
   ProfileReport report;
   report.module = module_.get();
   report.rewrites = rewrite_stats_;
-  const ExecBackend backend = ResolvedBackend(options);
-  report.backend = backend;
-  report.used_lazy_engine = backend == ExecBackend::kLazy;
+  report.backend = ResolvedBackend(options);
 
   // Force the global registry on for the run so kernel counters and
   // dispatch decisions are captured, restoring the caller's setting after.
@@ -750,64 +826,13 @@ Result<ProfileReport> CompiledQuery::Profile(const ExecOptions& options) const {
   const bool was_enabled = registry.enabled();
   registry.set_enabled(true);
   metrics::MetricsSnapshot before = registry.Snapshot();
-
-  ResourceGovernor governor(EffectiveLimits(options), EngineToken());
-  GovernorScope scope(&governor);
-  DynamicContext ctx;
-  ctx.governor = &governor;
-  ctx.profile = &report.ops;
-  Status setup = SetupContext(options, &ctx);
-  Result<Sequence> result = Sequence{};
-  bool vm_ran = false;
   const auto start = std::chrono::steady_clock::now();
-  if (setup.ok()) {
-    switch (backend) {
-      case ExecBackend::kLazy:
-        result = DrainGoverned(module_->body.get(), &ctx);
-        break;
-      case ExecBackend::kEager:
-        result = EvalExpr(module_->body.get(), &ctx);
-        break;
-      case ExecBackend::kVm: {
-        Result<std::shared_ptr<const vm::Program>> prog = VmProgram();
-        if (prog.ok() && !prog.value()->trivial_bailout) {
-          vm_ran = true;
-          Status charged =
-              governor.ChargeBytes(prog.value()->const_pool_bytes);
-          result = charged.ok()
-                       ? vm::RunProgram(*prog.value(), &ctx)
-                       : Result<Sequence>(charged);
-          if (result.ok()) {
-            Status counted =
-                governor.ChargeResultItems(result.value().size());
-            if (!counted.ok()) result = counted;
-          }
-        } else {
-          result = DrainGoverned(module_->body.get(), &ctx);
-        }
-        break;
-      }
-    }
-  }
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  // The VM does not profile per compiled operator (the whole point is that
-  // compiled subtrees have no per-operator boundaries); bailout thunks
-  // profile normally via the lazy engine. Account the run to the plan root
-  // so root-based invariants (items == result cardinality) hold.
-  if (vm_ran && result.ok()) {
-    OpStats* root = report.ops.StatsFor(module_->body.get());
-    root->next_calls += 1;
-    root->items += result.value().size();
-    root->wall_ns += ns < 0 ? 0 : uint64_t(ns);
-  }
-
+  Result<Sequence> result = RunPlan(options, &report.ops);
+  report.total_wall_ns = NanosSince(start);
   report.engine_metrics = registry.Snapshot().Delta(before);
   registry.set_enabled(was_enabled);
-  XQP_RETURN_NOT_OK(setup);
+
   XQP_ASSIGN_OR_RETURN(report.result, std::move(result));
-  report.total_wall_ns = ns < 0 ? 0 : uint64_t(ns);
   if (engine_ != nullptr) report.cache = engine_->cache_stats();
   return report;
 }
@@ -936,8 +961,8 @@ Result<std::unique_ptr<ResultStream>> CompiledQuery::Open(
                                          EngineToken());
   GovernorScope scope(stream->governor_.get());
   stream->ctx_ = std::make_unique<DynamicContext>();
-  stream->ctx_->governor = stream->governor_.get();
-  XQP_RETURN_NOT_OK(SetupContext(options, stream->ctx_.get()));
+  XQP_RETURN_NOT_OK(
+      SetupContext(options, stream->governor_.get(), stream->ctx_.get()));
   XQP_ASSIGN_OR_RETURN(stream->iterator_,
                        OpenLazy(module_->body.get(), stream->ctx_.get()));
   return stream;
@@ -952,114 +977,6 @@ Result<bool> ResultStream::Next(Item* out) {
   XQP_ASSIGN_OR_RETURN(bool got, iterator_->Next(out));
   if (got) XQP_RETURN_NOT_OK(governor_->ChargeResultItems(1));
   return got;
-}
-
-Result<std::string> ResultStream::DrainToXml() {
-  std::string out;
-  bool prev_atomic = false;
-  Item item;
-  while (true) {
-    XQP_ASSIGN_OR_RETURN(bool got, Next(&item));
-    if (!got) break;
-    if (item.IsNode()) {
-      XQP_RETURN_NOT_OK(SerializeNode(item.AsNode(), SerializeOptions{}, &out));
-      prev_atomic = false;
-    } else {
-      if (prev_atomic) out.push_back(' ');
-      out += item.AsAtomic().Lexical();
-      prev_atomic = true;
-    }
-  }
-  return out;
-}
-
-bool CompiledQuery::IsTwigConvertible() const {
-  return TwigPlanner::IsConvertible(*module_->body);
-}
-
-Result<Sequence> CompiledQuery::ExecuteViaTwigJoin() const {
-  XQP_ASSIGN_OR_RETURN(TwigPattern pattern,
-                       TwigPlanner::Compile(*module_->body));
-  if (pattern.anchor_uri.empty()) {
-    return Status::InvalidArgument(
-        "twig execution requires a doc('uri')-anchored path");
-  }
-  if (engine_ == nullptr) return Status::Internal("query has no engine");
-  // Twig execution is governed like the navigational engines: index builds
-  // charge the memory budget, parallel morsels observe trips.
-  ResourceGovernor governor(EffectiveLimits(ExecOptions()), EngineToken());
-  GovernorScope scope(&governor);
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<const TagIndex> index,
-                       engine_->GetTagIndex(pattern.anchor_uri));
-  const EngineOptions& opts = engine_->options();
-  std::vector<NodeIndex> matches;
-  bool answered = false;
-  // A forced access path reroutes the twig executor the same way it does
-  // the navigational engines: nav runs the recursive-probing baseline,
-  // sjoin the binary structural-join pipeline, twig skips the synopsis
-  // substitution so the holistic join runs over full per-tag lists.
-  if (opts.force_access_path == AccessPath::kNav) {
-    XQP_ASSIGN_OR_RETURN(matches, NavigationMatch(index->doc(), pattern));
-    answered = true;
-  } else if (opts.force_access_path == AccessPath::kSJoin) {
-    XQP_ASSIGN_OR_RETURN(matches, BinaryJoinMatch(*index, pattern));
-    answered = true;
-  }
-  if (!answered && opts.enable_indexes &&
-      opts.force_access_path != AccessPath::kTwig) {
-    // Index-aware planning: resolve each pattern node's root chain against
-    // the path synopsis. A linear pattern whose output is the leaf is a
-    // complete synopsis answer (no join at all); otherwise the synopsis-
-    // filtered posting lists replace the full per-tag leaf streams and the
-    // join runs over far fewer postings. Results are identical either way:
-    // the filtered lists are supersets of the solution participants.
-    XQP_ASSIGN_OR_RETURN(std::shared_ptr<const DocumentIndexes> indexes,
-                         engine_->GetDocumentIndexes(pattern.anchor_uri));
-    if (indexes != nullptr && indexes->doc_ptr() == index->doc_ptr()) {
-      auto lists = SynopsisPostingsForPattern(*indexes, pattern);
-      if (lists.has_value()) {
-        static metrics::Counter* synopsis_answered =
-            metrics::MetricsRegistry::Global().counter(
-                "twig.synopsis_answered");
-        static metrics::Counter* synopsis_substituted =
-            metrics::MetricsRegistry::Global().counter(
-                "twig.synopsis_substituted");
-        if (pattern.IsPath() &&
-            pattern.nodes[pattern.output].children.empty()) {
-          matches = std::move((*lists)[pattern.output]);
-          if (metrics::Enabled()) synopsis_answered->Add(1);
-        } else {
-          std::vector<const std::vector<NodeIndex>*> ptrs;
-          ptrs.reserve(lists->size());
-          for (const auto& l : *lists) ptrs.push_back(&l);
-          XQP_ASSIGN_OR_RETURN(
-              matches,
-              TwigStackMatchWithLists(indexes->doc(), pattern, ptrs));
-          if (metrics::Enabled()) synopsis_substituted->Add(1);
-        }
-        answered = true;
-      }
-    }
-  }
-  // Threshold dispatch: the parallel variant degrades to the serial
-  // algorithm internally when the posting lists are small, so small
-  // queries keep their latency.
-  if (!answered) {
-    if (opts.parallel_threshold > 0) {
-      XQP_ASSIGN_OR_RETURN(
-          matches, TwigStackMatchParallel(*index, pattern, nullptr,
-                                          opts.num_threads,
-                                          opts.parallel_threshold));
-    } else {
-      XQP_ASSIGN_OR_RETURN(matches, TwigStackMatch(*index, pattern));
-    }
-  }
-  Sequence out;
-  out.reserve(matches.size());
-  for (NodeIndex n : matches) {
-    out.push_back(Item(Node(index->doc_ptr(), n)));
-  }
-  return out;
 }
 
 Result<std::string> SerializeSequence(const Sequence& seq,

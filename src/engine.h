@@ -42,8 +42,12 @@ enum class ExecBackend : uint8_t { kLazy, kEager, kVm };
 
 /// "lazy" / "eager" / "vm".
 const char* ExecBackendName(ExecBackend backend);
+/// Inverse of ExecBackendName; nullopt for any other name.
+std::optional<ExecBackend> ParseExecBackend(std::string_view name);
 
-/// Engine-wide tuning knobs.
+/// Engine-wide tuning knobs. The XQP_* environment knobs named below are
+/// read once, by the XQueryEngine constructor: an empty value means unset,
+/// an unrecognized one is a startup error (message on stderr, exit 2).
 struct EngineOptions {
   /// Combined input size (nodes) above which path/join evaluation routes
   /// to the morsel-parallel kernels; smaller inputs keep the serial
@@ -84,8 +88,7 @@ struct EngineOptions {
 
   /// Default execution backend for queries compiled by this engine.
   /// Per-call ExecOptions::backend overrides. The XQP_BACKEND environment
-  /// knob ("lazy" / "eager" / "vm") overrides this default; unrecognized
-  /// values are ignored.
+  /// knob ("lazy" / "eager" / "vm") overrides this default.
   ExecBackend backend = ExecBackend::kLazy;
 
   /// Directory for persistent document snapshots (storage/snapshot.h).
@@ -101,8 +104,7 @@ struct EngineOptions {
   /// kIndex force that strategy wherever it can answer (degrading to
   /// navigation elsewhere — results are bit-identical for every setting).
   /// The XQP_ACCESS_PATH environment knob ("auto" / "nav" / "sjoin" /
-  /// "twig" / "index") overrides this default; unrecognized values are
-  /// ignored.
+  /// "twig" / "index") overrides this default.
   AccessPath force_access_path = AccessPath::kAuto;
 };
 
@@ -315,10 +317,8 @@ struct ProfileReport {
   XQueryEngine::CacheStats cache;
   metrics::MetricsSnapshot engine_metrics;
   uint64_t total_wall_ns = 0;
-  /// Backend that produced the run; used_lazy_engine mirrors it for
-  /// source compatibility (true iff backend == kLazy).
+  /// Backend that produced the run.
   ExecBackend backend = ExecBackend::kLazy;
-  bool used_lazy_engine = true;
   const ParsedModule* module = nullptr;
 
   /// Stats of the plan root; its `items` equals the result cardinality.
@@ -342,10 +342,6 @@ class ResultStream {
   /// and the result-item cap between pulls.
   Result<bool> Next(Item* out);
 
-  /// Serializes the remaining items to XML text (nodes as markup, atomics
-  /// space-separated), pulling lazily.
-  Result<std::string> DrainToXml();
-
  private:
   friend class CompiledQuery;
   ResultStream() = default;
@@ -366,14 +362,9 @@ class CompiledQuery {
     /// Initial context item (".").
     bool has_context_item = false;
     Item context_item;
-    /// Engine selection: the lazy streaming iterator engine (default) or
-    /// the eager materializing interpreter. Superseded by `backend`, kept
-    /// for source compatibility: false means kEager unless `backend` is
-    /// set.
-    bool use_lazy_engine = true;
 
-    /// Execution backend for this call. Unset: `use_lazy_engine` (when
-    /// false -> kEager), else the engine's EngineOptions::backend.
+    /// Execution backend for this call. Unset: the engine's
+    /// EngineOptions::backend.
     std::optional<ExecBackend> backend;
 
     /// Per-call resource limits; non-zero fields override the engine's
@@ -405,20 +396,7 @@ class CompiledQuery {
     return Open(ExecOptions());
   }
 
-  /// True when this query's body is a pure tree pattern that the
-  /// structural-join executor can evaluate (see join/twig_planner.h).
-  bool IsTwigConvertible() const;
-
-  /// Evaluates the query through the holistic twig-join executor instead of
-  /// the navigational engines. Requires IsTwigConvertible() and a
-  /// doc('uri')-anchored path; results are identical to Execute() for the
-  /// supported fragment. InvalidArgument otherwise.
-  Result<Sequence> ExecuteViaTwigJoin() const;
-
   const ParsedModule& module() const { return *module_; }
-
-  /// Expression-tree dump after optimization (plan explanation).
-  std::string Explain() const { return module_->body->ToString(); }
 
   /// Deterministic indented operator tree for the optimized plan — the
   /// EXPLAIN rendering (no runtime numbers; stable across runs). The
@@ -429,14 +407,15 @@ class CompiledQuery {
   std::string ExplainTree(const ExecOptions& options) const;
 
   /// The backend Execute(options) would use: options.backend if set, else
-  /// kEager when use_lazy_engine is false, else the engine's default.
+  /// the engine's default.
   ExecBackend ResolvedBackend(const ExecOptions& options) const;
 
   /// Executes the query with per-operator profiling: every iterator pull /
   /// interpreter evaluation is counted and timed, and the global metrics
   /// registry is force-enabled for the duration so kernel counters and
-  /// parallel-dispatch decisions land in the report. Slower than Execute()
-  /// by design; Execute() itself is untouched.
+  /// parallel-dispatch decisions land in the report. Runs the same plan
+  /// through the same governor as Execute(), so both agree on results,
+  /// errors and engine counters; only the instrumentation differs.
   Result<ProfileReport> Profile(const ExecOptions& options) const;
   Result<ProfileReport> Profile() const { return Profile(ExecOptions()); }
 
@@ -447,8 +426,17 @@ class CompiledQuery {
   friend class XQueryEngine;
   CompiledQuery() = default;
 
-  /// Binds globals and prepares a dynamic context for one run.
-  Status SetupContext(const ExecOptions& options, DynamicContext* ctx) const;
+  /// The single execution path behind Execute() and Profile(): governor,
+  /// context setup, the backend switch, and the governor charges. A
+  /// non-null `profile` collects per-operator stats (with the VM's run
+  /// accounted to the plan root); null adds no instrumentation at all.
+  Result<Sequence> RunPlan(const ExecOptions& options,
+                           QueryProfile* profile) const;
+
+  /// Attaches `governor` and binds globals: prepares a dynamic context for
+  /// one run (Execute, Profile, or an Open stream).
+  Status SetupContext(const ExecOptions& options, ResourceGovernor* governor,
+                      DynamicContext* ctx) const;
 
   /// Refreshes PathExpr access-path annotations against the engine's
   /// *currently cached* indexes (peek-only) before an EXPLAIN rendering —

@@ -552,38 +552,6 @@ Result<std::optional<Sequence>> TryAnswerPathFromIndex(const PathExpr* e,
   return std::optional<Sequence>(std::move(out));
 }
 
-std::optional<std::vector<std::vector<NodeIndex>>> SynopsisPostingsForPattern(
-    const DocumentIndexes& idx, const TwigPattern& pattern) {
-  const Document& doc = idx.doc();
-  const size_t n = pattern.nodes.size();
-  std::vector<std::vector<int32_t>> syn(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& pn = pattern.nodes[i];
-    uint32_t name_id = doc.FindNameId(pn.uri, pn.local);
-    std::vector<int32_t>& frontier = syn[i];
-    if (name_id == kNoName) continue;  // Empty set: tag absent.
-    if (pn.parent < 0) {
-      // The twig machine admits every element with the root tag regardless
-      // of depth (its root node carries no parent edge), so the root
-      // resolves with descendant semantics to keep results identical.
-      idx.FindDescendants(0, NodeKind::kElement, name_id, &frontier);
-    } else {
-      for (int32_t s : syn[pn.parent]) {
-        if (pn.child_edge) {
-          int32_t c = idx.FindChild(s, NodeKind::kElement, name_id);
-          if (c >= 0) frontier.push_back(c);
-        } else {
-          idx.FindDescendants(s, NodeKind::kElement, name_id, &frontier);
-        }
-      }
-      SortUnique(&frontier);
-    }
-  }
-  std::vector<std::vector<NodeIndex>> lists(n);
-  for (size_t i = 0; i < n; ++i) lists[i] = MergedPostings(idx, syn[i]);
-  return lists;
-}
-
 std::vector<int32_t> ResolveSynopsisStep(const DocumentIndexes& idx,
                                          const std::vector<int32_t>& frontier,
                                          const IndexStep& st) {

@@ -7,7 +7,6 @@
 
 #include "exec/dynamic_context.h"
 #include "index/document_indexes.h"
-#include "join/twig.h"
 #include "query/expr.h"
 
 namespace xqp {
@@ -80,15 +79,6 @@ std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
 /// propagated. Charges the materialized buffer to ctx->governor.
 Result<std::optional<Sequence>> TryAnswerPathFromIndex(const PathExpr* e,
                                                        DynamicContext* ctx);
-
-/// Resolves every node of a twig `pattern` against the synopsis: node i of
-/// the result is the merged postings of the synopsis paths matching pattern
-/// node i's root chain, in document order. nullopt when the synopsis cannot
-/// mirror the pattern (never happens for planner-built patterns; defensive).
-/// The lists are supersets of the per-node solution participants, so
-/// TwigStackMatchWithLists over them returns exactly the TwigStack answer.
-std::optional<std::vector<std::vector<NodeIndex>>> SynopsisPostingsForPattern(
-    const DocumentIndexes& idx, const TwigPattern& pattern);
 
 /// Advances a synopsis frontier (sorted, duplicate-free synopsis-node set)
 /// across one chain step. Exported for the cost model (opt/cost.h), which

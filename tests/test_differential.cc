@@ -267,9 +267,9 @@ TEST_P(XMarkDifferentialTest, EnginesBatchAndProfileAgree) {
   XQueryEngine::CompileOptions no_opt;
   no_opt.optimize = false;
   CompiledQuery::ExecOptions eager;
-  eager.use_lazy_engine = false;
+  eager.backend = ExecBackend::kEager;
   CompiledQuery::ExecOptions lazy;
-  lazy.use_lazy_engine = true;
+  lazy.backend = ExecBackend::kLazy;
   CompiledQuery::ExecOptions vmexec;
   vmexec.backend = ExecBackend::kVm;
 
@@ -352,7 +352,7 @@ TEST_P(XMarkDifferentialTest, EnginesBatchAndProfileAgree) {
       const OpStats* root = report.value().RootStats();
       ASSERT_NE(root, nullptr) << query;
       EXPECT_EQ(root->items, report.value().result.size())
-          << query << " (lazy=" << exec.use_lazy_engine << ")";
+          << query << " (" << ExecBackendName(*exec.backend) << ")";
       EXPECT_EQ(SerializeSequence(report.value().result).ValueOrDie(), want)
           << query;
     }

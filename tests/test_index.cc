@@ -37,7 +37,7 @@ std::string RunOn(XQueryEngine& engine, const std::string& query,
                              << compiled.status().ToString();
   if (!compiled.ok()) return "COMPILE-ERROR";
   CompiledQuery::ExecOptions exec;
-  exec.use_lazy_engine = lazy;
+  exec.backend = lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   auto result = compiled.value()->ExecuteToXml(exec);
   EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
   return result.ok() ? result.value() : "ERROR";
@@ -291,29 +291,6 @@ TEST(EngineIndex, ValueKindsKnobLimitsFamilies) {
   EXPECT_EQ(RunOn(engine, "count(doc('d.xml')/r/a[. = 2])"), "1");
   // Pure paths remain synopsis-answerable.
   EXPECT_EQ(RunOn(engine, "count(doc('d.xml')/r/a)"), "2");
-}
-
-// --- Twig substitution ----------------------------------------------------
-
-TEST(EngineIndex, TwigJoinWithSynopsisListsMatchesExecute) {
-  XQueryEngine engine;
-  XQP_ASSERT_OK(engine.ParseAndRegister("xmark.xml", XMarkXml()).status());
-  const char* queries[] = {
-      "doc('xmark.xml')//open_auction[bidder]//increase",
-      "doc('xmark.xml')/site/people/person",
-      "doc('xmark.xml')//item[location][quantity]",
-  };
-  for (const char* q : queries) {
-    XQP_ASSERT_OK_AND_ASSIGN(auto compiled, engine.Compile(q));
-    ASSERT_TRUE(compiled->IsTwigConvertible()) << q;
-    XQP_ASSERT_OK_AND_ASSIGN(Sequence via_twig, compiled->ExecuteViaTwigJoin());
-    XQP_ASSERT_OK_AND_ASSIGN(Sequence via_exec, compiled->Execute());
-    XQP_ASSERT_OK_AND_ASSIGN(std::string twig_xml,
-                             SerializeSequence(via_twig));
-    XQP_ASSERT_OK_AND_ASSIGN(std::string exec_xml,
-                             SerializeSequence(via_exec));
-    EXPECT_EQ(twig_xml, exec_xml) << q;
-  }
 }
 
 }  // namespace

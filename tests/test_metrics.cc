@@ -256,7 +256,7 @@ TEST(ProfileTest, RootItemsMatchCardinalityBothEngines) {
     ASSERT_TRUE(compiled.ok()) << q << ": " << compiled.status().ToString();
     for (bool lazy : {true, false}) {
       CompiledQuery::ExecOptions exec;
-      exec.use_lazy_engine = lazy;
+      exec.backend = lazy ? ExecBackend::kLazy : ExecBackend::kEager;
       auto report = compiled.value()->Profile(exec);
       ASSERT_TRUE(report.ok()) << q << ": " << report.status().ToString();
       const OpStats* root = report.value().RootStats();

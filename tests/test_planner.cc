@@ -161,6 +161,8 @@ TEST(PlanEquivalence, XMarkShapes) {
       {
           "doc('xmark.xml')/site/people/person",
           "doc('xmark.xml')/site/people/person/name",
+          "doc('xmark.xml')//open_auction[bidder]//increase",
+          "doc('xmark.xml')//item[location][quantity]",
           "doc('xmark.xml')//keyword",
           "doc('xmark.xml')//open_auction/bidder/increase",
           "doc('xmark.xml')//person/@id",
@@ -186,11 +188,15 @@ TEST(PlanEquivalence, RandomCorpora) {
       "doc('r.xml')//a/b[2]",
       "doc('r.xml')//d[@k = '1']/a",
       "doc('r.xml')//a[@k = '2'][b]",
+      "doc('r.xml')//a[b]/c",
   };
   for (uint64_t seed : {7u, 21u, 443u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ExpectPlanEquivalence("r.xml", RandomXml(seed, 300), shapes);
   }
+  // A hand-built twig corner: only the first <a> has both a <b> and a <c>.
+  ExpectPlanEquivalence(
+      "r.xml", "<r><a><b/><c/></a><a><b/></a><a><c/></a></r>", shapes);
 }
 
 // Skewed corpora: heavily duplicated paths vs wide path diversity — the
@@ -523,16 +529,19 @@ TEST(PlannerRobustness, ForcedPathsHonorCancellation) {
   }
 }
 
-// The XQP_ACCESS_PATH env knob reaches the engine constructor.
+// The XQP_ACCESS_PATH env knob reaches the engine constructor; a value it
+// does not recognize is a startup error, not a silent kAuto.
 TEST(PlannerRobustness, EnvKnobParsesAndApplies) {
   ::setenv("XQP_ACCESS_PATH", "sjoin", 1);
   XQueryEngine engine;
   ::unsetenv("XQP_ACCESS_PATH");
   EXPECT_EQ(engine.options().force_access_path, AccessPath::kSJoin);
-  ::setenv("XQP_ACCESS_PATH", "bogus", 1);
-  XQueryEngine engine2;
-  ::unsetenv("XQP_ACCESS_PATH");
-  EXPECT_EQ(engine2.options().force_access_path, AccessPath::kAuto);
+  EXPECT_EXIT(
+      {
+        ::setenv("XQP_ACCESS_PATH", "bogus", 1);
+        XQueryEngine engine2;
+      },
+      ::testing::ExitedWithCode(2), "XQP_ACCESS_PATH");
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ Status RunStatus(XQueryEngine& engine, std::string_view query, bool use_lazy,
   auto compiled = engine.Compile(query);
   if (!compiled.ok()) return compiled.status();
   CompiledQuery::ExecOptions options;
-  options.use_lazy_engine = use_lazy;
+  options.backend = use_lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   options.limits = limits;
   return (*compiled)->Execute(options).status();
 }
@@ -309,6 +309,56 @@ TEST(Robustness, ResultItemCapBothEngines) {
   }
   // At the cap exactly: fine.
   XQP_ASSERT_OK(RunStatus(engine, "1 to 5", /*use_lazy=*/true, limits));
+}
+
+// Profile runs the plan Execute runs, so on every backend the two agree on
+// success and on the error code — including the result cap the eager
+// backend enforces after evaluation and the VM's whole-plan fallback
+// (try/catch and typeswitch roots do not compile to bytecode).
+TEST(Robustness, ProfileAgreesWithExecuteOnEveryBackend) {
+  struct ParityCase {
+    const char* query;
+    uint64_t max_result_items;
+  };
+  constexpr ParityCase kCases[] = {
+      {"(1, 2, 3)", 1},
+      {"(1, 2, 3)", 3},
+      {"try { (1, 2) } catch * { 3 }", 1},
+      {"typeswitch (1) case xs:string return 1 default return (2, 3)", 1},
+      {"typeswitch (1) case xs:string return 1 default return (2, 3)", 0},
+  };
+  XQueryEngine engine;
+  for (const ParityCase& c : kCases) {
+    XQP_ASSERT_OK_AND_ASSIGN(std::unique_ptr<CompiledQuery> q,
+                             engine.Compile(c.query));
+    for (ExecBackend backend :
+         {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+      CompiledQuery::ExecOptions options;
+      options.backend = backend;
+      options.limits.max_result_items = c.max_result_items;
+      const std::string label = std::string(c.query) + " cap=" +
+                                std::to_string(c.max_result_items) + " on " +
+                                ExecBackendName(backend);
+      Result<Sequence> executed = q->Execute(options);
+      Result<ProfileReport> profiled = q->Profile(options);
+      ASSERT_EQ(executed.ok(), profiled.ok()) << label;
+      if (!executed.ok()) {
+        EXPECT_EQ(executed.status().code(), profiled.status().code())
+            << label;
+      }
+    }
+  }
+
+  // The VM's whole-plan fallback is an engine event Profile must report.
+  XQP_ASSERT_OK_AND_ASSIGN(std::unique_ptr<CompiledQuery> q,
+                           engine.Compile("try { 1 } catch * { 2 }"));
+  CompiledQuery::ExecOptions vm;
+  vm.backend = ExecBackend::kVm;
+  XQP_ASSERT_OK_AND_ASSIGN(ProfileReport report, q->Profile(vm));
+  const auto& counters = report.engine_metrics.counters;
+  auto fallbacks = counters.find("vm.fallbacks");
+  ASSERT_NE(fallbacks, counters.end());
+  EXPECT_EQ(fallbacks->second, 1u);
 }
 
 TEST(Robustness, TripsAreRecordedInMetrics) {

@@ -756,5 +756,47 @@ TEST(FaultSpecDeathTest, MalformedEnvIsAStartupError) {
       ::testing::ExitedWithCode(2), "not a number");
 }
 
+using EngineEnvDeathTest = ::testing::Test;
+
+TEST(EngineEnvDeathTest, UnrecognizedKnobValueIsAStartupError) {
+  // The engine's XQP_* knobs follow the XQP_FAULT contract: a value the
+  // knob does not recognize exits 2 naming the knob and the value. Both
+  // of these used to be ignored (a lazy run, no deadline).
+  EXPECT_EXIT(
+      {
+        setenv("XQP_BACKEND", "VM", 1);
+        XQueryEngine engine;
+      },
+      ::testing::ExitedWithCode(2), "XQP_BACKEND: unrecognized value \"VM\"");
+  EXPECT_EXIT(
+      {
+        setenv("XQP_DEADLINE_MS", "5s", 1);
+        XQueryEngine engine;
+      },
+      ::testing::ExitedWithCode(2),
+      "XQP_DEADLINE_MS: unrecognized value \"5s\"");
+  // Past the cap, now() + timeout would overflow the governor's clock.
+  EXPECT_EXIT(
+      {
+        setenv("XQP_DEADLINE_MS", "9223372036854775807", 1);
+        XQueryEngine engine;
+      },
+      ::testing::ExitedWithCode(2), "XQP_DEADLINE_MS: unrecognized value");
+}
+
+TEST(EngineEnv, EmptyKnobMeansUnsetAndGoodValuesApply) {
+  setenv("XQP_BACKEND", "", 1);
+  setenv("XQP_DEADLINE_MS", "250", 1);
+  setenv("XQP_MEM_BUDGET", "64M", 1);
+  XQueryEngine engine;
+  unsetenv("XQP_BACKEND");
+  unsetenv("XQP_DEADLINE_MS");
+  unsetenv("XQP_MEM_BUDGET");
+  EXPECT_EQ(engine.options().backend, ExecBackend::kLazy);
+  EXPECT_EQ(engine.options().default_limits.timeout.count(), 250);
+  EXPECT_EQ(engine.options().default_limits.memory_budget_bytes,
+            64ull << 20);
+}
+
 }  // namespace
 }  // namespace xqp

@@ -41,7 +41,7 @@ inline std::string RunQuery(const std::string& query,
   auto compiled = engine.Compile(query, copts);
   if (!compiled.ok()) return "COMPILE-ERROR: " + compiled.status().ToString();
   CompiledQuery::ExecOptions eopts;
-  eopts.use_lazy_engine = use_lazy;
+  eopts.backend = use_lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   auto result = (*compiled)->ExecuteToXml(eopts);
   if (!result.ok()) return "ERROR: " + result.status().ToString();
   return *result;

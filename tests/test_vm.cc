@@ -783,9 +783,6 @@ TEST(VmBackend, PerCallOverrideWinsOverEngineDefault) {
   CompiledQuery::ExecOptions eager;
   eager.backend = ExecBackend::kEager;
   EXPECT_EQ(compiled.value()->ResolvedBackend(eager), ExecBackend::kEager);
-  CompiledQuery::ExecOptions legacy;
-  legacy.use_lazy_engine = false;
-  EXPECT_EQ(compiled.value()->ResolvedBackend(legacy), ExecBackend::kEager);
   EXPECT_EQ(compiled.value()->ResolvedBackend(CompiledQuery::ExecOptions()),
             ExecBackend::kVm);
 }

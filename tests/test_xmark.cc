@@ -76,7 +76,7 @@ TEST_P(XMarkQueryTest, EnginesAgree) {
   XQP_ASSERT_OK_AND_ASSIGN(auto compiled, engine.Compile(GetParam().text));
   CompiledQuery::ExecOptions lazy;
   CompiledQuery::ExecOptions eager;
-  eager.use_lazy_engine = false;
+  eager.backend = ExecBackend::kEager;
   XQP_ASSERT_OK_AND_ASSIGN(std::string lazy_out, compiled->ExecuteToXml(lazy));
   XQP_ASSERT_OK_AND_ASSIGN(std::string eager_out,
                            compiled->ExecuteToXml(eager));

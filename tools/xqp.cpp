@@ -13,7 +13,8 @@
 //                     lazy streaming engine
 //   --no-optimize     skip the rewrite-rule optimizer
 //   --no-context      don't bind a context item
-//   --explain         print the optimized plan and rewrite statistics
+//   --explain         print the optimized operator tree and rewrite
+//                     statistics (on stderr)
 //   --indent          pretty-print XML output
 //   --time            report compile/execute wall-clock times
 //
@@ -153,15 +154,16 @@ int main(int argc, char** argv) {
   }
   double compile_ms = MillisSince(t0);
 
+  CompiledQuery::ExecOptions eopts;
+  if (eager) eopts.backend = ExecBackend::kEager;
   if (explain) {
-    std::fprintf(stderr, "plan: %s\n", (*compiled)->Explain().c_str());
+    std::fprintf(stderr, "plan:\n%s",
+                 (*compiled)->ExplainTree(eopts).c_str());
     for (const auto& [rule, count] : (*compiled)->rewrite_stats()) {
       std::fprintf(stderr, "  %-24s x%d\n", rule.c_str(), count);
     }
   }
 
-  CompiledQuery::ExecOptions eopts;
-  eopts.use_lazy_engine = !eager;
   if (bind_context && context_doc != nullptr) {
     eopts.has_context_item = true;
     eopts.context_item = Item(Node(context_doc, 0));

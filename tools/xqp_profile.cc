@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
   int scale_permille = 20;
   bool json = false;
   bool explain_only = false;
-  bool eager = false;
   bool check = false;
   int threads = 0;
   std::string snapshot_dir;
@@ -101,18 +100,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--explain-only") {
       explain_only = true;
     } else if (arg == "--eager") {
-      eager = true;
+      backend = xqp::ExecBackend::kEager;
     } else if (arg == "--backend" && i + 1 < argc) {
-      std::string name = argv[++i];
-      if (name == "lazy") {
-        backend = xqp::ExecBackend::kLazy;
-      } else if (name == "eager") {
-        backend = xqp::ExecBackend::kEager;
-      } else if (name == "vm") {
-        backend = xqp::ExecBackend::kVm;
-      } else {
-        return Usage();
-      }
+      backend = xqp::ParseExecBackend(argv[++i]);
+      if (!backend.has_value()) return Usage();
     } else if (arg == "--check") {
       check = true;
     } else {
@@ -154,7 +145,6 @@ int main(int argc, char** argv) {
   }
 
   xqp::CompiledQuery::ExecOptions exec;
-  exec.use_lazy_engine = !eager;
   exec.backend = backend;
 
   if (explain_only) {
