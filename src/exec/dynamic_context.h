@@ -17,6 +17,9 @@ namespace xqp {
 class QueryProfile;
 class DocumentIndexes;
 class TagIndex;
+namespace value_join {
+struct Index;
+}  // namespace value_join
 
 /// Supplies documents and collections to fn:doc / fn:collection ("available
 /// documents and collections" of the paper's dynamic context). The engine
@@ -100,6 +103,10 @@ class DynamicContext {
   /// forced strategy that cannot answer a given chain degrades to
   /// navigation (results stay bit-identical across all settings).
   AccessPath force_access_path = AccessPath::kAuto;
+
+  /// This run's value-join indexes by FlworExpr::Clause::join_id, built on
+  /// first use (exec/value_join.h).
+  std::vector<std::shared_ptr<value_join::Index>> value_joins;
 
   /// Counters the experiments report (node-id elision, buffer usage).
   struct Stats {

@@ -13,6 +13,7 @@
 #include "exec/constructor.h"
 #include "exec/order_by.h"
 #include "exec/type_match.h"
+#include "exec/value_join.h"
 #include "index/index_planner.h"
 #include "opt/access_path.h"
 
@@ -460,6 +461,25 @@ Result<Sequence> Interpreter::EvalFlwor(const FlworExpr* e) {
     const FlworExpr::Clause& c = e->clauses[ci];
     switch (c.type) {
       case FlworExpr::Clause::Type::kFor: {
+        if (c.join != ValueJoinKind::kNone) {
+          const value_join::Spec spec = value_join::SpecOf(*e, ci);
+          std::optional<Sequence> matches = value_join::Match(
+              spec, ctx_, [this](const Expr* x) { return Eval(x); });
+          if (matches.has_value()) {
+            // Every match passes the comparison; only the rest of the
+            // where predicate (clause ci + 1) is left to test.
+            for (const Item& item : *matches) {
+              ctx_->slots[c.var_slot] = LazySeq::FromItem(item);
+              if (spec.rest != nullptr) {
+                XQP_ASSIGN_OR_RETURN(Sequence cond, Eval(spec.rest));
+                XQP_ASSIGN_OR_RETURN(bool b, EffectiveBooleanValue(cond));
+                if (!b) continue;
+              }
+              XQP_RETURN_NOT_OK(run(ci + 2, tuple));
+            }
+            return Status::OK();
+          }
+        }
         XQP_ASSIGN_OR_RETURN(Sequence domain, Eval(e->child(ci)));
         for (size_t i = 0; i < domain.size(); ++i) {
           ctx_->slots[c.var_slot] = LazySeq::FromItem(domain[i]);

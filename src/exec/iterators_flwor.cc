@@ -2,6 +2,7 @@
 #include "exec/interpreter.h"
 #include "exec/iterators.h"
 #include "exec/profile.h"
+#include "exec/value_join.h"
 
 namespace xqp {
 namespace lazy_internal {
@@ -24,7 +25,10 @@ class NonOwningIt : public ItemIterator {
 /// Streaming FLWOR tuple machine. Order-by FLWORs are blocking by nature
 /// and delegate to the eager evaluator; everything else streams tuples:
 /// for-domains are pulled one binding at a time and the return expression
-/// is drained per tuple before the machine advances.
+/// is drained per tuple before the machine advances. A value-join planned
+/// for clause first asks the shared executor (exec/value_join.h) for its
+/// matches; when it answers, the clause iterates them and its where clause
+/// tests only the predicate's remaining conjunct.
 class FlworIt : public ItemIterator {
  public:
   explicit FlworIt(const FlworExpr* e) : e_(e) {}
@@ -38,6 +42,18 @@ class FlworIt : public ItemIterator {
       XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it,
                            CompileIterator(e_->child(i), focus));
       children_.push_back(std::move(it));
+    }
+    joins_.resize(e_->clauses.size());
+    for (size_t i = 0; i < e_->clauses.size(); ++i) {
+      if (e_->clauses[i].join == ValueJoinKind::kNone) continue;
+      auto js = std::make_unique<JoinState>();
+      js->spec = value_join::SpecOf(*e_, i);
+      XQP_ASSIGN_OR_RETURN(js->key, CompileIterator(js->spec.key, focus));
+      XQP_ASSIGN_OR_RETURN(js->outer, CompileIterator(js->spec.outer, focus));
+      if (js->spec.rest != nullptr) {
+        XQP_ASSIGN_OR_RETURN(js->rest, CompileIterator(js->spec.rest, focus));
+      }
+      joins_[i] = std::move(js);
     }
     return Status::OK();
   }
@@ -105,7 +121,60 @@ class FlworIt : public ItemIterator {
   }
 
  private:
+  /// A planned for clause's executor inputs and, while `active`, the
+  /// matches its current domain pass iterates instead of the domain.
+  struct JoinState {
+    value_join::Spec spec;
+    std::unique_ptr<ItemIterator> key;
+    std::unique_ptr<ItemIterator> outer;
+    std::unique_ptr<ItemIterator> rest;  // Null when there is no rest.
+    bool active = false;
+    Sequence matches;
+    size_t pos = 0;
+  };
+
   ItemIterator* ReturnIter() { return children_.back().get(); }
+
+  /// Opens for clause `i`'s domain: the executor's matches when it
+  /// answers, else the domain iterator.
+  Status OpenDomain(size_t i) {
+    JoinState* js = joins_[i].get();
+    if (js != nullptr) {
+      auto eval = [&](const Expr* x) -> Result<Sequence> {
+        ItemIterator* it = x == js->spec.domain ? children_[i].get()
+                           : x == js->spec.key  ? js->key.get()
+                                                : js->outer.get();
+        XQP_RETURN_NOT_OK(it->Reset(ctx_));
+        return Drain(it);
+      };
+      std::optional<Sequence> matches =
+          value_join::Match(js->spec, ctx_, eval);
+      js->active = matches.has_value();
+      if (js->active) {
+        js->matches = std::move(*matches);
+        js->pos = 0;
+        return Status::OK();
+      }
+    }
+    return children_[i]->Reset(ctx_);
+  }
+
+  Result<bool> NextDomainItem(size_t i, Item* out) {
+    JoinState* js = joins_[i].get();
+    if (js == nullptr || !js->active) return children_[i]->Next(out);
+    if (js->pos >= js->matches.size()) return false;
+    *out = js->matches[js->pos++];
+    return true;
+  }
+
+  /// The where clause `i`'s test: the whole predicate, only its rest
+  /// conjunct after a join-answered for clause, or null (passes).
+  ItemIterator* WhereTest(size_t i) {
+    if (i > 0 && joins_[i - 1] != nullptr && joins_[i - 1]->active) {
+      return joins_[i - 1]->rest.get();
+    }
+    return children_[i].get();
+  }
 
   /// Establishes the next complete tuple. On the first call it opens all
   /// clauses from 0; afterwards it backtracks to the deepest for clause
@@ -149,8 +218,11 @@ class FlworIt : public ItemIterator {
           break;
         }
         case FlworExpr::Clause::Type::kWhere: {
-          XQP_RETURN_NOT_OK(children_[i]->Reset(ctx_));
-          XQP_ASSIGN_OR_RETURN(bool pass, StreamingEbv(children_[i].get()));
+          bool pass = true;
+          if (ItemIterator* test = WhereTest(i)) {
+            XQP_RETURN_NOT_OK(test->Reset(ctx_));
+            XQP_ASSIGN_OR_RETURN(pass, StreamingEbv(test));
+          }
           if (pass) {
             ++i;
             break;
@@ -160,10 +232,10 @@ class FlworIt : public ItemIterator {
           break;
         }
         case FlworExpr::Clause::Type::kFor: {
-          XQP_RETURN_NOT_OK(children_[i]->Reset(ctx_));
+          XQP_RETURN_NOT_OK(OpenDomain(i));
           for_pos_[i] = 0;
           Item item;
-          XQP_ASSIGN_OR_RETURN(bool got, children_[i]->Next(&item));
+          XQP_ASSIGN_OR_RETURN(bool got, NextDomainItem(i, &item));
           if (got) {
             BindFor(i, std::move(item));
             ++i;
@@ -188,7 +260,7 @@ class FlworIt : public ItemIterator {
     for (size_t j = limit; j-- > 0;) {
       if (e_->clauses[j].type != FlworExpr::Clause::Type::kFor) continue;
       Item item;
-      XQP_ASSIGN_OR_RETURN(bool got, children_[j]->Next(&item));
+      XQP_ASSIGN_OR_RETURN(bool got, NextDomainItem(j, &item));
       if (got) {
         BindFor(j, std::move(item));
         *resume = j + 1;
@@ -210,6 +282,8 @@ class FlworIt : public ItemIterator {
 
   const FlworExpr* e_;
   std::vector<std::unique_ptr<ItemIterator>> children_;
+  std::vector<std::unique_ptr<JoinState>> joins_;  // Per clause; null if
+                                                   // not planned.
   DynamicContext* ctx_ = nullptr;
   bool has_order_ = false;
   // Streaming state.

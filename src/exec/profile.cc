@@ -68,6 +68,22 @@ std::string ChildPrefix(const Expr& parent, size_t i) {
   }
 }
 
+/// The value-join annotation of a planned for clause's domain line.
+std::string ChildSuffix(const Expr& parent, size_t i) {
+  if (parent.kind() != ExprKind::kFlwor) return "";
+  const auto& f = static_cast<const FlworExpr&>(parent);
+  if (i >= f.clauses.size()) return "";
+  switch (f.clauses[i].join) {
+    case ValueJoinKind::kHash:
+      return " [join: hash]";
+    case ValueJoinKind::kRange:
+      return " [join: range]";
+    case ValueJoinKind::kNone:
+      break;
+  }
+  return "";
+}
+
 void AppendDuration(uint64_t ns, std::string* out) {
   char buf[32];
   if (ns >= 1000000000ULL) {
@@ -89,17 +105,19 @@ struct Line {
 };
 
 void CollectLines(const Expr& e, int depth, const std::string& prefix,
-                  std::vector<Line>* out,
+                  const std::string& suffix, std::vector<Line>* out,
                   const ExplainAnnotator* annotate = nullptr) {
   Line line;
   line.label.assign(size_t(depth) * 2, ' ');
   line.label += prefix;
   line.label += OperatorLabel(e);
   if (annotate != nullptr) line.label += (*annotate)(e);
+  line.label += suffix;
   line.e = &e;
   out->push_back(std::move(line));
   for (size_t i = 0; i < e.NumChildren(); ++i) {
-    CollectLines(*e.child(i), depth + 1, ChildPrefix(e, i), out, annotate);
+    CollectLines(*e.child(i), depth + 1, ChildPrefix(e, i), ChildSuffix(e, i),
+                 out, annotate);
   }
 }
 
@@ -210,7 +228,7 @@ std::string OperatorLabel(const Expr& e) {
 
 std::string RenderExplainTree(const Expr& root) {
   std::vector<Line> lines;
-  CollectLines(root, 0, "", &lines);
+  CollectLines(root, 0, "", "", &lines);
   std::string out;
   for (const Line& line : lines) {
     out += line.label;
@@ -222,7 +240,7 @@ std::string RenderExplainTree(const Expr& root) {
 std::string RenderExplainTree(const Expr& root,
                               const ExplainAnnotator& annotate) {
   std::vector<Line> lines;
-  CollectLines(root, 0, "", &lines, annotate ? &annotate : nullptr);
+  CollectLines(root, 0, "", "", &lines, annotate ? &annotate : nullptr);
   std::string out;
   for (const Line& line : lines) {
     out += line.label;
@@ -233,7 +251,7 @@ std::string RenderExplainTree(const Expr& root,
 
 std::string RenderProfileText(const Expr& root, const QueryProfile& profile) {
   std::vector<Line> lines;
-  CollectLines(root, 0, "", &lines);
+  CollectLines(root, 0, "", "", &lines);
   size_t width = 24;
   for (const Line& line : lines) {
     if (line.label.size() > width) width = line.label.size();

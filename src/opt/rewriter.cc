@@ -58,6 +58,13 @@ Result<RewriteStats> OptimizeModule(ParsedModule* module,
   }
   XQP_RETURN_NOT_OK(OptimizeFrame(module->body, module, options, &stats,
                                   &module->num_slots));
+  if (options.flwor_unnesting) {
+    // Join ids key a per-execution memo, so only the main body (run once
+    // per execution, in one frame) is planned.
+    AnalyzeExpr(module->body.get(), module);
+    RuleContext ctx{module, &options, &stats, &module->num_slots};
+    opt_internal::PlanValueJoins(module->body.get(), &ctx);
+  }
   return stats;
 }
 

@@ -20,7 +20,9 @@ struct RewriterOptions {
   bool boolean_simplification = true;
   bool let_folding = true;             // LET clause folding + dead-let removal.
   bool function_inlining = true;
-  bool flwor_unnesting = true;         // FOR-clause and RETURN-clause unnesting.
+  bool flwor_unnesting = true;         // FOR-clause and RETURN-clause
+                                       // unnesting, and value joins for
+                                       // correlated inner FLWORs.
   bool for_to_path = true;             // FOR clause minimization.
   bool ddo_elision = true;             // Doc-order/dup-elim elimination.
   bool cse = true;                     // Common subexpression factorization.
@@ -72,6 +74,9 @@ struct RuleContext {
 Status ApplyCoreRules(ExprPtr& e, RuleContext* ctx);    // rules_core.cc
 Status ApplyFlworRules(ExprPtr& e, RuleContext* ctx);   // rules_flwor.cc
 Status ApplyPathRules(ExprPtr& e, RuleContext* ctx);    // rules_path.cc
+/// The value-join rule (rules_flwor.cc): one pass over the optimized main
+/// body, after the fixpoint, with fresh properties.
+void PlanValueJoins(Expr* body, RuleContext* ctx);
 
 }  // namespace opt_internal
 

@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <vector>
+
 #include "opt/inline_functions.h"
 #include "opt/properties.h"
 #include "opt/rewriter.h"
@@ -162,7 +165,156 @@ void MinimizeFor(ExprPtr& e, RuleContext* ctx) {
   ctx->Count("for-minimization");
 }
 
+/// Value-join planning (the paper's FLWOR unnesting carried to correlated
+/// inner FLWORs): marks `for $t in E` when the next clause is a where
+/// whose predicate, or its first `and` conjunct, is a general comparison
+/// `K op O` (=, <, <=, >, >=) with K reading $t and O not; when E and K
+/// are pure (no node construction, no focus) and read only globals and
+/// the main body's leading lets; and when the clause sits inside a loop,
+/// so an index built once per execution is probed more than once.
+class ValueJoinPlanner {
+ public:
+  explicit ValueJoinPlanner(RuleContext* ctx) : ctx_(ctx) {}
+
+  void PlanBody(Expr* body) {
+    if (body->kind() != ExprKind::kFlwor) {
+      Walk(body, false);
+      return;
+    }
+    // The leading lets (the CSE lets) are bound once per execution; each
+    // is in scope for everything after it.
+    auto* flwor = static_cast<FlworExpr*>(body);
+    size_t i = 0;
+    for (; i < flwor->clauses.size() &&
+           flwor->clauses[i].type != FlworExpr::Clause::Type::kFor;
+         ++i) {
+      Walk(flwor->child(i), false);
+      if (flwor->clauses[i].type == FlworExpr::Clause::Type::kLet) {
+        top_lets_.push_back(flwor->clauses[i].var_slot);
+      }
+    }
+    WalkFlwor(flwor, i, false);
+  }
+
+ private:
+  void Walk(Expr* e, bool in_loop) {
+    switch (e->kind()) {
+      case ExprKind::kFlwor:
+        WalkFlwor(static_cast<FlworExpr*>(e), 0, in_loop);
+        return;
+      case ExprKind::kQuantified:
+      case ExprKind::kFilter:
+      case ExprKind::kPath:
+        // Everything after the first domain / base / lhs runs per item.
+        for (size_t i = 0; i < e->NumChildren(); ++i) {
+          Walk(e->child(i), in_loop || i > 0);
+        }
+        return;
+      default:
+        for (size_t i = 0; i < e->NumChildren(); ++i) {
+          Walk(e->child(i), in_loop);
+        }
+        return;
+    }
+  }
+
+  void WalkFlwor(FlworExpr* flwor, size_t start, bool in_loop) {
+    for (size_t i = start; i < flwor->clauses.size(); ++i) {
+      Walk(flwor->child(i), in_loop);
+      if (flwor->clauses[i].type != FlworExpr::Clause::Type::kFor) continue;
+      if (in_loop) TryPlan(flwor, i);
+      in_loop = true;
+    }
+    Walk(flwor->return_expr(), in_loop);
+  }
+
+  void TryPlan(FlworExpr* flwor, size_t i) {
+    FlworExpr::Clause& c = flwor->clauses[i];
+    if (c.has_pos_var() || i + 1 >= flwor->clauses.size() ||
+        flwor->clauses[i + 1].type != FlworExpr::Clause::Type::kWhere) {
+      return;
+    }
+    // The first conjunct of a left-nested `and` chain.
+    const Expr* pred = flwor->child(i + 1);
+    while (IsAnd(*pred)) pred = pred->child(0);
+    if (pred->kind() != ExprKind::kComparison) return;
+    const CompOp op = static_cast<const ComparisonExpr*>(pred)->op;
+    if (op != CompOp::kGenEq && op != CompOp::kGenLt &&
+        op != CompOp::kGenLe && op != CompOp::kGenGt &&
+        op != CompOp::kGenGe) {
+      return;
+    }
+    bool in_loop = false;
+    const bool lhs_reads =
+        CountVarUses(pred->child(0), c.var_slot, &in_loop) > 0;
+    const bool rhs_reads =
+        CountVarUses(pred->child(1), c.var_slot, &in_loop) > 0;
+    if (lhs_reads == rhs_reads) return;
+    const Expr* key = pred->child(lhs_reads ? 0 : 1);
+    const Expr* domain = flwor->child(i);
+    if (!Pure(*domain) || !Pure(*key) || !ReadsOnlyInvariants(*domain, -1) ||
+        !ReadsOnlyInvariants(*key, c.var_slot)) {
+      return;
+    }
+    c.join = op == CompOp::kGenEq ? ValueJoinKind::kHash
+                                  : ValueJoinKind::kRange;
+    c.join_id = next_id_++;
+    HoistFirstConjunct(flwor->child_slot(i + 1));
+    ctx_->Count("value-join");
+  }
+
+  static bool IsAnd(const Expr& e) {
+    return e.kind() == ExprKind::kLogical &&
+           static_cast<const LogicalExpr&>(e).is_and;
+  }
+
+  /// Re-associates `(C and A) and B` as `C and (A and B)` until the join
+  /// comparison C is the predicate's direct left operand, so the backends
+  /// can test the rest as one expression. Evaluation order is unchanged.
+  static void HoistFirstConjunct(ExprPtr& pred) {
+    while (IsAnd(*pred) && IsAnd(*pred->child(0))) {
+      ExprPtr outer = std::move(pred);      // (C and A) and B
+      ExprPtr inner = outer->TakeChild(0);  // C and A
+      outer->SetChild(0, inner->TakeChild(1));
+      inner->SetChild(1, std::move(outer));
+      pred = std::move(inner);              // C and (A and B)
+    }
+  }
+
+  static bool Pure(const Expr& e) {
+    const ExprProps& p = e.props;
+    return p.analyzed && !p.creates_nodes && !p.uses_context &&
+           !p.uses_position && !p.uses_last;
+  }
+
+  /// Every local `e` reads is bound inside it, is a leading let in scope,
+  /// or is `allowed` ($t for the key).
+  bool ReadsOnlyInvariants(const Expr& e, int allowed) const {
+    std::vector<int> used;
+    std::vector<int> bound;
+    CollectUsedSlots(&e, &used);
+    CollectBoundSlots(&e, &bound);
+    auto has = [](const std::vector<int>& v, int slot) {
+      return std::find(v.begin(), v.end(), slot) != v.end();
+    };
+    for (int slot : used) {
+      if (slot != allowed && !has(bound, slot) && !has(top_lets_, slot)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  RuleContext* ctx_;
+  std::vector<int> top_lets_;
+  int next_id_ = 0;
+};
+
 }  // namespace
+
+void PlanValueJoins(Expr* body, RuleContext* ctx) {
+  ValueJoinPlanner(ctx).PlanBody(body);
+}
 
 Status ApplyFlworRules(ExprPtr& e, RuleContext* ctx) {
   for (size_t i = 0; i < e->NumChildren(); ++i) {

@@ -397,6 +397,11 @@ class FilterExpr : public Expr {
   std::string ToString() const override;
 };
 
+/// Value-join strategy of a `for` clause planned by the value-join rule
+/// (opt/rules_flwor.cc): a string-keyed hash for `=`, a sorted xs:double
+/// array for `<`, `<=`, `>`, `>=` (exec/value_join.h).
+enum class ValueJoinKind : uint8_t { kNone, kHash, kRange };
+
 /// FLWOR. Clause i's expression is child i; the return expression is the
 /// last child. Order-by keys appear as kOrderSpec clauses.
 class FlworExpr : public Expr {
@@ -411,6 +416,11 @@ class FlworExpr : public Expr {
     // kOrderSpec modifiers.
     bool descending = false;
     bool empty_least = true;
+    // kFor: set by the value-join rule when the following where clause
+    // can be answered from a per-execution index over this domain;
+    // `join_id` keys that index in the DynamicContext.
+    ValueJoinKind join = ValueJoinKind::kNone;
+    int join_id = -1;
 
     bool has_pos_var() const { return !pos_var.local.empty(); }
   };

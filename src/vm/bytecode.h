@@ -9,6 +9,7 @@
 
 #include "exec/item.h"
 #include "exec/order_by.h"
+#include "exec/value_join.h"
 #include "query/expr.h"
 
 namespace xqp {
@@ -49,7 +50,9 @@ enum class Op : uint8_t {
                      //   (-1: none). Advances the iterator; at end jumps to
                      //   b, else binds the item into register c. flag&1:
                      //   mirror the binding into ctx->slots[c]. Polls the
-                     //   governor (every loop back-edge lands here).
+                     //   governor (every loop back-edge lands here). An
+                     //   iterator opened by kValueJoin then jumps to its
+                     //   plan's skip_pc, past the join comparison.
   kBindPos,          // a = iterator register, b = pos slot; bind the 1-based
                      //   position ("at $p"). flag&1: mirror.
   kAccumNew,         // Open a result accumulator.
@@ -69,6 +72,15 @@ enum class Op : uint8_t {
   kAccessExec,       // Same operands/behavior as kIndexProbe, emitted for
                      //   predicate-free chains where the full strategy
                      //   dispatch (nav/sjoin/twig/index) applies.
+  kValueJoin,        // a = join-plan index. flag 0 (open): build or fetch
+                     //   the value-join executor's index; a decline jumps
+                     //   to the plan's nested_pc, an empty domain opens the
+                     //   plan's iterator empty and jumps to its loop_pc,
+                     //   else falls through to the outer operand's code.
+                     //   flag 1 (probe): pop the outer operand; an answer
+                     //   opens the iterator over the matches and jumps to
+                     //   loop_pc, a decline falls through to the domain
+                     //   code (the unchanged nested loop).
   kConstructElem,    // a = ctor-plan index, b = evaluated child count. Pop b
                      //   sequences (the computed name first when the plan's
                      //   expression has one, then the content parts in
@@ -164,6 +176,21 @@ struct Program {
     std::vector<flwor::OrderSpecFlags> specs;
   };
   std::vector<SortPlan> sorts;
+
+  /// A value-join planned for clause (exec/value_join.h) and the pcs
+  /// kValueJoin dispatches to: the domain code of the nested loop, the
+  /// clause's kIterNext, and the instruction after the join comparison's
+  /// where gate (where the rest conjunct, if any, is tested). The
+  /// executor evaluates the domain and key expressions on the interpreter
+  /// against ctx->slots, so the slots they read are mirrored.
+  struct JoinPlan {
+    value_join::Spec spec;
+    int iter = 0;
+    int nested_pc = 0;
+    int loop_pc = 0;
+    int skip_pc = 0;
+  };
+  std::vector<JoinPlan> joins;
 
   /// Expressions synthesized during lowering (e.g. the navigation twin of
   /// an index-probed predicate chain, run as a thunk when the probe

@@ -45,6 +45,7 @@ std::string_view OpName(Op op) {
     case Op::kNavStep: return "nav-step";
     case Op::kIndexProbe: return "index-probe";
     case Op::kAccessExec: return "access-exec";
+    case Op::kValueJoin: return "value-join";
     case Op::kConstructElem: return "construct-elem";
     case Op::kConstructAttr: return "construct-attr";
     case Op::kConstructText: return "construct-text";
@@ -459,6 +460,15 @@ class Compiler {
   /// domain code, so inner domains are re-evaluated per outer tuple —
   /// exactly the interpreter's recursive tuple stream.
   ///
+  /// A value-join planned for clause and its where clause lower to
+  ///     value-join/open J    --declined--> NESTED, --empty--> L
+  ///     <outer operand>
+  ///     value-join/probe J   --answered--> L (iterator = the matches)
+  ///   NESTED: <domain> iter-new
+  ///   L: iter-next          (a match resumes at SKIP)
+  ///     <comparison> jump-if-false L
+  ///   SKIP: [<rest conjunct> jump-if-false L]
+  ///
   /// With order-by clauses the accumulator becomes a sort buffer: sort-open
   /// replaces accum-new, each order-spec clause compiles its key expression
   /// at clause position followed by sort-key (positional assignment, so
@@ -491,6 +501,17 @@ class Compiler {
       const FlworExpr::Clause& c = e.clauses[ci];
       switch (c.type) {
         case FlworExpr::Clause::Type::kFor: {
+          int join = -1;
+          if (c.join != ValueJoinKind::kNone) {
+            join = static_cast<int>(p_->joins.size());
+            p_->joins.push_back({value_join::SpecOf(e, ci)});
+            p_->joins.back().iter = iter_depth_;
+            Emit(Op::kValueJoin, 0, join);
+            Compile(*p_->joins.back().spec.outer);
+            Emit(Op::kValueJoin, 1, join);
+            Pop();
+            p_->joins[size_t(join)].nested_pc = Here();
+          }
           Compile(*e.child(ci));
           int iter = iter_depth_++;
           ++iters_entered;
@@ -502,6 +523,22 @@ class Compiler {
           if (c.pos_slot >= 0) {
             Emit(Op::kBindPos, 0, iter, c.pos_slot);
             bound_.push_back(c.pos_slot);
+          }
+          if (join >= 0) {
+            // The where clause: the join comparison, then its rest.
+            Program::JoinPlan& jp = p_->joins[size_t(join)];
+            jp.loop_pc = loop_pcs.back();
+            const Expr* rest = jp.spec.rest;
+            const Expr* where = e.child(++ci);
+            Compile(rest != nullptr ? *where->child(0) : *where);
+            PatchTarget(Emit(Op::kJumpIfFalse), loop_pcs.back());
+            Pop();
+            p_->joins[size_t(join)].skip_pc = Here();
+            if (rest != nullptr) {
+              Compile(*rest);
+              PatchTarget(Emit(Op::kJumpIfFalse), loop_pcs.back());
+              Pop();
+            }
           }
           break;
         }
@@ -604,6 +641,15 @@ class Compiler {
     std::vector<int> used;
     for (const Program::Thunk& t : p_->thunks) {
       CollectUsedSlots(t.expr, &used);
+    }
+    for (const Program::JoinPlan& jp : p_->joins) {
+      // The executor binds $t itself while it evaluates the key.
+      std::vector<int> join_used;
+      CollectUsedSlots(jp.spec.domain, &join_used);
+      CollectUsedSlots(jp.spec.key, &join_used);
+      for (int slot : join_used) {
+        if (slot != jp.spec.var_slot) used.push_back(slot);
+      }
     }
     if (used.empty()) return;
     std::unordered_set<int> mirror(used.begin(), used.end());

@@ -115,6 +115,7 @@ class Vm {
   struct IterState {
     Sequence domain;
     size_t pos = 0;
+    int resume = -1;  // kValueJoin matches: the pc after each binding.
   };
 
   /// One open order-by buffer: the tuples gathered so far and the current
@@ -203,6 +204,7 @@ Result<Sequence> Vm::Run() {
       &&lbl_kIterNext,    &&lbl_kBindPos,     &&lbl_kAccumNew,
       &&lbl_kAccumAdd,    &&lbl_kAccumEnd,    &&lbl_kCallBuiltin,
       &&lbl_kNavStep,     &&lbl_kIndexProbe,  &&lbl_kAccessExec,
+      &&lbl_kValueJoin,
       &&lbl_kConstructElem, &&lbl_kConstructAttr, &&lbl_kConstructText,
       &&lbl_kConstructNode, &&lbl_kPushRoot,  &&lbl_kSortOpen,
       &&lbl_kSortKey,     &&lbl_kSortAdd,     &&lbl_kSortTuples,
@@ -369,20 +371,27 @@ Result<Sequence> Vm::Run() {
         VM_NEXT();
       }
     }
-    Sequence s1, s2;
-    auto r = EvalArithmetic(op, AtomizeView(lhs, &s1), AtomizeView(rhs, &s2));
-    if (!r.ok()) return r.status();
-    --sp;
-    stack[sp - 1] = std::move(r).value();
+    {
+      // Scoped: leaving a block by VM_NEXT's computed goto skips the
+      // destructors of its locals, which would leak their buffers.
+      Sequence s1, s2;
+      auto r =
+          EvalArithmetic(op, AtomizeView(lhs, &s1), AtomizeView(rhs, &s2));
+      if (!r.ok()) return r.status();
+      --sp;
+      stack[sp - 1] = std::move(r).value();
+    }
     VM_NEXT();
   }
 
   VM_CASE(kUnary) : {
     Sequence& s = stack[sp - 1];
-    Sequence scratch;
-    auto r = EvalUnary(ip->flag != 0, AtomizeView(s, &scratch));
-    if (!r.ok()) return r.status();
-    stack[sp - 1] = std::move(r).value();
+    {
+      Sequence scratch;  // Scoped, as in kArith.
+      auto r = EvalUnary(ip->flag != 0, AtomizeView(s, &scratch));
+      if (!r.ok()) return r.status();
+      stack[sp - 1] = std::move(r).value();
+    }
     VM_NEXT();
   }
 
@@ -400,12 +409,14 @@ Result<Sequence> Vm::Run() {
       --sp;
       VM_NEXT();
     }
-    Sequence s1, s2;
-    auto r =
-        EvalValueComparison(op, AtomizeView(lhs, &s1), AtomizeView(rhs, &s2));
-    if (!r.ok()) return r.status();
-    --sp;
-    stack[sp - 1] = std::move(r).value();
+    {
+      Sequence s1, s2;  // Scoped, as in kArith.
+      auto r = EvalValueComparison(op, AtomizeView(lhs, &s1),
+                                   AtomizeView(rhs, &s2));
+      if (!r.ok()) return r.status();
+      --sp;
+      stack[sp - 1] = std::move(r).value();
+    }
     VM_NEXT();
   }
 
@@ -489,6 +500,7 @@ Result<Sequence> Vm::Run() {
     IterState& it = iters[size_t(ip->a)];
     it.domain = std::move(stack[--sp]);
     it.pos = 0;
+    it.resume = -1;
     VM_NEXT();
   }
 
@@ -506,6 +518,7 @@ Result<Sequence> Vm::Run() {
         ctx_->slots[size_t(ip->c)] = LazySeq::FromItem(item);
       }
     }
+    if (it.resume >= 0) VM_GOTO(it.resume);
     VM_NEXT();
   }
 
@@ -607,6 +620,42 @@ Result<Sequence> Vm::Run() {
     VM_NEXT();
   }
 
+  VM_CASE(kValueJoin) : {
+    // The shared executor answers a planned for clause from one index per
+    // execution; the domain and key run on the interpreter against
+    // ctx->slots (the compiler mirrors the slots they read). Declines fall
+    // through to the nested loop's domain code.
+    const Program::JoinPlan& jp = p_.joins[size_t(ip->a)];
+    IterState& it = iters[size_t(jp.iter)];
+    if (ip->flag == 0) {
+      auto eval = [this](const Expr* x) { return EvalExpr(x, ctx_); };
+      switch (value_join::Prepare(jp.spec, ctx_, eval)) {
+        case value_join::IndexState::kDeclined:
+          VM_GOTO(jp.nested_pc);
+        case value_join::IndexState::kEmpty:
+          it.domain.clear();
+          it.pos = 0;
+          it.resume = -1;
+          VM_GOTO(jp.loop_pc);
+        case value_join::IndexState::kReady:
+          break;
+      }
+      VM_NEXT();
+    }
+    bool answered = false;
+    {
+      // Scoped, as in kArith.
+      std::optional<Sequence> matches =
+          value_join::Probe(jp.spec, ctx_, stack[--sp]);
+      answered = matches.has_value();
+      if (answered) it.domain = std::move(*matches);
+    }
+    if (!answered) VM_NEXT();
+    it.pos = 0;
+    it.resume = jp.skip_pc;
+    VM_GOTO(jp.loop_pc);
+  }
+
   VM_CASE(kConstructElem) : VM_CASE(kConstructAttr) : {
     // Assemble the constructor from its already-evaluated children: the
     // computed name (when present) sits below the content parts. Building
@@ -614,36 +663,38 @@ Result<Sequence> Vm::Run() {
     // DocumentBuilder's byte charges (ChargeNode via the thread-local
     // governor), whitespace joining, namespace handling, and error strings
     // are identical to both interpreters.
-    const bool is_elem = ip->op == Op::kConstructElem;
-    const Expr* ce = p_.ctors[size_t(ip->a)].expr;
-    size_t n = size_t(ip->b);
-    Sequence* children = stack + (sp - n);
-    const bool computed = is_elem
-        ? static_cast<const ElementCtorExpr*>(ce)->computed_name
-        : static_cast<const AttributeCtorExpr*>(ce)->computed_name;
-    QName name = is_elem ? static_cast<const ElementCtorExpr*>(ce)->name
-                         : static_cast<const AttributeCtorExpr*>(ce)->name;
-    size_t start = 0;
-    if (computed) {
-      auto named = ComputedName(children[0]);
-      if (!named.ok()) return named.status();
-      name = std::move(named).value();
-      start = 1;
+    {  // Scoped, as in kArith: `name` owns strings.
+      const bool is_elem = ip->op == Op::kConstructElem;
+      const Expr* ce = p_.ctors[size_t(ip->a)].expr;
+      size_t n = size_t(ip->b);
+      Sequence* children = stack + (sp - n);
+      const bool computed = is_elem
+          ? static_cast<const ElementCtorExpr*>(ce)->computed_name
+          : static_cast<const AttributeCtorExpr*>(ce)->computed_name;
+      QName name = is_elem ? static_cast<const ElementCtorExpr*>(ce)->name
+                           : static_cast<const AttributeCtorExpr*>(ce)->name;
+      size_t start = 0;
+      if (computed) {
+        auto named = ComputedName(children[0]);
+        if (!named.ok()) return named.status();
+        name = std::move(named).value();
+        start = 1;
+      }
+      parts_.clear();
+      for (size_t i = start; i < n; ++i) {
+        parts_.push_back(std::move(children[i]));
+      }
+      auto built = is_elem
+          ? construct::Element(
+                name, static_cast<const ElementCtorExpr*>(ce)->ns_decls,
+                parts_, ctx_)
+          : construct::Attribute(name, parts_, ctx_);
+      if (!built.ok()) return built.status();
+      sp -= n;
+      Sequence& dst = stack[sp++];
+      dst.clear();
+      dst.push_back(std::move(built).value());
     }
-    parts_.clear();
-    for (size_t i = start; i < n; ++i) {
-      parts_.push_back(std::move(children[i]));
-    }
-    auto built = is_elem
-        ? construct::Element(
-              name, static_cast<const ElementCtorExpr*>(ce)->ns_decls,
-              parts_, ctx_)
-        : construct::Attribute(name, parts_, ctx_);
-    if (!built.ok()) return built.status();
-    sp -= n;
-    Sequence& dst = stack[sp++];
-    dst.clear();
-    dst.push_back(std::move(built).value());
     VM_NEXT();
   }
 
@@ -701,10 +752,13 @@ Result<Sequence> Vm::Run() {
   }
 
   VM_CASE(kSortKey) : {
-    Sequence& raw = stack[--sp];
-    auto key = flwor::MakeOrderKey(raw);
-    if (!key.ok()) return key.status();
-    sorts_[ssize_ - 1].keys[size_t(ip->a)] = std::move(key).value();
+    {
+      // Scoped, as in kArith: a moved-from string can keep the buffer it
+      // replaced, so `key` may still own heap memory.
+      auto key = flwor::MakeOrderKey(stack[--sp]);
+      if (!key.ok()) return key.status();
+      sorts_[ssize_ - 1].keys[size_t(ip->a)] = std::move(key).value();
+    }
     VM_NEXT();
   }
 

@@ -197,11 +197,50 @@ std::string RandomXMarkQuery(SplitMix64* rng) {
         return "//" + tag() + "[.//" + tag() + "]";
     }
   };
+  // Correlated nested FLWORs over the XMark id references: the value-join
+  // rule plans the inner for (a hash join on =, a range join on the
+  // ordering operators), which the unoptimized reference runs as the
+  // nested loop.
+  auto correlated = [&]() -> std::string {
+    static constexpr const char* kThetaOps[] = {"<", "<=", ">", ">="};
+    const std::string op = kThetaOps[rng->Below(std::size(kThetaOps))];
+    const std::string k = std::to_string(100 * (1 + rng->Below(60)));
+    switch (rng->Below(4)) {
+      case 0:
+        // Multi-valued inner keys plus a rest conjunct.
+        return "for $p in doc('xmark.xml')/site/people/person "
+               "return count(for $t in doc('xmark.xml')/site/open_auctions/"
+               "open_auction where $t/bidder/personref/@person = $p/@id "
+               "and count($t/bidder) > " + std::to_string(rng->Below(4)) +
+               " return $t)";
+      case 1:
+        return rng->Below(2) == 0
+                   ? "for $p in doc('xmark.xml')/site/people/person "
+                     "return count(for $t in doc('xmark.xml')/site/"
+                     "closed_auctions/closed_auction where "
+                     "$t/buyer/@person = $p/@id return $t)"
+                   : "for $t in doc('xmark.xml')/site/closed_auctions/"
+                     "closed_auction return <a>{for $i in doc('xmark.xml')/"
+                     "site/regions//item where $t/itemref/@item = $i/@id "
+                     "return string($i/name)}</a>";
+      case 2:
+        return "for $p in doc('xmark.xml')/site/people/person "
+               "return count(for $i in doc('xmark.xml')/site/open_auctions/"
+               "open_auction/initial where $p/profile/@income " + op + " " +
+               k + " * $i return $i)";
+      default:
+        return "for $p in doc('xmark.xml')/site/people/person "
+               "return <n>{for $i in doc('xmark.xml')/site/open_auctions/"
+               "open_auction/initial where $i * " + k + " " + op +
+               " $p/profile/@income return string($i)}</n>";
+    }
+  };
+
   std::string path = "doc('xmark.xml')";
   size_t steps = 1 + rng->Below(3);
   for (size_t i = 0; i < steps; ++i) path += step(i == 0);
 
-  switch (rng->Below(11)) {
+  switch (rng->Below(13)) {
     case 0:
       return "count(" + path + ")";
     case 1:
@@ -234,6 +273,9 @@ std::string RandomXMarkQuery(SplitMix64* rng) {
       return "string-join(for $n in " + path +
              " order by string-length(name($n)) descending, "
              "$n/@id empty least return name($n), '.')";
+    case 10:
+    case 11:
+      return correlated();
     default:
       return "count(" + path + " union doc('xmark.xml')//keyword)";
   }

@@ -15,6 +15,7 @@
 #include "base/parallel.h"
 #include "engine.h"
 #include "xmark/generator.h"
+#include "xmark/queries.h"
 
 namespace xqp {
 namespace {
@@ -239,6 +240,89 @@ TEST(ExplainTest, CanonicalPlansAreStable) {
             "  return: path [sort dedup]\n"
             "    var $i\n"
             "    step child::name\n");
+}
+
+/// The value-join rule's annotation on the XMark Q8 (hash) and Q11 (range)
+/// shapes, identical on every backend apart from the vm's root marker.
+TEST(ExplainTest, ValueJoinPlansAreStable) {
+  auto engine = SmallXMarkEngine();
+  const std::string prefix =
+      "flwor\n"
+      "  let $xqp-cse-3 := path [index]\n"
+      "    call doc\n"
+      "      literal xmark.xml\n"
+      "    step child::site\n"
+      "  for $p in: path [sort]\n"
+      "    path [sort dedup]\n"
+      "      var $xqp-cse-3\n"
+      "      step child::people\n"
+      "    step child::person\n";
+  const std::string q8 =
+      prefix +
+      "  return: element-ctor item\n"
+      "    attribute-ctor person\n"
+      "      call string\n"
+      "        path [sort dedup]\n"
+      "          var $p\n"
+      "          step child::name\n"
+      "    call count\n"
+      "      flwor\n"
+      "        for $t in: path [sort] [join: hash]\n"
+      "          path [sort dedup]\n"
+      "            var $xqp-cse-3\n"
+      "            step child::closed_auctions\n"
+      "          step child::closed_auction\n"
+      "        where: compare =\n"
+      "          path [sort]\n"
+      "            path [sort dedup]\n"
+      "              var $t\n"
+      "              step child::buyer\n"
+      "            step attribute::person\n"
+      "          path [sort dedup]\n"
+      "            var $p\n"
+      "            step attribute::id\n"
+      "        return: var $t\n";
+  const std::string q11 =
+      prefix +
+      "  return: element-ctor items\n"
+      "    attribute-ctor name\n"
+      "      call string\n"
+      "        path [sort dedup]\n"
+      "          var $p\n"
+      "          step child::name\n"
+      "    call count\n"
+      "      flwor\n"
+      "        for $i in: path [sort] [join: range]\n"
+      "          path [sort]\n"
+      "            path [sort dedup]\n"
+      "              var $xqp-cse-3\n"
+      "              step child::open_auctions\n"
+      "            step child::open_auction\n"
+      "          step child::initial\n"
+      "        where: compare >\n"
+      "          path [sort]\n"
+      "            path [sort dedup]\n"
+      "              var $p\n"
+      "              step child::profile\n"
+      "            step attribute::income\n"
+      "          arith *\n"
+      "            literal 5000\n"
+      "            var $i\n"
+      "        return: var $i\n";
+  for (const auto& [id, golden] : {std::pair{"Q8", q8}, {"Q11", q11}}) {
+    auto q = engine->Compile(FindXMarkQuery(id)->text);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q.value()->ExplainTree(), golden) << id;
+    for (ExecBackend backend :
+         {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+      CompiledQuery::ExecOptions exec;
+      exec.backend = backend;
+      std::string want = golden;
+      if (backend == ExecBackend::kVm) want.insert(5, " [vm]");
+      EXPECT_EQ(q.value()->ExplainTree(exec), want)
+          << id << " " << ExecBackendName(backend);
+    }
+  }
 }
 
 /// The acceptance invariant: the plan root's profiled item count equals the

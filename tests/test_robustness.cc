@@ -6,6 +6,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -315,6 +316,72 @@ TEST(Robustness, ResultItemCapBothEngines) {
 // success and on the error code — including the result cap the eager
 // backend enforces after evaluation and the VM's whole-plan fallback
 // (try/catch and typeswitch roots do not compile to bytecode).
+/// The XMark Q8 shape (a correlated nested FLWOR the value-join rule turns
+/// into a hash join) under governor limits: the executor's index build
+/// polls the governor and charges its bytes, a trip makes it decline, and
+/// the sticky trip then fails the nested loop — with the same status on
+/// every backend.
+TEST(Robustness, ValueJoinBuildHonorsGovernorOnEveryBackend) {
+  // 2000 inner items with ~400-byte keys: an index of ~1 MB.
+  const std::string pad(400, 'x');
+  std::string doc = "<r>";
+  for (int i = 0; i < 3; ++i) {
+    doc += "<p id='k" + std::to_string(i * 7) + pad + "'/>";
+  }
+  for (int i = 0; i < 2000; ++i) {
+    doc += "<t><b>k" + std::to_string(i) + pad + "</b></t>";
+  }
+  doc += "</r>";
+  constexpr const char* kQ8Shape =
+      "for $p in doc('d.xml')/r/p return count(for $t in doc('d.xml')/r/t "
+      "where $t/b = $p/@id return $t)";
+  EngineOptions options;
+  options.collect_stats = true;
+  options.enable_indexes = false;  // Only the join's index is charged.
+  XQueryEngine engine(options);
+  XQP_ASSERT_OK(engine.ParseAndRegister("d.xml", doc).status());
+  XQP_ASSERT_OK_AND_ASSIGN(std::unique_ptr<CompiledQuery> q,
+                           engine.Compile(kQ8Shape));
+  ASSERT_NE(q->ExplainTree().find("[join: hash]"), std::string::npos);
+
+  QueryLimits tight;
+  tight.memory_budget_bytes = 512 * 1024;
+  QueryLimits cancelled;
+  cancelled.cancel = std::make_shared<CancelToken>();
+  cancelled.cancel->Cancel();
+  metrics::Counter* declined =
+      metrics::MetricsRegistry::Global().counter("join.value.declined");
+  for (const auto& [limits, code, message] :
+       {std::tuple{tight, StatusCode::kResourceExhausted,
+                   "query memory budget of 524288 bytes exceeded"},
+        std::tuple{cancelled, StatusCode::kCancelled, "query cancelled"}}) {
+    for (ExecBackend backend :
+         {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+      CompiledQuery::ExecOptions exec;
+      exec.backend = backend;
+      exec.limits = limits;
+      const uint64_t before = declined->Value();
+      Status s = q->Execute(exec).status();
+      const std::string label = std::string(message) + " on " +
+                                ExecBackendName(backend);
+      EXPECT_EQ(s.code(), code) << label << ": " << s.ToString();
+      EXPECT_EQ(s.message(), message) << label;
+      if (code == StatusCode::kResourceExhausted) {
+        EXPECT_GT(declined->Value(), before) << label;  // Tripped in build.
+      }
+    }
+  }
+  // With room for the index every backend answers.
+  for (ExecBackend backend :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    exec.limits.memory_budget_bytes = 64 * 1024 * 1024;
+    XQP_ASSERT_OK_AND_ASSIGN(std::string out, q->ExecuteToXml(exec));
+    EXPECT_EQ(out, "1 1 1") << ExecBackendName(backend);
+  }
+}
+
 TEST(Robustness, ProfileAgreesWithExecuteOnEveryBackend) {
   struct ParityCase {
     const char* query;

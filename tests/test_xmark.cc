@@ -81,6 +81,10 @@ TEST_P(XMarkQueryTest, EnginesAgree) {
   XQP_ASSERT_OK_AND_ASSIGN(std::string eager_out,
                            compiled->ExecuteToXml(eager));
   EXPECT_EQ(lazy_out, eager_out) << GetParam().id;
+  CompiledQuery::ExecOptions vm;
+  vm.backend = ExecBackend::kVm;
+  XQP_ASSERT_OK_AND_ASSIGN(std::string vm_out, compiled->ExecuteToXml(vm));
+  EXPECT_EQ(vm_out, lazy_out) << GetParam().id;
   // Unoptimized must agree as well.
   XQueryEngine::CompileOptions raw;
   raw.optimize = false;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: the canonical XMark path, constructor, and order-by shapes
-# must lower entirely to the VM's opcodes — any `[bailout:` annotation in
+# CI gate: the canonical XMark path, constructor, order-by, and value-join
+# (Q08-Q12) shapes must lower entirely to the VM's opcodes — any `[bailout:` annotation in
 # the vm EXPLAIN tree is a regression in the bytecode compiler's lowering.
 #
 # Usage: tools/check_vm_explain.sh <path-to-xqp_profile>
@@ -8,7 +8,7 @@ set -euo pipefail
 
 PROFILE="${1:?usage: check_vm_explain.sh <path-to-xqp_profile>}"
 
-QUERY_IDS=(Q06 Q07)
+QUERY_IDS=(Q06 Q07 Q08 Q09 Q10 Q11 Q12)
 TEXT_SHAPES=(
   "doc('xmark.xml')/site/people/person[@id = 'person0']/name"
   "doc('xmark.xml')/site/people/person/name"

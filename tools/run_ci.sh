@@ -69,12 +69,13 @@ cmake -B "$ASAN_DIR" -S . \
   -DXQP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" \
   --target test_robustness test_ingest test_index test_vm test_planner \
-  test_storage fuzz_pull_parser fuzz_query_parser fuzz_snapshot \
+  test_storage test_value_join test_xmark fuzz_pull_parser \
+  fuzz_query_parser fuzz_snapshot \
   -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|tool_fuzz_smoke'
+  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|tool_fuzz_smoke'
 
 echo "CI run clean."
