@@ -618,25 +618,30 @@ QueryLimits MergeLimits(const QueryLimits& base, const QueryLimits& over) {
 /// document storage, which is charged at construction.
 constexpr uint64_t kResultItemCost = sizeof(Item) + 16;
 
-/// Opens and drains the lazy plan under governor control: the root drain
-/// polls per item, maintains the result-count and byte accounts, and hosts
-/// the "iterators.next" fault site.
+/// One governed pull from the lazy plan root, shared by the materializing
+/// drain and ResultStream: the "iterators.next" fault site, a governor
+/// poll, the pull, and the result-item charge.
+Result<bool> NextGoverned(ItemIterator* it, ResourceGovernor* gov, Item* out) {
+  if (fault::Armed()) {
+    XQP_RETURN_NOT_OK(fault::MaybeInject("iterators.next"));
+  }
+  XQP_RETURN_NOT_OK(gov->Poll());
+  XQP_ASSIGN_OR_RETURN(bool got, it->Next(out));
+  if (got) XQP_RETURN_NOT_OK(gov->ChargeResultItems(1));
+  return got;
+}
+
+/// Opens and drains the lazy plan under governor control; on top of each
+/// governed pull the drain charges the materialized item's bytes.
 Result<Sequence> DrainGoverned(const Expr* body, DynamicContext* ctx) {
   XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it, OpenLazy(body, ctx));
-  ResourceGovernor* gov = ctx->governor;
   Sequence out;
   Item item;
   while (true) {
-    if (fault::Armed()) {
-      XQP_RETURN_NOT_OK(fault::MaybeInject("iterators.next"));
-    }
-    XQP_ASSIGN_OR_RETURN(bool got, it->Next(&item));
+    XQP_ASSIGN_OR_RETURN(bool got,
+                         NextGoverned(it.get(), ctx->governor, &item));
     if (!got) break;
-    if (gov != nullptr) {
-      XQP_RETURN_NOT_OK(gov->Poll());
-      XQP_RETURN_NOT_OK(gov->ChargeResultItems(1));
-      XQP_RETURN_NOT_OK(gov->ChargeBytes(kResultItemCost));
-    }
+    XQP_RETURN_NOT_OK(ctx->governor->ChargeBytes(kResultItemCost));
     out.push_back(std::move(item));
   }
   return out;
@@ -969,14 +974,8 @@ Result<std::unique_ptr<ResultStream>> CompiledQuery::Open(
 }
 
 Result<bool> ResultStream::Next(Item* out) {
-  if (fault::Armed()) {
-    XQP_RETURN_NOT_OK(fault::MaybeInject("iterators.next"));
-  }
-  XQP_RETURN_NOT_OK(governor_->Poll());
   GovernorScope scope(governor_.get());
-  XQP_ASSIGN_OR_RETURN(bool got, iterator_->Next(out));
-  if (got) XQP_RETURN_NOT_OK(governor_->ChargeResultItems(1));
-  return got;
+  return NextGoverned(iterator_.get(), governor_.get(), out);
 }
 
 Result<std::string> SerializeSequence(const Sequence& seq,

@@ -1,5 +1,7 @@
 #include "exec/constructor.h"
 
+#include "base/string_util.h"
+
 namespace xqp {
 namespace construct {
 
@@ -12,6 +14,28 @@ std::string AtomizedString(const Sequence& seq) {
     first = false;
   }
   return out;
+}
+
+Result<QName> ComputedName(const Sequence& name_value) {
+  if (name_value.size() != 1) {
+    return Status::TypeError("computed constructor name must be a single item");
+  }
+  AtomicValue v = name_value[0].Atomized();
+  std::string s = v.AsString();
+  if (v.type() == XsType::kQName && !s.empty() && s[0] == '{') {
+    size_t close = s.find('}');
+    if (close != std::string::npos) {
+      return QName(s.substr(1, close - 1), s.substr(close + 1));
+    }
+  }
+  std::string_view prefix, local;
+  SplitQName(s, &prefix, &local);
+  if (!IsNCName(local)) {
+    return Status::TypeError("invalid computed name: " + s);
+  }
+  // No runtime prefix resolution in this engine: unprefixed names land in
+  // no namespace; prefixed names keep the prefix with an empty URI.
+  return QName("", std::string(prefix), std::string(local));
 }
 
 namespace {

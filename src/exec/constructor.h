@@ -45,6 +45,11 @@ Result<Item> DocumentNode(const std::vector<Sequence>& content_parts,
 /// attribute-value and text-content rule).
 std::string AtomizedString(const Sequence& seq);
 
+/// Runtime name resolution for computed element/attribute names: accepts an
+/// xs:QName value (Clark form) or a string/untyped lexical name (no prefix
+/// resolution at runtime — unprefixed names land in no namespace).
+Result<QName> ComputedName(const Sequence& name_value);
+
 }  // namespace construct
 
 }  // namespace xqp

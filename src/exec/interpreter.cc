@@ -19,28 +19,6 @@
 
 namespace xqp {
 
-Result<QName> ComputedName(const Sequence& name_value) {
-  if (name_value.size() != 1) {
-    return Status::TypeError("computed constructor name must be a single item");
-  }
-  AtomicValue v = name_value[0].Atomized();
-  std::string s = v.AsString();
-  if (v.type() == XsType::kQName && !s.empty() && s[0] == '{') {
-    size_t close = s.find('}');
-    if (close != std::string::npos) {
-      return QName(s.substr(1, close - 1), s.substr(close + 1));
-    }
-  }
-  std::string_view prefix, local;
-  SplitQName(s, &prefix, &local);
-  if (!IsNCName(local)) {
-    return Status::TypeError("invalid computed name: " + s);
-  }
-  // No runtime prefix resolution in this engine: unprefixed names land in
-  // no namespace; prefixed names keep the prefix with an empty URI.
-  return QName("", std::string(prefix), std::string(local));
-}
-
 Result<Item> Interpreter::ContextItem() const {
   if (!focus_.empty()) return focus_.back().item;
   if (ctx_->initial_context != nullptr) {
@@ -311,7 +289,7 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
       size_t start = 0;
       if (ctor->computed_name) {
         XQP_ASSIGN_OR_RETURN(Sequence name_v, Eval(e->child(0)));
-        XQP_ASSIGN_OR_RETURN(name, ComputedName(name_v));
+        XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(name_v));
         start = 1;
       }
       std::vector<Sequence> parts;
@@ -613,7 +591,7 @@ Result<Sequence> Interpreter::EvalElementCtor(const ElementCtorExpr* e) {
   size_t start = 0;
   if (e->computed_name) {
     XQP_ASSIGN_OR_RETURN(Sequence name_v, Eval(e->child(0)));
-    XQP_ASSIGN_OR_RETURN(name, ComputedName(name_v));
+    XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(name_v));
     start = 1;
   }
   std::vector<Sequence> parts;

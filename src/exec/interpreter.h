@@ -53,11 +53,6 @@ class Interpreter {
 /// Convenience: evaluates a whole module body (after globals are bound).
 Result<Sequence> EvalExpr(const Expr* e, DynamicContext* ctx);
 
-/// Runtime name resolution for computed element/attribute names: accepts an
-/// xs:QName value (Clark form) or a string/untyped lexical name (no prefix
-/// resolution at runtime — unprefixed names land in no namespace).
-Result<QName> ComputedName(const Sequence& name_value);
-
 }  // namespace xqp
 
 #endif  // XQP_EXEC_INTERPRETER_H_

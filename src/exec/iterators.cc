@@ -7,7 +7,6 @@
 #include "exec/builtins.h"
 #include "exec/compare.h"
 #include "exec/constructor.h"
-#include "exec/interpreter.h"
 #include "exec/profile.h"
 #include "exec/type_match.h"
 
@@ -819,7 +818,7 @@ class CtorIt : public ComputeOnceIt {
         QName name = ctor->name;
         size_t start = 0;
         if (ctor->computed_name) {
-          XQP_ASSIGN_OR_RETURN(name, ComputedName(parts[0]));
+          XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(parts[0]));
           start = 1;
         }
         std::vector<Sequence> content(
@@ -834,7 +833,7 @@ class CtorIt : public ComputeOnceIt {
         QName name = ctor->name;
         size_t start = 0;
         if (ctor->computed_name) {
-          XQP_ASSIGN_OR_RETURN(name, ComputedName(parts[0]));
+          XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(parts[0]));
           start = 1;
         }
         std::vector<Sequence> content(

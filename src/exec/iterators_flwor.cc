@@ -1,7 +1,5 @@
-#include "base/metrics.h"
-#include "exec/interpreter.h"
 #include "exec/iterators.h"
-#include "exec/profile.h"
+#include "exec/order_by.h"
 #include "exec/value_join.h"
 
 namespace xqp {
@@ -22,10 +20,11 @@ class NonOwningIt : public ItemIterator {
   ItemIterator* inner_;
 };
 
-/// Streaming FLWOR tuple machine. Order-by FLWORs are blocking by nature
-/// and delegate to the eager evaluator; everything else streams tuples:
-/// for-domains are pulled one binding at a time and the return expression
-/// is drained per tuple before the machine advances. A value-join planned
+/// Streaming FLWOR tuple machine: for-domains are pulled one binding at a
+/// time and the return expression is drained per tuple before the machine
+/// advances. Order-by FLWORs run the same machine to completion on the
+/// first pull, buffer each tuple's keys and return value, and sort them
+/// with the shared flwor:: core (exec/order_by.h). A value-join planned
 /// for clause first asks the shared executor (exec/value_join.h) for its
 /// matches; when it answers, the clause iterates them and its where clause
 /// tests only the predicate's remaining conjunct.
@@ -35,9 +34,10 @@ class FlworIt : public ItemIterator {
 
   Status Init(const LazyFocus* focus) {
     for (const auto& c : e_->clauses) {
-      if (c.type == FlworExpr::Clause::Type::kOrderSpec) has_order_ = true;
+      if (c.type == FlworExpr::Clause::Type::kOrderSpec) {
+        specs_.push_back({c.descending, c.empty_least});
+      }
     }
-    if (has_order_) return Status::OK();  // Eager fallback at Reset.
     for (size_t i = 0; i < e_->NumChildren(); ++i) {
       XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it,
                            CompileIterator(e_->child(i), focus));
@@ -60,44 +60,18 @@ class FlworIt : public ItemIterator {
 
   Status Reset(DynamicContext* ctx) override {
     ctx_ = ctx;
-    if (has_order_) {
-      ordered_result_.clear();
-      ordered_pos_ = 0;
-      ordered_done_ = false;
-      return Status::OK();
-    }
     for_pos_.assign(e_->clauses.size(), 0);
     tuple_open_ = false;
     machine_done_ = false;
     first_tuple_ = true;
+    sorted_.clear();
+    sorted_tuple_ = 0;
+    sorted_pos_ = 0;
     return Status::OK();
   }
 
   Result<bool> Next(Item* out) override {
-    if (has_order_) {
-      if (!ordered_done_) {
-        // Sorting blocks; reuse the reference evaluator for the whole
-        // order-by FLWOR (a legitimate materialization point). Suppress
-        // per-operator profiling inside the fallback: the enclosing
-        // ProfileIt already attributes the whole subtree to this FLWOR
-        // node, and letting the interpreter record against the same
-        // expression nodes would double-count.
-        if (metrics::Enabled()) {
-          static metrics::Counter* fallbacks = metrics::MetricsRegistry::
-              Global().counter("lazy.flwor.orderby_eager_fallback");
-          fallbacks->Increment();
-        }
-        QueryProfile* saved_profile = ctx_->profile;
-        ctx_->profile = nullptr;
-        auto ordered = EvalExpr(e_, ctx_);
-        ctx_->profile = saved_profile;
-        XQP_ASSIGN_OR_RETURN(ordered_result_, std::move(ordered));
-        ordered_done_ = true;
-      }
-      if (ordered_pos_ >= ordered_result_.size()) return false;
-      *out = ordered_result_[ordered_pos_++];
-      return true;
-    }
+    if (!specs_.empty()) return NextSorted(out);
     while (true) {
       // Per-tuple poll: cartesian for-clauses make the tuple space (and
       // the where-miss stream) unbounded relative to the items returned.
@@ -134,6 +108,46 @@ class FlworIt : public ItemIterator {
   };
 
   ItemIterator* ReturnIter() { return children_.back().get(); }
+
+  /// The order-by path: the first pull runs the tuple machine to the end,
+  /// keying and draining each tuple, and sorts; later pulls walk the
+  /// sorted return values. The buffer is not charged to the governor
+  /// (as in the interpreter and the VM's kSortAdd); OpenForward polls it
+  /// once per tuple.
+  Result<bool> NextSorted(Item* out) {
+    if (!machine_done_) {
+      while (true) {
+        XQP_ASSIGN_OR_RETURN(bool have_tuple, NextTuple());
+        if (!have_tuple) break;
+        flwor::OrderedTuple t;
+        t.keys.reserve(specs_.size());
+        for (size_t i = 0; i < e_->clauses.size(); ++i) {
+          if (e_->clauses[i].type != FlworExpr::Clause::Type::kOrderSpec) {
+            continue;
+          }
+          XQP_RETURN_NOT_OK(children_[i]->Reset(ctx_));
+          XQP_ASSIGN_OR_RETURN(Sequence key, Drain(children_[i].get()));
+          XQP_ASSIGN_OR_RETURN(flwor::OrderKey cell, flwor::MakeOrderKey(key));
+          t.keys.push_back(std::move(cell));
+        }
+        XQP_RETURN_NOT_OK(ReturnIter()->Reset(ctx_));
+        XQP_ASSIGN_OR_RETURN(t.result, Drain(ReturnIter()));
+        sorted_.push_back(std::move(t));
+      }
+      machine_done_ = true;
+      XQP_RETURN_NOT_OK(flwor::SortTuples(&sorted_, specs_));
+    }
+    while (sorted_tuple_ < sorted_.size()) {
+      Sequence& result = sorted_[sorted_tuple_].result;
+      if (sorted_pos_ < result.size()) {
+        *out = std::move(result[sorted_pos_++]);
+        return true;
+      }
+      ++sorted_tuple_;
+      sorted_pos_ = 0;
+    }
+    return false;
+  }
 
   /// Opens for clause `i`'s domain: the executor's matches when it
   /// answers, else the domain iterator.
@@ -246,7 +260,8 @@ class FlworIt : public ItemIterator {
           break;
         }
         case FlworExpr::Clause::Type::kOrderSpec:
-          return Status::Internal("order spec in streaming FLWOR");
+          ++i;  // Keyed per complete tuple by NextSorted.
+          break;
       }
     }
     *out_i = i;
@@ -284,17 +299,16 @@ class FlworIt : public ItemIterator {
   std::vector<std::unique_ptr<ItemIterator>> children_;
   std::vector<std::unique_ptr<JoinState>> joins_;  // Per clause; null if
                                                    // not planned.
+  std::vector<flwor::OrderSpecFlags> specs_;  // One per order spec.
   DynamicContext* ctx_ = nullptr;
-  bool has_order_ = false;
-  // Streaming state.
   std::vector<int64_t> for_pos_;
   bool tuple_open_ = false;
   bool machine_done_ = false;
   bool first_tuple_ = true;
-  // Order-by fallback state.
-  Sequence ordered_result_;
-  size_t ordered_pos_ = 0;
-  bool ordered_done_ = false;
+  // Order-by state: the sorted tuples and the read cursor over them.
+  std::vector<flwor::OrderedTuple> sorted_;
+  size_t sorted_tuple_ = 0;
+  size_t sorted_pos_ = 0;
 };
 
 /// some/every with early exit; pulls domains lazily (the paper's

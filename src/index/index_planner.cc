@@ -5,7 +5,6 @@
 #include <iterator>
 #include <unordered_map>
 
-#include "base/metrics.h"
 
 namespace xqp {
 namespace {
@@ -501,55 +500,6 @@ std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
   }
   if (materialized) return bases;
   return MergedPostings(idx, frontier);
-}
-
-Result<std::optional<Sequence>> TryAnswerPathFromIndex(const PathExpr* e,
-                                                       DynamicContext* ctx) {
-  static metrics::Counter* synopsis_hits =
-      metrics::MetricsRegistry::Global().counter("index.synopsis_hits");
-  static metrics::Counter* value_hits =
-      metrics::MetricsRegistry::Global().counter("index.value_hits");
-  static metrics::Counter* fallbacks =
-      metrics::MetricsRegistry::Global().counter("index.fallbacks");
-  std::optional<Sequence> declined;
-  if (ctx == nullptr || ctx->provider == nullptr) return declined;
-  std::optional<IndexQuery> plan = PlanIndexPath(*e);
-  if (!plan.has_value()) {
-    if (metrics::Enabled()) fallbacks->Add(1);
-    return declined;
-  }
-  auto indexes_r = ctx->provider->GetDocumentIndexes(plan->doc_uri);
-  if (!indexes_r.ok()) {
-    // A missing document falls back so normal evaluation raises the
-    // canonical fn:doc error; resource trips and injected faults during a
-    // governed index build must surface as this query's failure.
-    if (indexes_r.status().code() == StatusCode::kDynamicError) {
-      if (metrics::Enabled()) fallbacks->Add(1);
-      return declined;
-    }
-    return indexes_r.status();
-  }
-  std::shared_ptr<const DocumentIndexes> indexes = indexes_r.value();
-  if (indexes == nullptr) return declined;  // Indexes disabled.
-  std::optional<std::vector<NodeIndex>> nodes =
-      AnswerIndexQuery(*indexes, *plan);
-  if (!nodes.has_value()) {
-    if (metrics::Enabled()) fallbacks->Add(1);
-    return declined;
-  }
-  if (metrics::Enabled()) {
-    (plan->HasPredicates() ? value_hits : synopsis_hits)->Add(1);
-  }
-  Sequence out;
-  out.reserve(nodes->size());
-  for (NodeIndex n : *nodes) {
-    out.push_back(Item(Node(indexes->doc_ptr(), n)));
-  }
-  if (ctx->governor != nullptr) {
-    XQP_RETURN_NOT_OK(ctx->governor->Poll());
-    XQP_RETURN_NOT_OK(ctx->governor->ChargeBytes(out.size() * sizeof(Item)));
-  }
-  return std::optional<Sequence>(std::move(out));
 }
 
 std::vector<int32_t> ResolveSynopsisStep(const DocumentIndexes& idx,

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/dynamic_context.h"
 #include "index/document_indexes.h"
 #include "query/expr.h"
 
@@ -70,15 +69,6 @@ std::optional<IndexQuery> PlanIndexPath(const Expr& e);
 /// Results are in document order, duplicate-free.
 std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
     const DocumentIndexes& idx, const IndexQuery& q);
-
-/// Execution hook shared by the lazy iterator tree and the eager
-/// interpreter: plans `e`, fetches the document's indexes through
-/// ctx->provider, and answers. Returns nullopt (not an error) whenever any
-/// stage declines, so the fallback plan reproduces today's results and
-/// errors bit-identically; resource errors from a governed index build are
-/// propagated. Charges the materialized buffer to ctx->governor.
-Result<std::optional<Sequence>> TryAnswerPathFromIndex(const PathExpr* e,
-                                                       DynamicContext* ctx);
 
 /// Advances a synopsis frontier (sorted, duplicate-free synopsis-node set)
 /// across one chain step. Exported for the cost model (opt/cost.h), which

@@ -5,9 +5,7 @@
 #include <map>
 #include <set>
 
-#include "base/limits.h"
 #include "base/metrics.h"
-#include "base/parallel.h"
 #include "join/structural_join.h"
 
 namespace xqp {
@@ -76,7 +74,7 @@ bool EdgeSatisfied(const Document& doc, NodeIndex parent, NodeIndex child,
 
 /// Per-pattern-node posting lists (nullptr for names absent from the
 /// document). Factored out of TwigMachine so callers can substitute
-/// filtered lists (the parallel leaf-matching pass).
+/// filtered lists (TwigStackMatchWithLists).
 using PostingLists = std::vector<const std::vector<NodeIndex>*>;
 
 PostingLists LookupPostings(const TagIndex& index, const TwigPattern& pattern) {
@@ -178,8 +176,7 @@ class TwigMachine {
   std::vector<std::vector<StackEntry>> stacks_;
 };
 
-/// PathStackMatch over explicit posting lists (the parallel pass feeds
-/// filtered leaf lists through here).
+/// PathStackMatch over explicit posting lists.
 Result<std::vector<NodeIndex>> PathStackMatchLists(const Document& doc,
                                                    const TwigPattern& pattern,
                                                    const PostingLists& lists,
@@ -420,62 +417,6 @@ Result<std::vector<NodeIndex>> TwigStackMatchWithLists(
     if (result.ok()) m.items->Add(result.value().size());
   }
   return result;
-}
-
-Result<std::vector<NodeIndex>> TwigStackMatchParallel(const TagIndex& index,
-                                                      const TwigPattern& pattern,
-                                                      TwigStats* stats,
-                                                      int num_threads,
-                                                      size_t min_parallel) {
-  const Document& doc = index.doc();
-  PostingLists lists = LookupPostings(index, pattern);
-  size_t total_postings = 0;
-  for (const auto* list : lists) {
-    if (list != nullptr) total_postings += list->size();
-  }
-  int threads = num_threads > 0 ? num_threads : DefaultParallelism();
-  const bool go_parallel = threads > 1 && pattern.nodes.size() >= 2 &&
-                           total_postings >= min_parallel;
-  if (metrics::Enabled()) {
-    static metrics::Counter* dispatched =
-        metrics::MetricsRegistry::Global().counter("twig.parallel.dispatched");
-    static metrics::Counter* fallback =
-        metrics::MetricsRegistry::Global().counter(
-            "twig.parallel.serial_fallback");
-    (go_parallel ? dispatched : fallback)->Increment();
-  }
-  if (!go_parallel) {
-    return TwigStackMatchLists(doc, pattern, lists, stats);
-  }
-  // Parallel leaf-matching pass: shrink every leaf's posting list to the
-  // entries satisfying the leaf's incoming edge against its parent's tag —
-  // a necessary condition for any solution, so the match set is unchanged
-  // while the (serial) TwigStack pass that follows sees far fewer leaf
-  // postings. Leaves filter concurrently, and each filter is itself a
-  // partitioned parallel semi-join.
-  std::vector<int> leaves;
-  for (size_t q = 0; q < pattern.nodes.size(); ++q) {
-    const auto& pn = pattern.nodes[q];
-    if (pn.children.empty() && pn.parent >= 0 && lists[q] != nullptr &&
-        lists[pn.parent] != nullptr) {
-      leaves.push_back(static_cast<int>(q));
-    }
-  }
-  std::vector<std::vector<NodeIndex>> filtered(pattern.nodes.size());
-  ParallelForChunks(leaves.size(), [&](size_t i) {
-    // Skip remaining leaf filters once the owning query has tripped; the
-    // caller's next governor poll surfaces the error.
-    ResourceGovernor* governor = CurrentGovernor();
-    if (governor != nullptr && governor->tripped()) return;
-    int q = leaves[i];
-    int p = pattern.nodes[q].parent;
-    filtered[q] =
-        JoinDescendantsParallel(doc, *lists[p], *lists[q],
-                                pattern.nodes[q].child_edge, threads,
-                                min_parallel);
-  });
-  for (int q : leaves) lists[q] = &filtered[q];
-  return TwigStackMatchLists(doc, pattern, lists, stats);
 }
 
 Result<std::vector<NodeIndex>> BinaryJoinMatch(const TagIndex& index,

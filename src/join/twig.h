@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "base/parallel.h"
 #include "base/status.h"
 #include "join/tag_index.h"
 
@@ -64,17 +63,6 @@ Result<std::vector<NodeIndex>> TwigStackMatchWithLists(
     const Document& doc, const TwigPattern& pattern,
     const std::vector<const std::vector<NodeIndex>*>& lists,
     TwigStats* stats = nullptr);
-
-/// TwigStackMatch preceded by a morsel-parallel leaf-matching pass: each
-/// leaf's posting list is first shrunk by a partitioned parallel semi-join
-/// against its parent's postings (a necessary condition for any root-to-
-/// leaf solution, so the match set is identical to TwigStackMatch). Leaves
-/// filter concurrently across the pool. Degrades to the serial algorithm
-/// when the effective thread count is 1 or inputs are below `min_parallel`.
-Result<std::vector<NodeIndex>> TwigStackMatchParallel(
-    const TagIndex& index, const TwigPattern& pattern,
-    TwigStats* stats = nullptr, int num_threads = 0,
-    size_t min_parallel = kDefaultParallelThreshold);
 
 /// PathStack: the linear-pattern special case, with direct chain marking
 /// (no pair materialization at all).

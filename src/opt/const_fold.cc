@@ -1,11 +1,9 @@
 #include "opt/const_fold.h"
 
-#include <memory>
 #include <utility>
 
 #include "exec/arithmetic.h"
 #include "exec/compare.h"
-#include "opt/rewriter.h"
 
 namespace xqp {
 
@@ -62,17 +60,5 @@ std::optional<Sequence> TryFoldLiteralNode(const Expr& e) {
       return std::nullopt;
   }
 }
-
-namespace opt_internal {
-
-void ConstFoldRewrite(ExprPtr& e, RuleContext* ctx) {
-  std::optional<Sequence> folded = TryFoldLiteralNode(*e);
-  if (!folded.has_value()) return;
-  if (folded->size() != 1 || !(*folded)[0].IsAtomic()) return;
-  e = std::make_unique<LiteralExpr>((*folded)[0].AsAtomic());
-  ctx->Count("const_fold");
-}
-
-}  // namespace opt_internal
 
 }  // namespace xqp

@@ -11,21 +11,11 @@ namespace xqp {
 /// Structural compile-time evaluation of one pure-literal node: arithmetic,
 /// unary +/-, and value/general comparisons whose operands are all
 /// literals. Unlike the property-driven FoldConstant rule this needs no
-/// analysis pass and no dynamic context, so the bytecode compiler reuses it
+/// analysis pass and no dynamic context, so the bytecode compiler uses it
 /// at lowering even for unoptimized plans. Returns nullopt when `e` has a
 /// different shape or when evaluation errors (a dead branch must keep its
 /// runtime error).
 std::optional<Sequence> TryFoldLiteralNode(const Expr& e);
-
-namespace opt_internal {
-
-struct RuleContext;
-
-/// Rewrite-rule wrapper: replaces a foldable node with its literal result.
-/// Counted as "const_fold" (process-wide: rewrite.const_fold).
-void ConstFoldRewrite(ExprPtr& e, RuleContext* ctx);
-
-}  // namespace opt_internal
 
 }  // namespace xqp
 

@@ -13,9 +13,6 @@ namespace xqp {
 /// named logical rewritings; the ablation benchmark (E7) toggles them
 /// individually.
 struct RewriterOptions {
-  bool const_fold = true;              // Literal-operand arithmetic/comparison
-                                       // folding (opt/const_fold.cc; shared
-                                       // with the bytecode compiler).
   bool constant_folding = true;
   bool boolean_simplification = true;
   bool let_folding = true;             // LET clause folding + dead-let removal.
@@ -34,9 +31,9 @@ struct RewriterOptions {
 
   static RewriterOptions AllOff() {
     RewriterOptions o;
-    o.const_fold = o.constant_folding = o.boolean_simplification =
-        o.let_folding = o.function_inlining = o.flwor_unnesting =
-            o.for_to_path = o.ddo_elision = o.cse = o.index_paths = false;
+    o.constant_folding = o.boolean_simplification = o.let_folding =
+        o.function_inlining = o.flwor_unnesting = o.for_to_path =
+            o.ddo_elision = o.cse = o.index_paths = false;
     return o;
   }
 };

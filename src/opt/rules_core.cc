@@ -2,7 +2,6 @@
 #include <map>
 
 #include "exec/interpreter.h"
-#include "opt/const_fold.h"
 #include "opt/properties.h"
 #include "opt/rewriter.h"
 #include "query/expr.h"
@@ -219,7 +218,6 @@ Status ApplyCoreRules(ExprPtr& e, RuleContext* ctx) {
   for (size_t i = 0; i < e->NumChildren(); ++i) {
     XQP_RETURN_NOT_OK(ApplyCoreRules(e->child_slot(i), ctx));
   }
-  if (ctx->options->const_fold) ConstFoldRewrite(e, ctx);
   if (ctx->options->constant_folding) FoldConstant(e, ctx);
   if (ctx->options->boolean_simplification) SimplifyBoolean(e, ctx);
   if (ctx->options->cse && e->kind() == ExprKind::kFlwor) {

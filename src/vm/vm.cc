@@ -675,7 +675,7 @@ Result<Sequence> Vm::Run() {
                            : static_cast<const AttributeCtorExpr*>(ce)->name;
       size_t start = 0;
       if (computed) {
-        auto named = ComputedName(children[0]);
+        auto named = construct::ComputedName(children[0]);
         if (!named.ok()) return named.status();
         name = std::move(named).value();
         start = 1;

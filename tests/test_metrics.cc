@@ -195,7 +195,7 @@ std::unique_ptr<XQueryEngine> SmallXMarkEngine() {
 
 /// EXPLAIN output is part of the tool contract — golden strings so plan
 /// rendering (or an optimizer change that alters these plans) fails loudly
-/// here instead of silently changing xqp_profile output.
+/// here instead of silently changing `xqp --explain` output.
 TEST(ExplainTest, CanonicalPlansAreStable) {
   auto engine = SmallXMarkEngine();
 
@@ -354,6 +354,37 @@ TEST(ProfileTest, RootItemsMatchCardinalityBothEngines) {
       EXPECT_EQ(plain.value().size(), report.value().result.size()) << q;
     }
   }
+}
+
+/// Lazy order-by FLWORs run on the iterator tree, so Profile() sees every
+/// operator under them: on the XMark Q19 shape the order key and the
+/// return expression each yield one item per result item.
+TEST(ProfileTest, LazyOrderByProfilesEveryOperator) {
+  auto engine = SmallXMarkEngine();
+  auto compiled = engine->Compile(FindXMarkQuery("Q19")->text);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  CompiledQuery::ExecOptions exec;
+  exec.backend = ExecBackend::kLazy;
+  auto report = compiled.value()->Profile(exec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const uint64_t results = report.value().result.size();
+  ASSERT_GT(results, 0u);
+  const Expr* root = compiled.value()->module().body.get();
+  ASSERT_EQ(root->kind(), ExprKind::kFlwor);
+  const auto* flwor = static_cast<const FlworExpr*>(root);
+  const Expr* order_key = nullptr;
+  for (size_t i = 0; i < flwor->NumClauses(); ++i) {
+    if (flwor->clauses[i].type == FlworExpr::Clause::Type::kOrderSpec) {
+      order_key = flwor->child(i);
+    }
+  }
+  ASSERT_NE(order_key, nullptr);
+  const OpStats* key = report.value().ops.Find(order_key);
+  ASSERT_NE(key, nullptr);
+  EXPECT_EQ(key->items, results);
+  const OpStats* ret = report.value().ops.Find(flwor->return_expr());
+  ASSERT_NE(ret, nullptr);
+  EXPECT_EQ(ret->items, results);
 }
 
 TEST(ProfileTest, ReportRendersTextAndJson) {

@@ -17,7 +17,6 @@
 #include "engine.h"
 #include "join/structural_join.h"
 #include "join/tag_index.h"
-#include "join/twig.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"
 
@@ -155,56 +154,6 @@ TEST(ParallelJoin, ManyDisjointSubtrees) {
   ExpectJoinsIdentical(*doc, *index.Lookup("", "a"), *index.Lookup("", "b"));
 }
 
-TEST(ParallelTwig, IdenticalToSerial) {
-  auto doc = SmallXMark();
-  TagIndex index(doc);
-  // //open_auction[//bidder]//increase and friends, plus a linear path and
-  // a single-node pattern.
-  {
-    TwigPattern p;
-    int root = p.Add("open_auction");
-    p.Add("bidder", root);
-    p.output = p.Add("increase", root);
-    auto serial = TwigStackMatch(index, p).value();
-    auto parallel = TwigStackMatchParallel(index, p, nullptr, kThreads, kForce)
-                        .value();
-    EXPECT_EQ(serial, parallel);
-  }
-  {
-    TwigPattern p;
-    int root = p.Add("item");
-    int desc = p.Add("description", root);
-    p.output = p.Add("keyword", desc);
-    auto serial = TwigStackMatch(index, p).value();
-    auto parallel = TwigStackMatchParallel(index, p, nullptr, kThreads, kForce)
-                        .value();
-    EXPECT_EQ(serial, parallel);
-  }
-  {
-    TwigPattern p;
-    p.output = p.Add("person");
-    auto serial = TwigStackMatch(index, p).value();
-    auto parallel = TwigStackMatchParallel(index, p, nullptr, kThreads, kForce)
-                        .value();
-    EXPECT_EQ(serial, parallel);
-  }
-}
-
-TEST(ParallelTwig, IdenticalOnRecursiveData) {
-  for (uint64_t seed : {21u, 22u, 23u}) {
-    auto doc = Document::Parse(RandomXml(seed, 1200, 4)).value();
-    TagIndex index(doc);
-    TwigPattern p;
-    int root = p.Add("a");
-    p.Add("b", root, /*child_edge=*/true);
-    p.output = p.Add("c", root);
-    auto serial = TwigStackMatch(index, p).value();
-    auto parallel =
-        TwigStackMatchParallel(index, p, nullptr, kThreads, kForce).value();
-    EXPECT_EQ(serial, parallel);
-  }
-}
-
 /// Runs fn with the metrics registry temporarily enabled and returns the
 /// per-run counter delta.
 metrics::MetricsSnapshot CountersDuring(const std::function<void()>& fn) {
@@ -251,37 +200,7 @@ TEST(ParallelJoin, ForcedDispatchIsCountedAndIdentical) {
   EXPECT_EQ(delta.counters["join.parallel.serial_fallback"], 0u);
 }
 
-TEST(ParallelTwig, EmptyAndSingletonPostingLists) {
-  auto doc = SmallXMark();
-  TagIndex index(doc);
-  {
-    // A tag absent from the document: one empty posting list empties the
-    // whole match set on both paths.
-    TwigPattern p;
-    int root = p.Add("open_auction");
-    p.Add("no_such_tag", root);
-    p.output = p.Add("bidder", root);
-    auto serial = TwigStackMatch(index, p).value();
-    auto parallel =
-        TwigStackMatchParallel(index, p, nullptr, kThreads, kForce).value();
-    EXPECT_TRUE(serial.empty());
-    EXPECT_EQ(serial, parallel);
-  }
-  {
-    // "site" occurs exactly once: a single-node posting list as the twig
-    // root leaves nothing to partition.
-    TwigPattern p;
-    int root = p.Add("site");
-    p.output = p.Add("keyword", root);
-    auto serial = TwigStackMatch(index, p).value();
-    auto parallel =
-        TwigStackMatchParallel(index, p, nullptr, kThreads, kForce).value();
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, parallel);
-  }
-}
-
-TEST(ParallelTwig, GiantSubtreeNoCutPoints) {
+TEST(ParallelJoin, GiantSubtreeNoCutPoints) {
   // The umbrella shape: every <a> and <b> lives inside one giant <a>
   // subtree, so no subtree-closed cut exists and the parallel path must
   // degrade gracefully to a single chunk.
@@ -292,29 +211,6 @@ TEST(ParallelTwig, GiantSubtreeNoCutPoints) {
   auto doc = Document::Parse(xml).value();
   TagIndex index(doc);
   ExpectJoinsIdentical(*doc, *index.Lookup("", "a"), *index.Lookup("", "b"));
-  TwigPattern p;
-  int root = p.Add("a");
-  p.output = p.Add("b", root);
-  auto serial = TwigStackMatch(index, p).value();
-  auto parallel =
-      TwigStackMatchParallel(index, p, nullptr, kThreads, kForce).value();
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(ParallelTwig, BelowThresholdTakesSerialPath) {
-  auto doc = SmallXMark();
-  TagIndex index(doc);
-  TwigPattern p;
-  int root = p.Add("open_auction");
-  p.Add("bidder", root);
-  p.output = p.Add("increase", root);
-  auto delta = CountersDuring([&] {
-    auto parallel = TwigStackMatchParallel(index, p, nullptr, kThreads);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel.value(), TwigStackMatch(index, p).value());
-  });
-  EXPECT_EQ(delta.counters["twig.parallel.serial_fallback"], 1u);
-  EXPECT_EQ(delta.counters["twig.parallel.dispatched"], 0u);
 }
 
 TEST(ParallelSort, MatchesSerialStableSort) {

@@ -486,6 +486,38 @@ TEST(Robustness, ResultStreamHonorsGovernor) {
   EXPECT_EQ(s.code(), StatusCode::kCancelled);
 }
 
+// A stream drained to the end and the materializing lazy Execute pull
+// through the same governed step, so the result cap trips both with the
+// same code and message.
+TEST(Robustness, ResultStreamCapMatchesExecute) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK_AND_ASSIGN(std::unique_ptr<CompiledQuery> q,
+                           engine.Compile("for $i in 1 to 10 return $i * 2"));
+  CompiledQuery::ExecOptions options;
+  options.backend = ExecBackend::kLazy;
+  options.limits.max_result_items = 4;
+  XQP_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ResultStream> stream,
+                           q->Open(options));
+  Item item;
+  Status streamed;
+  size_t pulled = 0;
+  while (true) {
+    Result<bool> got = stream->Next(&item);
+    if (!got.ok()) {
+      streamed = got.status();
+      break;
+    }
+    if (!got.value()) break;
+    ++pulled;
+  }
+  EXPECT_EQ(pulled, 4u);
+  Status executed = q->Execute(options).status();
+  ExpectFailure(executed, StatusCode::kResourceExhausted, "result cap",
+                "execute cap");
+  EXPECT_EQ(streamed.code(), executed.code());
+  EXPECT_EQ(streamed.message(), executed.message());
+}
+
 TEST(Robustness, BatchParallelObservesCancelAll) {
   XQueryEngine engine;
   engine.CancelAll();  // Swapping tokens with no queries in flight is a no-op

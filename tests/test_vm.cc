@@ -6,6 +6,7 @@
 // the XQP_BACKEND knob, and concurrent execution of one shared Program
 // (the tsan lane re-runs this binary under ThreadSanitizer).
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -58,7 +59,7 @@ std::string RunBoth(const std::string& query, const std::string& doc_xml = "") {
 // --- Opcode-level semantics ------------------------------------------------
 
 TEST(VmOpcodes, LiteralsAndArithmetic) {
-  // const_fold collapses pure-literal trees; mix in an external-free FLWOR
+  // Constant folding collapses pure-literal trees; mix in a FLWOR
   // variable so the arithmetic actually executes as bytecode.
   EXPECT_EQ(RunBoth("for $i in (5) return $i + 2"), "7");
   EXPECT_EQ(RunBoth("for $i in (7) return $i - 10"), "-3");
@@ -496,83 +497,124 @@ TEST(VmConstruct, MemoryBudgetTripsIdentically) {
   EXPECT_EQ(vm_r.status().code(), StatusCode::kResourceExhausted);
 }
 
+/// RunCompiledPath (vm == lazy, zero bailouts) with the eager interpreter
+/// as a third opinion: lazy sorts its own tuple stream, so the order-by
+/// tables check all three backends.
+std::string RunOrderBy(XQueryEngine& engine, const std::string& query) {
+  std::string vm_xml = RunCompiledPath(engine, query);
+  CompiledQuery::ExecOptions eager;
+  eager.backend = ExecBackend::kEager;
+  auto compiled = engine.Compile(query);
+  if (!compiled.ok()) return "COMPILE-ERROR";
+  auto eager_xml = compiled.value()->ExecuteToXml(eager);
+  EXPECT_TRUE(eager_xml.ok()) << query << ": " << eager_xml.status().ToString();
+  if (eager_xml.ok()) {
+    EXPECT_EQ(eager_xml.value(), vm_xml) << query;
+  }
+  return vm_xml;
+}
+
 TEST(VmOrderBy, SingleAndMultiKeySortsCompile) {
   XQueryEngine engine;
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $x in (3,1,2) order by $x return $x"),
+  EXPECT_EQ(RunOrderBy(engine, "for $x in (3,1,2) order by $x return $x"),
             "1 2 3");
-  EXPECT_EQ(RunCompiledPath(
+  EXPECT_EQ(RunOrderBy(
                 engine, "for $x in (3,1,2) order by $x descending return $x"),
             "3 2 1");
   // Multi-key: primary descending, secondary ascending breaks ties; the
   // sort is stable for fully-equal keys.
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $x in (1,2,3,4,5,6) order by $x mod 2 "
-                            "descending, $x idiv 3 return $x"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $x in (1,2,3,4,5,6) order by $x mod 2 "
+                       "descending, $x idiv 3 return $x"),
             "1 3 5 2 4 6");
   // Nested order-by FLWORs stack sort buffers.
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $a in (2,1) order by $a return "
-                            "(for $b in (20,10) order by $b return $a + $b)"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $a in (2,1) order by $a return "
+                       "(for $b in (20,10) order by $b return $a + $b)"),
             "11 21 12 22");
   // Where gates run at clause position; filtered tuples never buffer.
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $x in (5,3,4,1,2) where $x mod 2 = 1 "
-                            "order by $x descending return $x"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $x in (5,3,4,1,2) where $x mod 2 = 1 "
+                       "order by $x descending return $x"),
             "5 3 1");
 }
 
 TEST(VmOrderBy, EmptyAndUntypedKeyRules) {
   XQueryEngine engine;
   // empty least (default) vs. empty greatest.
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $x in (2, 0, 1) order by "
-                            "(if ($x = 0) then () else $x) return $x"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $x in (2, 0, 1) order by "
+                       "(if ($x = 0) then () else $x) return $x"),
             "0 1 2");
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $x in (2, 0, 1) order by "
-                            "(if ($x = 0) then () else $x) empty greatest "
-                            "return $x"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $x in (2, 0, 1) order by "
+                       "(if ($x = 0) then () else $x) empty greatest "
+                       "return $x"),
             "1 2 0");
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $x in (2, 0, 1) order by "
-                            "(if ($x = 0) then () else $x) descending "
-                            "empty least return $x"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $x in (2, 0, 1) order by "
+                       "(if ($x = 0) then () else $x) descending "
+                       "empty least return $x"),
             "2 1 0");
   // Untyped node keys cast to xs:string: "10" < "2" < "9".
   XQP_ASSERT_OK(engine
                     .ParseAndRegister("nums.xml",
                                       "<r><n>9</n><n>10</n><n>2</n></r>")
                     .status());
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $n in doc('nums.xml')//n order by "
-                            "string($n) return string($n)"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $n in doc('nums.xml')//n order by "
+                       "string($n) return string($n)"),
             "10 2 9");
   // number() keys compare numerically instead.
-  EXPECT_EQ(RunCompiledPath(engine,
-                            "for $n in doc('nums.xml')//n order by "
-                            "number($n) return string($n)"),
+  EXPECT_EQ(RunOrderBy(engine,
+                       "for $n in doc('nums.xml')//n order by "
+                       "number($n) return string($n)"),
             "2 9 10");
 }
 
 TEST(VmOrderBy, KeyErrorsMatchLazy) {
-  EXPECT_EQ(RunBoth("for $x in (1,2) order by ($x, $x) return $x"),
+  // RunBoth compares vm with lazy; the eager interpreter must agree too.
+  auto eager_error = [](const std::string& query) {
+    XQueryEngine engine;
+    CompiledQuery::ExecOptions eager;
+    eager.backend = ExecBackend::kEager;
+    auto result = engine.Compile(query).value()->ExecuteToXml(eager);
+    return result.ok() ? result.value()
+                       : "ERROR: " + std::string(result.status().message());
+  };
+  const std::string multi_item = "for $x in (1,2) order by ($x, $x) return $x";
+  EXPECT_EQ(RunBoth(multi_item),
             "ERROR: order-by key must be () or a single item");
+  EXPECT_EQ(eager_error(multi_item), RunBoth(multi_item));
   // Incomparable key types across tuples surface the comparator's error
   // after the sort finishes — the interpreter's historical behavior.
-  EXPECT_EQ(RunBoth("for $x in (1, 'a') order by $x return $x"),
-            RunBoth("for $x in (1, 'a') order by $x return $x"));
-  // Order-by under a cancelled governor trips at the sort-add poll.
+  const std::string mixed = "for $x in (1, 'a') order by $x return $x";
+  EXPECT_EQ(eager_error(mixed), RunBoth(mixed));
+  // Order-by under a cancelled governor trips at the first poll instead
+  // of buffering 1e8 tuples.
   XQueryEngine engine;
   auto compiled = engine.Compile(
       "for $i in 1 to 100000000 order by -$i return $i");
   XQP_ASSERT_OK(compiled.status());
-  CompiledQuery::ExecOptions exec = VmExec();
-  exec.limits.cancel = std::make_shared<CancelToken>();
-  exec.limits.cancel->Cancel();
-  auto result = compiled.value()->Execute(exec);
+  for (ExecBackend backend : {ExecBackend::kVm, ExecBackend::kLazy}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    exec.limits.cancel = std::make_shared<CancelToken>();
+    exec.limits.cancel->Cancel();
+    auto result = compiled.value()->Execute(exec);
+    ASSERT_FALSE(result.ok()) << ExecBackendName(backend);
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << ExecBackendName(backend);
+  }
+  // A deadline passing while the lazy tuple machine buffers the sort
+  // trips its per-tuple poll.
+  CompiledQuery::ExecOptions timed;
+  timed.backend = ExecBackend::kLazy;
+  timed.limits.timeout = std::chrono::milliseconds(20);
+  auto result = compiled.value()->Execute(timed);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_NE(result.status().message().find("deadline"), std::string::npos);
 }
 
 TEST(VmRootStep, RootAnchoredPathsCompile) {
@@ -701,7 +743,7 @@ TEST(VmMetrics, CountersAdvance) {
   EXPECT_GE(report.engine_metrics.counters["vm.compiles"], 1u);
   EXPECT_GT(report.engine_metrics.counters["vm.instructions"], 10u);
   EXPECT_EQ(SerializeSequence(report.result).ValueOrDie(), "104");
-  // Root accounting holds under the vm backend (xqp_profile --check).
+  // Root accounting holds under the vm backend (xqp --check).
   const OpStats* root = report.RootStats();
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->items, report.result.size());

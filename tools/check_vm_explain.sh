@@ -3,10 +3,10 @@
 # (Q08-Q12) shapes must lower entirely to the VM's opcodes — any `[bailout:` annotation in
 # the vm EXPLAIN tree is a regression in the bytecode compiler's lowering.
 #
-# Usage: tools/check_vm_explain.sh <path-to-xqp_profile>
+# Usage: tools/check_vm_explain.sh <path-to-xqp>
 set -euo pipefail
 
-PROFILE="${1:?usage: check_vm_explain.sh <path-to-xqp_profile>}"
+XQP="${1:?usage: check_vm_explain.sh <path-to-xqp>}"
 
 QUERY_IDS=(Q06 Q07 Q08 Q09 Q10 Q11 Q12)
 TEXT_SHAPES=(
@@ -26,7 +26,7 @@ fail=0
 check() {
   local label="$1"; shift
   local out
-  out="$("$PROFILE" "$@" --scale 10 --backend vm --explain-only)"
+  out="$("$XQP" "$@" --xmark 0.01 --backend vm --explain)"
   if grep -q '\[bailout:' <<<"$out"; then
     echo "FAIL: vm bailout in compiled path plan for ${label}:" >&2
     grep '\[bailout:' <<<"$out" >&2
@@ -40,7 +40,7 @@ for id in "${QUERY_IDS[@]}"; do
   check "$id" --query "$id"
 done
 for text in "${TEXT_SHAPES[@]}"; do
-  check "$text" --text "$text"
+  check "$text" "$text"
 done
 
 exit "$fail"
