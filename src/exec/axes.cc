@@ -2,6 +2,19 @@
 
 namespace xqp {
 
+Result<Item> SlashRoot(const Item& item) {
+  if (!item.IsNode()) {
+    return Status::TypeError("leading '/' requires a node context item");
+  }
+  Node root = item.AsNode().Root();
+  if (root.kind() != NodeKind::kDocument) {
+    return Status::DynamicError(
+        "leading '/' requires the context node's tree to be rooted at a "
+        "document node");
+  }
+  return Item(std::move(root));
+}
+
 AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test)
     : origin_(origin), axis_(axis), test_(test) {
   if (origin.IsNull()) {

@@ -33,6 +33,12 @@ class AxisCursor {
   bool include_self_pending_ = false;
 };
 
+/// The node a leading '/' selects from context item `item`: the root of
+/// its tree, which must be a document node (err:XPDY0050 otherwise; the
+/// trees of non-document constructors are rooted at the constructed node).
+/// Every backend lowers '/' through this, so the errors are identical.
+Result<Item> SlashRoot(const Item& item);
+
 /// Appends all nodes selected by `axis`/`test` from `origin` to `out`
 /// (convenience for the eager interpreter and the navigation baseline).
 void CollectAxis(const Node& origin, Axis axis, const NodeTest& test,

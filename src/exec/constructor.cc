@@ -1,18 +1,57 @@
 #include "exec/constructor.h"
 
+#include "base/metrics.h"
 #include "base/string_util.h"
 
 namespace xqp {
 namespace construct {
 
-std::string AtomizedString(const Sequence& seq) {
-  std::string out;
+namespace {
+
+/// Appends the atomized lexical forms of `seq`, joined with single spaces.
+void AppendAtomized(const Sequence& seq, std::string* out) {
   bool first = true;
   for (const Item& item : seq) {
-    if (!first) out.push_back(' ');
-    out += item.Atomized().Lexical();
+    if (!first) out->push_back(' ');
+    out->append(item.Atomized().Lexical());
     first = false;
   }
+}
+
+/// An attribute value: the atomized value parts, concatenated.
+std::string AttributeValue(std::span<const Sequence> value_parts) {
+  std::string value;
+  for (const Sequence& part : value_parts) AppendAtomized(part, &value);
+  return value;
+}
+
+/// Counts one constructed document and the nodes of the tree it holds.
+std::shared_ptr<Document> Counted(std::shared_ptr<Document> doc,
+                                  size_t tree_nodes) {
+  if (metrics::Enabled()) {
+    static metrics::Counter* documents =
+        metrics::MetricsRegistry::Global().counter("construct.documents");
+    static metrics::Counter* nodes =
+        metrics::MetricsRegistry::Global().counter("construct.nodes");
+    documents->Increment();
+    nodes->Add(tree_nodes);
+  }
+  return doc;
+}
+
+/// Completes a non-document constructor: its node is the parentless row 1.
+Result<Item> FinishNode(DocumentBuilder* builder) {
+  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc,
+                       builder->FinishParentless());
+  const size_t tree_nodes = doc->NumNodes() - 1;  // Row 0 is hidden.
+  return Item(Node(Counted(std::move(doc), tree_nodes), 1));
+}
+
+}  // namespace
+
+std::string AtomizedString(const Sequence& seq) {
+  std::string out;
+  AppendAtomized(seq, &out);
   return out;
 }
 
@@ -74,98 +113,121 @@ Status AppendContentPart(DocumentBuilder* builder, const Sequence& part,
 
 }  // namespace
 
+size_t DirectAttributeCount(const ElementCtorExpr& e) {
+  size_t count = 0;
+  for (size_t i = e.ContentStart(); i < e.NumChildren(); ++i, ++count) {
+    const Expr* child = e.child(i);
+    if (child->kind() != ExprKind::kAttributeCtor ||
+        static_cast<const AttributeCtorExpr*>(child)->computed_name) {
+      break;
+    }
+  }
+  return count;
+}
+
+std::vector<const Expr*> EvaluatedChildren(const Expr& e) {
+  size_t attrs_begin = 0, attrs_end = 0;
+  if (e.kind() == ExprKind::kElementCtor) {
+    const auto& ctor = static_cast<const ElementCtorExpr&>(e);
+    attrs_begin = ctor.ContentStart();
+    attrs_end = attrs_begin + DirectAttributeCount(ctor);
+  }
+  std::vector<const Expr*> out;
+  for (size_t i = 0; i < e.NumChildren(); ++i) {
+    const Expr* child = e.child(i);
+    if (i < attrs_begin || i >= attrs_end) {
+      out.push_back(child);
+      continue;
+    }
+    for (size_t j = 0; j < child->NumChildren(); ++j) {
+      out.push_back(child->child(j));
+    }
+  }
+  return out;
+}
+
+std::span<const Sequence> SplitDirectAttributes(
+    const ElementCtorExpr& e, std::span<const Sequence> values,
+    std::vector<DirectAttribute>* attributes) {
+  attributes->clear();
+  const size_t start = e.ContentStart();
+  const size_t count = DirectAttributeCount(e);
+  size_t at = 0;
+  for (size_t a = 0; a < count; ++a) {
+    const auto* attr =
+        static_cast<const AttributeCtorExpr*>(e.child(start + a));
+    const size_t parts = attr->NumChildren();
+    attributes->push_back({&attr->name, values.subspan(at, parts)});
+    at += parts;
+  }
+  return values.subspan(at);
+}
+
 Result<Item> Element(const QName& name,
                      const std::vector<ElementCtorExpr::NsDecl>& ns_decls,
-                     const std::vector<Sequence>& content_parts,
-                     DynamicContext* ctx) {
+                     std::span<const DirectAttribute> attributes,
+                     std::span<const Sequence> content_parts) {
   DocumentBuilder builder;
   XQP_RETURN_NOT_OK(builder.BeginElement(name));
   for (const auto& d : ns_decls) {
     XQP_RETURN_NOT_OK(builder.NamespaceDecl(d.prefix, d.uri));
+  }
+  for (const DirectAttribute& a : attributes) {
+    XQP_RETURN_NOT_OK(
+        builder.Attribute(*a.name, AttributeValue(a.value_parts)));
   }
   for (const Sequence& part : content_parts) {
     XQP_RETURN_NOT_OK(AppendContentPart(&builder, part,
                                         /*allow_attributes=*/true));
   }
   XQP_RETURN_NOT_OK(builder.EndElement());
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
-  if (ctx != nullptr) {
-    ++ctx->stats.documents_built;
-    ctx->stats.nodes_constructed += doc->NumNodes();
-  }
-  return Item(Node(std::move(doc), 1));
+  return FinishNode(&builder);
 }
 
 Result<Item> Attribute(const QName& name,
-                       const std::vector<Sequence>& value_parts,
-                       DynamicContext* ctx) {
-  std::string value;
-  for (const Sequence& part : value_parts) value += AtomizedString(part);
+                       std::span<const Sequence> value_parts) {
   DocumentBuilder builder;
-  XQP_RETURN_NOT_OK(builder.OrphanAttribute(name, value));
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
-  if (ctx != nullptr) {
-    ++ctx->stats.documents_built;
-    ++ctx->stats.nodes_constructed;
-  }
-  return Item(Node(std::move(doc), 1));
+  XQP_RETURN_NOT_OK(
+      builder.OrphanAttribute(name, AttributeValue(value_parts)));
+  return FinishNode(&builder);
 }
 
-Result<Sequence> Text(const Sequence& content, DynamicContext* ctx) {
+Result<Sequence> Text(const Sequence& content) {
   if (content.empty()) return Sequence{};
   std::string value = AtomizedString(content);
+  if (value.empty()) return Sequence{};  // Empty text dropped.
   DocumentBuilder builder;
   XQP_RETURN_NOT_OK(builder.Text(value));
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
-  if (doc->NumNodes() < 2) return Sequence{};  // Empty text dropped.
-  if (ctx != nullptr) {
-    ++ctx->stats.documents_built;
-    ++ctx->stats.nodes_constructed;
-  }
-  return Sequence{Item(Node(std::move(doc), 1))};
+  XQP_ASSIGN_OR_RETURN(Item item, FinishNode(&builder));
+  return Sequence{std::move(item)};
 }
 
-Result<Item> Comment(const Sequence& content, DynamicContext* ctx) {
+Result<Item> Comment(const Sequence& content) {
   std::string value = AtomizedString(content);
   if (value.find("--") != std::string::npos || (!value.empty() && value.back() == '-')) {
     return Status::DynamicError("comment content may not contain \"--\"");
   }
   DocumentBuilder builder;
   XQP_RETURN_NOT_OK(builder.Comment(value));
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
-  if (ctx != nullptr) {
-    ++ctx->stats.documents_built;
-    ++ctx->stats.nodes_constructed;
-  }
-  return Item(Node(std::move(doc), 1));
+  return FinishNode(&builder);
 }
 
-Result<Item> Pi(const std::string& target, const Sequence& content,
-                DynamicContext* ctx) {
+Result<Item> Pi(const std::string& target, const Sequence& content) {
   std::string value = AtomizedString(content);
   DocumentBuilder builder;
   XQP_RETURN_NOT_OK(builder.ProcessingInstruction(target, value));
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
-  if (ctx != nullptr) {
-    ++ctx->stats.documents_built;
-    ++ctx->stats.nodes_constructed;
-  }
-  return Item(Node(std::move(doc), 1));
+  return FinishNode(&builder);
 }
 
-Result<Item> DocumentNode(const std::vector<Sequence>& content_parts,
-                          DynamicContext* ctx) {
+Result<Item> DocumentNode(std::span<const Sequence> content_parts) {
   DocumentBuilder builder;
   for (const Sequence& part : content_parts) {
     XQP_RETURN_NOT_OK(AppendContentPart(&builder, part,
                                         /*allow_attributes=*/false));
   }
   XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
-  if (ctx != nullptr) {
-    ++ctx->stats.documents_built;
-    ctx->stats.nodes_constructed += doc->NumNodes();
-  }
-  return Item(Node(std::move(doc), 0));
+  const size_t tree_nodes = doc->NumNodes();
+  return Item(Node(Counted(std::move(doc), tree_nodes), 0));
 }
 
 }  // namespace construct

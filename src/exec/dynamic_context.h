@@ -107,14 +107,6 @@ class DynamicContext {
   /// This run's value-join indexes by FlworExpr::Clause::join_id, built on
   /// first use (exec/value_join.h).
   std::vector<std::shared_ptr<value_join::Index>> value_joins;
-
-  /// Counters the experiments report (node-id elision, buffer usage).
-  struct Stats {
-    uint64_t documents_built = 0;
-    uint64_t nodes_constructed = 0;
-    uint64_t items_produced = 0;
-  };
-  Stats stats;
 };
 
 /// RAII frame swap for user-function calls.

@@ -95,10 +95,8 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
 
     case ExprKind::kRoot: {
       XQP_ASSIGN_OR_RETURN(Item item, ContextItem());
-      if (!item.IsNode()) {
-        return Status::TypeError("leading '/' requires a node context item");
-      }
-      return Sequence{Item(item.AsNode().Root())};
+      XQP_ASSIGN_OR_RETURN(Item root, SlashRoot(item));
+      return Sequence{std::move(root)};
     }
 
     case ExprKind::kSequence: {
@@ -297,26 +295,25 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
         XQP_ASSIGN_OR_RETURN(Sequence part, Eval(e->child(i)));
         parts.push_back(std::move(part));
       }
-      XQP_ASSIGN_OR_RETURN(Item item, construct::Attribute(name, parts, ctx_));
+      XQP_ASSIGN_OR_RETURN(Item item, construct::Attribute(name, parts));
       return Sequence{std::move(item)};
     }
 
     case ExprKind::kTextCtor: {
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      return construct::Text(content, ctx_);
+      return construct::Text(content);
     }
 
     case ExprKind::kCommentCtor: {
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Item item, construct::Comment(content, ctx_));
+      XQP_ASSIGN_OR_RETURN(Item item, construct::Comment(content));
       return Sequence{std::move(item)};
     }
 
     case ExprKind::kPiCtor: {
       const auto* pi = static_cast<const PiCtorExpr*>(e);
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Item item,
-                           construct::Pi(pi->target, content, ctx_));
+      XQP_ASSIGN_OR_RETURN(Item item, construct::Pi(pi->target, content));
       return Sequence{std::move(item)};
     }
 
@@ -332,9 +329,8 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
 
     case ExprKind::kDocumentCtor: {
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      std::vector<Sequence> parts;
-      parts.push_back(std::move(content));
-      XQP_ASSIGN_OR_RETURN(Item item, construct::DocumentNode(parts, ctx_));
+      XQP_ASSIGN_OR_RETURN(Item item,
+                           construct::DocumentNode({&content, 1}));
       return Sequence{std::move(item)};
     }
   }
@@ -594,13 +590,27 @@ Result<Sequence> Interpreter::EvalElementCtor(const ElementCtorExpr* e) {
     XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(name_v));
     start = 1;
   }
-  std::vector<Sequence> parts;
-  for (size_t i = start; i < e->NumChildren(); ++i) {
-    XQP_ASSIGN_OR_RETURN(Sequence part, Eval(e->child(i)));
-    parts.push_back(std::move(part));
+  // Direct attributes are evaluated inline: their value parts, then the
+  // remaining content (construct::SplitDirectAttributes' layout).
+  std::vector<Sequence> values;
+  const size_t attrs = construct::DirectAttributeCount(*e);
+  for (size_t i = start; i < start + attrs; ++i) {
+    const Expr* attr = e->child(i);
+    InlineOpScope profiled(ctx_->profile, attr);
+    for (size_t j = 0; j < attr->NumChildren(); ++j) {
+      XQP_ASSIGN_OR_RETURN(Sequence part, Eval(attr->child(j)));
+      values.push_back(std::move(part));
+    }
   }
-  XQP_ASSIGN_OR_RETURN(Item item,
-                       construct::Element(name, e->ns_decls, parts, ctx_));
+  for (size_t i = start + attrs; i < e->NumChildren(); ++i) {
+    XQP_ASSIGN_OR_RETURN(Sequence part, Eval(e->child(i)));
+    values.push_back(std::move(part));
+  }
+  std::vector<construct::DirectAttribute> direct;
+  std::span<const Sequence> content =
+      construct::SplitDirectAttributes(*e, values, &direct);
+  XQP_ASSIGN_OR_RETURN(
+      Item item, construct::Element(name, e->ns_decls, direct, content));
   return Sequence{std::move(item)};
 }
 

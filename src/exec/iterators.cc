@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "exec/arithmetic.h"
+#include "exec/axes.h"
 #include "exec/builtins.h"
 #include "exec/compare.h"
 #include "exec/constructor.h"
@@ -161,10 +162,7 @@ class RootIt : public ItemIterator {
     Item item;
     XQP_ASSIGN_OR_RETURN(bool got, inner_.Next(&item));
     if (!got) return false;
-    if (!item.IsNode()) {
-      return Status::TypeError("leading '/' requires a node context item");
-    }
-    *out = Item(item.AsNode().Root());
+    XQP_ASSIGN_OR_RETURN(*out, SlashRoot(item));
     return true;
   }
 
@@ -789,10 +787,10 @@ class CtorIt : public ComputeOnceIt {
   CtorIt(const Expr* e, const LazyFocus* focus) : e_(e), focus_(focus) {}
 
   Status Init() {
-    for (size_t i = 0; i < e_->NumChildren(); ++i) {
-      XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> child,
-                           CompileIterator(e_->child(i), focus_));
-      children_.push_back(std::move(child));
+    for (const Expr* child : construct::EvaluatedChildren(*e_)) {
+      XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it,
+                           CompileIterator(child, focus_));
+      children_.push_back(std::move(it));
     }
     return Status::OK();
   }
@@ -808,26 +806,37 @@ class CtorIt : public ComputeOnceIt {
   Result<Sequence> Compute() override {
     std::vector<Sequence> parts;
     parts.reserve(children_.size());
-    for (auto& c : children_) {
-      XQP_ASSIGN_OR_RETURN(Sequence part, Drain(c.get()));
-      parts.push_back(std::move(part));
-    }
-    switch (e_->kind()) {
-      case ExprKind::kElementCtor: {
-        const auto* ctor = static_cast<const ElementCtorExpr*>(e_);
-        QName name = ctor->name;
-        size_t start = 0;
-        if (ctor->computed_name) {
-          XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(parts[0]));
-          start = 1;
-        }
-        std::vector<Sequence> content(
-            std::make_move_iterator(parts.begin() + start),
-            std::make_move_iterator(parts.end()));
-        XQP_ASSIGN_OR_RETURN(
-            Item item, construct::Element(name, ctor->ns_decls, content, ctx_));
-        return Sequence{std::move(item)};
+    auto drain = [&](size_t n) -> Status {
+      for (size_t end = parts.size() + n; parts.size() < end;) {
+        XQP_ASSIGN_OR_RETURN(Sequence part,
+                             Drain(children_[parts.size()].get()));
+        parts.push_back(std::move(part));
       }
+      return Status::OK();
+    };
+    if (e_->kind() == ExprKind::kElementCtor) {
+      const auto* ctor = static_cast<const ElementCtorExpr*>(e_);
+      const size_t start = ctor->ContentStart();
+      XQP_RETURN_NOT_OK(drain(start));
+      const size_t attrs = construct::DirectAttributeCount(*ctor);
+      for (size_t i = start; i < start + attrs; ++i) {
+        InlineOpScope profiled(ctx_->profile, e_->child(i));
+        XQP_RETURN_NOT_OK(drain(e_->child(i)->NumChildren()));
+      }
+      XQP_RETURN_NOT_OK(drain(children_.size() - parts.size()));
+      QName name = ctor->name;
+      if (ctor->computed_name) {
+        XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(parts[0]));
+      }
+      std::vector<construct::DirectAttribute> direct;
+      std::span<const Sequence> content = construct::SplitDirectAttributes(
+          *ctor, std::span<const Sequence>(parts).subspan(start), &direct);
+      XQP_ASSIGN_OR_RETURN(
+          Item item, construct::Element(name, ctor->ns_decls, direct, content));
+      return Sequence{std::move(item)};
+    }
+    XQP_RETURN_NOT_OK(drain(children_.size()));
+    switch (e_->kind()) {
       case ExprKind::kAttributeCtor: {
         const auto* ctor = static_cast<const AttributeCtorExpr*>(e_);
         QName name = ctor->name;
@@ -836,27 +845,25 @@ class CtorIt : public ComputeOnceIt {
           XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(parts[0]));
           start = 1;
         }
-        std::vector<Sequence> content(
-            std::make_move_iterator(parts.begin() + start),
-            std::make_move_iterator(parts.end()));
-        XQP_ASSIGN_OR_RETURN(Item item,
-                             construct::Attribute(name, content, ctx_));
+        XQP_ASSIGN_OR_RETURN(
+            Item item,
+            construct::Attribute(
+                name, std::span<const Sequence>(parts).subspan(start)));
         return Sequence{std::move(item)};
       }
       case ExprKind::kTextCtor:
-        return construct::Text(parts[0], ctx_);
+        return construct::Text(parts[0]);
       case ExprKind::kCommentCtor: {
-        XQP_ASSIGN_OR_RETURN(Item item, construct::Comment(parts[0], ctx_));
+        XQP_ASSIGN_OR_RETURN(Item item, construct::Comment(parts[0]));
         return Sequence{std::move(item)};
       }
       case ExprKind::kPiCtor: {
         const auto* pi = static_cast<const PiCtorExpr*>(e_);
-        XQP_ASSIGN_OR_RETURN(Item item,
-                             construct::Pi(pi->target, parts[0], ctx_));
+        XQP_ASSIGN_OR_RETURN(Item item, construct::Pi(pi->target, parts[0]));
         return Sequence{std::move(item)};
       }
       case ExprKind::kDocumentCtor: {
-        XQP_ASSIGN_OR_RETURN(Item item, construct::DocumentNode(parts, ctx_));
+        XQP_ASSIGN_OR_RETURN(Item item, construct::DocumentNode(parts));
         return Sequence{std::move(item)};
       }
       default:

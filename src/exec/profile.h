@@ -1,6 +1,7 @@
 #ifndef XQP_EXEC_PROFILE_H_
 #define XQP_EXEC_PROFILE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -42,6 +43,33 @@ class QueryProfile {
 
  private:
   std::unordered_map<const Expr*, OpStats> ops_;
+};
+
+/// Profiles one evaluation of an operator that has no iterator or Eval of
+/// its own because its parent evaluates it inline (an element constructor's
+/// direct attributes): one call, one item, and the scope's wall time land
+/// in the operator's row. Inert when `profile` is null.
+class InlineOpScope {
+ public:
+  InlineOpScope(QueryProfile* profile, const Expr* e)
+      : stats_(profile == nullptr ? nullptr : profile->StatsFor(e)),
+        start_(stats_ == nullptr ? std::chrono::steady_clock::time_point()
+                                 : std::chrono::steady_clock::now()) {}
+  ~InlineOpScope() {
+    if (stats_ == nullptr) return;
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
+    stats_->wall_ns += ns < 0 ? 0 : uint64_t(ns);
+    ++stats_->next_calls;
+    ++stats_->items;
+  }
+  InlineOpScope(const InlineOpScope&) = delete;
+  InlineOpScope& operator=(const InlineOpScope&) = delete;
+
+ private:
+  OpStats* stats_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// One-line deterministic operator name for plan rendering, e.g.

@@ -83,8 +83,11 @@ enum class Op : uint8_t {
                      //   code (the unchanged nested loop).
   kConstructElem,    // a = ctor-plan index, b = evaluated child count. Pop b
                      //   sequences (the computed name first when the plan's
-                     //   expression has one, then the content parts in
-                     //   order), assemble the element in a scratch
+                     //   expression has one, then each direct attribute's
+                     //   value parts, then the other content parts, as
+                     //   construct::EvaluatedChildren lists them; the
+                     //   expression's attribute children give the split),
+                     //   assemble the element in a scratch
                      //   DocumentBuilder via the shared construct::Element
                      //   (identical namespace handling, whitespace joining,
                      //   governor byte charges, and error strings in every

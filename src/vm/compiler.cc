@@ -8,6 +8,7 @@
 
 #include "base/fault.h"
 #include "base/metrics.h"
+#include "exec/constructor.h"
 #include "index/index_planner.h"
 #include "opt/const_fold.h"
 #include "opt/properties.h"
@@ -413,13 +414,15 @@ class Compiler {
 
   /// Constructor lowering: the children (computed name first when present,
   /// then the content parts) evaluate onto the stack in order, then one
-  /// construct opcode pops them all and pushes the built node. Assembly
-  /// itself is the shared construct:: path, so namespace handling,
-  /// whitespace joining, governor byte charges, and error strings are the
-  /// interpreter's own.
+  /// construct opcode pops them all and pushes the built node. An element's
+  /// direct attributes push their value parts flat instead of a node
+  /// (construct::SplitDirectAttributes' layout). Assembly itself is the
+  /// shared construct:: path, so namespace handling, whitespace joining,
+  /// governor byte charges, and error strings are the interpreter's own.
   void CompileCtor(const Expr& e) {
-    int n = static_cast<int>(e.NumChildren());
-    for (int i = 0; i < n; ++i) Compile(*e.child(size_t(i)));
+    const std::vector<const Expr*> children = construct::EvaluatedChildren(e);
+    for (const Expr* child : children) Compile(*child);
+    const int n = static_cast<int>(children.size());
     switch (e.kind()) {
       case ExprKind::kElementCtor:
         Emit(Op::kConstructElem, 0, AddCtorPlan(&e), n);

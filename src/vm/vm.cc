@@ -138,7 +138,8 @@ class Vm {
   std::vector<SortState> sorts_;
   size_t ssize_ = 0;
   std::vector<Sequence> args_;
-  std::vector<Sequence> parts_;  // Scratch for the construct opcodes.
+  // Scratch for kConstructElem.
+  std::vector<construct::DirectAttribute> direct_attrs_;
   std::vector<std::unique_ptr<ItemIterator>> thunk_iters_;
   std::vector<uint64_t> thunk_hits_;
   uint64_t retired_ = 0;
@@ -658,37 +659,36 @@ Result<Sequence> Vm::Run() {
 
   VM_CASE(kConstructElem) : VM_CASE(kConstructAttr) : {
     // Assemble the constructor from its already-evaluated children: the
-    // computed name (when present) sits below the content parts. Building
+    // computed name (when present) sits below the content parts, and an
+    // element's direct attributes left their value parts flat. Building
     // goes through the shared construct:: path, so the scratch
     // DocumentBuilder's byte charges (ChargeNode via the thread-local
     // governor), whitespace joining, namespace handling, and error strings
     // are identical to both interpreters.
-    {  // Scoped, as in kArith: `name` owns strings.
-      const bool is_elem = ip->op == Op::kConstructElem;
+    {  // Scoped, as in kArith: `built` owns the node.
       const Expr* ce = p_.ctors[size_t(ip->a)].expr;
-      size_t n = size_t(ip->b);
-      Sequence* children = stack + (sp - n);
-      const bool computed = is_elem
-          ? static_cast<const ElementCtorExpr*>(ce)->computed_name
-          : static_cast<const AttributeCtorExpr*>(ce)->computed_name;
-      QName name = is_elem ? static_cast<const ElementCtorExpr*>(ce)->name
-                           : static_cast<const AttributeCtorExpr*>(ce)->name;
-      size_t start = 0;
-      if (computed) {
-        auto named = construct::ComputedName(children[0]);
-        if (!named.ok()) return named.status();
-        name = std::move(named).value();
-        start = 1;
-      }
-      parts_.clear();
-      for (size_t i = start; i < n; ++i) {
-        parts_.push_back(std::move(children[i]));
-      }
-      auto built = is_elem
-          ? construct::Element(
-                name, static_cast<const ElementCtorExpr*>(ce)->ns_decls,
-                parts_, ctx_)
-          : construct::Attribute(name, parts_, ctx_);
+      const size_t n = size_t(ip->b);
+      std::span<const Sequence> children(stack + (sp - n), n);
+      const bool computed =
+          ip->op == Op::kConstructElem
+              ? static_cast<const ElementCtorExpr*>(ce)->computed_name
+              : static_cast<const AttributeCtorExpr*>(ce)->computed_name;
+      auto built = [&]() -> Result<Item> {
+        QName name;
+        if (computed) {
+          XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(children[0]));
+          children = children.subspan(1);
+        }
+        if (ip->op == Op::kConstructAttr) {
+          const auto* attr = static_cast<const AttributeCtorExpr*>(ce);
+          return construct::Attribute(computed ? name : attr->name, children);
+        }
+        const auto* elem = static_cast<const ElementCtorExpr*>(ce);
+        std::span<const Sequence> content =
+            construct::SplitDirectAttributes(*elem, children, &direct_attrs_);
+        return construct::Element(computed ? name : elem->name,
+                                  elem->ns_decls, direct_attrs_, content);
+      }();
       if (!built.ok()) return built.status();
       sp -= n;
       Sequence& dst = stack[sp++];
@@ -699,7 +699,7 @@ Result<Sequence> Vm::Run() {
   }
 
   VM_CASE(kConstructText) : {
-    auto r = construct::Text(stack[sp - 1], ctx_);
+    auto r = construct::Text(stack[sp - 1]);
     if (!r.ok()) return r.status();
     stack[sp - 1] = std::move(r).value();
     VM_NEXT();
@@ -710,17 +710,14 @@ Result<Sequence> Vm::Run() {
     auto built = [&]() -> Result<Item> {
       switch (ip->flag) {
         case 0:
-          return construct::Comment(content, ctx_);
+          return construct::Comment(content);
         case 1:
           return construct::Pi(
               static_cast<const PiCtorExpr*>(p_.ctors[size_t(ip->a)].expr)
                   ->target,
-              content, ctx_);
-        default: {
-          parts_.clear();
-          parts_.push_back(std::move(content));
-          return construct::DocumentNode(parts_, ctx_);
-        }
+              content);
+        default:
+          return construct::DocumentNode({&content, 1});
       }
     }();
     if (!built.ok()) return built.status();
@@ -734,12 +731,11 @@ Result<Sequence> Vm::Run() {
     if (!focus_.has_focus) {
       return Status::DynamicError("context item is not defined");
     }
-    if (!focus_.item.IsNode()) {
-      return Status::TypeError("leading '/' requires a node context item");
-    }
+    auto root = SlashRoot(focus_.item);
+    if (!root.ok()) return root.status();
     Sequence& s = stack[sp++];
     s.clear();
-    s.push_back(Item(focus_.item.AsNode().Root()));
+    s.push_back(std::move(root).value());
     VM_NEXT();
   }
 

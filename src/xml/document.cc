@@ -231,34 +231,28 @@ NodeIndex DocumentBuilder::Append(NodeKind kind, uint32_t name_id,
   return index;
 }
 
+uint32_t DocumentBuilder::MaxDepth() const {
+  return std::min<uint32_t>(options_.max_parse_depth == 0
+                                ? QueryLimits::kDefaultMaxParseDepth
+                                : options_.max_parse_depth,
+                            65535);
+}
+
+Status DocumentBuilder::DepthError() const {
+  return Status::ParseError("element nesting exceeds maximum depth of " +
+                            std::to_string(MaxDepth()));
+}
+
 Status DocumentBuilder::BeginElement(const QName& name) {
   if (finished_) return Status::Internal("builder already finished");
-  // Constructed documents bypass the pull parser, so the builder enforces
-  // the nesting ceiling itself (NodeRecord.level is 16 bits).
-  uint32_t max_depth = std::min<uint32_t>(
-      options_.max_parse_depth == 0 ? QueryLimits::kDefaultMaxParseDepth
-                                    : options_.max_parse_depth,
-      65535);
-  if (stack_.size() > max_depth) {
-    return Status::ParseError("element nesting exceeds maximum depth of " +
-                              std::to_string(max_depth));
-  }
-  XQP_RETURN_NOT_OK(ChargeNode(0));
-  NodeIndex index = Append(NodeKind::kElement, InternName(name), kNoValue);
-  stack_.push_back(Open{index});
-  return Status::OK();
+  return BeginElement(InternName(name));
 }
 
 Status DocumentBuilder::BeginElement(uint32_t name_id) {
   if (finished_) return Status::Internal("builder already finished");
-  uint32_t max_depth = std::min<uint32_t>(
-      options_.max_parse_depth == 0 ? QueryLimits::kDefaultMaxParseDepth
-                                    : options_.max_parse_depth,
-      65535);
-  if (stack_.size() > max_depth) {
-    return Status::ParseError("element nesting exceeds maximum depth of " +
-                              std::to_string(max_depth));
-  }
+  // Constructed documents bypass the pull parser, so the builder enforces
+  // the nesting ceiling itself (NodeRecord.level is 16 bits).
+  if (stack_.size() > MaxDepth()) return DepthError();
   XQP_RETURN_NOT_OK(ChargeNode(0));
   NodeIndex index = Append(NodeKind::kElement, name_id, kNoValue);
   stack_.push_back(Open{index});
@@ -393,25 +387,87 @@ Status DocumentBuilder::CopySubtree(const Document& src, NodeIndex root) {
       return ProcessingInstruction(src.name(root).local, src.value(root));
     case NodeKind::kAttribute:
       return Attribute(src.name(root), src.value(root));
-    case NodeKind::kElement: {
-      XQP_RETURN_NOT_OK(BeginElement(src.name(root)));
-      if (const auto* decls = src.NamespaceDecls(root)) {
-        for (const auto& d : *decls) {
-          XQP_RETURN_NOT_OK(NamespaceDecl(d.prefix, d.uri));
-        }
-      }
-      for (NodeIndex a = r.first_attr; a != kNullNode;
-           a = src.node(a).next_sibling) {
-        XQP_RETURN_NOT_OK(Attribute(src.name(a), src.value(a)));
-      }
-      for (NodeIndex c = r.first_child; c != kNullNode;
-           c = src.node(c).next_sibling) {
-        XQP_RETURN_NOT_OK(CopySubtree(src, c));
-      }
-      return EndElement();
-    }
+    case NodeKind::kElement:
+      return CopyElementRows(src, root);
   }
   return Status::Internal("unknown node kind in CopySubtree");
+}
+
+Status DocumentBuilder::CopyElementRows(const Document& src, NodeIndex root) {
+  if (finished_) return Status::Internal("builder already finished");
+  const NodeRecord& r = src.node(root);
+  std::vector<NodeRecord>& rows = doc_->nodes_;
+  const NodeIndex base = static_cast<NodeIndex>(rows.size());
+  // Source row i lands at row i + shift (unsigned wrap-around is intended).
+  const NodeIndex shift = base - root;
+  auto moved = [shift](NodeIndex i) {
+    return i == kNullNode ? kNullNode : i + shift;
+  };
+  const uint32_t max_depth = MaxDepth();
+  copy_names_.assign(src.NumNames(), kNoName);
+  // Grow geometrically: a parent constructor copies its children one by
+  // one, and an exact reserve per copy would reallocate every time.
+  const size_t needed = size_t(base) + (r.end - root) + 1;
+  if (rows.capacity() < needed) {
+    rows.reserve(std::max(needed, 2 * rows.capacity()));
+  }
+  for (NodeIndex i = root; i <= r.end; ++i) {
+    const NodeRecord& s = src.node(i);
+    NodeRecord d = s;
+    // The root lands one level below the open element, as BeginElement
+    // would place it; descendants keep their depth relative to it.
+    const size_t level = stack_.size() + (s.level - r.level);
+    std::string_view value;
+    if (s.kind == NodeKind::kElement) {
+      // BeginElement's check: the new element would sit at `level`.
+      if (level > max_depth) {
+        rows.resize(base);
+        doc_->SyncNodeView();
+        return DepthError();
+      }
+      d.value_id = kNoValue;
+    } else {
+      value = src.value(i);
+    }
+    if (Status st = ChargeNode(value.size()); !st.ok()) {
+      rows.resize(base);
+      doc_->SyncNodeView();
+      return st;
+    }
+    if (s.kind != NodeKind::kElement) d.value_id = doc_->pool_.Intern(value);
+    if (s.name_id != kNoName) {
+      uint32_t& name = copy_names_[s.name_id];
+      if (name == kNoName) name = InternName(src.name_at(s.name_id));
+      d.name_id = name;
+    }
+    d.level = static_cast<uint16_t>(level);
+    d.parent = i == root ? stack_.back().index : s.parent + shift;
+    d.next_sibling = i == root ? kNullNode : moved(s.next_sibling);
+    d.first_attr = moved(s.first_attr);
+    d.first_child = moved(s.first_child);
+    d.end = s.end + shift;
+    rows.push_back(d);
+  }
+  doc_->SyncNodeView();
+
+  // Link the copied root under the open element, as Append does.
+  Open& top = stack_.back();
+  if (top.last_child == kNullNode) {
+    rows[top.index].first_child = base;
+  } else {
+    rows[top.last_child].next_sibling = base;
+  }
+  top.last_child = base;
+  top.last_was_text = false;
+
+  if (!src.ns_decls_.empty()) {
+    for (NodeIndex i = root; i <= r.end; ++i) {
+      if (const auto* decls = src.NamespaceDecls(i)) {
+        doc_->ns_decls_[i + shift] = *decls;
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::shared_ptr<Document>> DocumentBuilder::Finish() {
@@ -422,6 +478,12 @@ Result<std::shared_ptr<Document>> DocumentBuilder::Finish() {
   finished_ = true;
   doc_->nodes_[0].end = static_cast<NodeIndex>(doc_->nodes_.size() - 1);
   return doc_;
+}
+
+Result<std::shared_ptr<Document>> DocumentBuilder::FinishParentless() {
+  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, Finish());
+  if (doc->nodes_.size() > 1) doc->nodes_[1].parent = kNullNode;
+  return doc;
 }
 
 }  // namespace xqp

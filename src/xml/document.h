@@ -209,7 +209,10 @@ class DocumentBuilder {
   /// Deep-copies the subtree rooted at `src[root]` (attributes included)
   /// into the document under construction. Implements the paper's "XML does
   /// not allow cut and paste": constructed content is copied, with fresh
-  /// node identities.
+  /// node identities. An element is copied as one block of rows (see
+  /// CopyElementRows), verbatim: strip_whitespace applies to Text() events
+  /// only. Text (coalescing), attribute (duplicate check), comment, PI and
+  /// document roots go through the event methods.
   Status CopySubtree(const Document& src, NodeIndex root);
 
   /// Sizes the node table and string pool for an input of `input_bytes`
@@ -227,8 +230,29 @@ class DocumentBuilder {
   /// Completes the document. All elements must be closed.
   Result<std::shared_ptr<Document>> Finish();
 
+  /// Completes a constructed node: Finish(), after which the single
+  /// top-level node (row 1) is a parentless root, as XQuery requires of
+  /// element, attribute, text, comment and PI constructors. The document
+  /// node stays at row 0 but no node reaches it.
+  Result<std::shared_ptr<Document>> FinishParentless();
+
  private:
   uint32_t InternName(const QName& name);
+
+  /// The element nesting ceiling: ParseOptions::max_parse_depth, defaulted
+  /// and capped at 65535 (NodeRecord.level is 16 bits).
+  uint32_t MaxDepth() const;
+
+  /// The depth error BeginElement raises past MaxDepth().
+  Status DepthError() const;
+
+  /// CopySubtree of an element: appends the source rows [root, end] in one
+  /// pre-order pass, shifting links, mapping names through a per-call
+  /// source-to-destination name-id table, re-interning values and copying
+  /// namespace declarations. Charges each row and raises the depth error
+  /// exactly where the BeginElement/Attribute/Text sequence would; on
+  /// failure the appended rows are dropped again.
+  Status CopyElementRows(const Document& src, NodeIndex root);
   NodeIndex Append(NodeKind kind, uint32_t name_id, StringPool::Id value_id);
 
   /// Shared tail of the Attribute overloads: duplicate check, admission,
@@ -253,6 +277,7 @@ class DocumentBuilder {
   std::vector<Open> stack_;
   ParseOptions options_;
   bool finished_ = false;
+  std::vector<uint32_t> copy_names_;  // CopyElementRows' name-id table.
 };
 
 }  // namespace xqp

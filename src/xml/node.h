@@ -40,8 +40,14 @@ class Node {
   Node NextSibling() const { return At(record().next_sibling); }
   Node FirstAttribute() const { return At(record().first_attr); }
 
-  /// Root of the containing tree (the document node).
-  Node Root() const { return Node(doc_, doc_->document_node()); }
+  /// Root of the containing tree: the topmost ancestor-or-self. That is the
+  /// document node for parsed documents and document constructors, and the
+  /// constructed node itself for the other constructors.
+  Node Root() const {
+    NodeIndex i = index_;
+    while (doc_->node(i).parent != kNullNode) i = doc_->node(i).parent;
+    return Node(doc_, i);
+  }
 
   /// Node identity ("is" operator).
   bool SameNode(const Node& other) const {

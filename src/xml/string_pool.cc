@@ -10,8 +10,10 @@ std::string_view StringPool::Append(std::string_view s) {
   if (s.size() > chunk_cap_ - chunk_used_) {
     // Strings wider than a chunk get a dedicated one; the abandoned tail of
     // the previous chunk is bounded by one chunk per oversized string.
+    // Chunks are left uninitialized: nothing reads past chunk_used_, and the
+    // snapshot writer copies strings by id, never whole chunks.
     size_t cap = std::max(s.size(), kChunkBytes);
-    chunks_.push_back(std::make_unique<char[]>(cap));
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(cap));
     retired_bytes_ += chunk_used_;
     chunk_cap_ = cap;
     chunk_used_ = 0;

@@ -3,7 +3,8 @@
 // lazy streaming engine, optimized and not. The XMark suite below adds
 // ExecuteBatchParallel to the cross-check and asserts the profile
 // invariant (plan-root item count == result cardinality) on every
-// generated query.
+// generated query. The constructor tables at the end pin fixed
+// construction queries, errors included, across all three backends.
 
 #include <memory>
 #include <span>
@@ -418,6 +419,141 @@ TEST_P(XMarkDifferentialTest, EnginesBatchAndProfileAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XMarkDifferentialTest,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
+
+// --- Constructor tables ------------------------------------------------------
+
+/// Runs `query` on the unoptimized eager reference, then on lazy
+/// (unoptimized) and lazy, eager and vm (optimized), each with `limits`:
+/// every run must produce the reference serialization, or fail with the
+/// reference's code and exact message. Returns the serialization or
+/// "ERROR: <message>".
+std::string RunEveryBackend(const std::string& query,
+                            const QueryLimits& limits = {}) {
+  XQueryEngine engine;
+  auto doc = engine.ParseAndRegister("doc.xml", "<r><c>1</c><c>2</c></r>");
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  XQueryEngine::CompileOptions no_opt;
+  no_opt.optimize = false;
+  auto reference = engine.Compile(query, no_opt);
+  auto optimized = engine.Compile(query);
+  if (!reference.ok() || !optimized.ok()) {
+    ADD_FAILURE() << query << ": "
+                  << (reference.ok() ? optimized : reference)
+                         .status()
+                         .ToString();
+    return "COMPILE-ERROR";
+  }
+  auto run = [&](const CompiledQuery& q, ExecBackend backend) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    exec.limits = limits;
+    return q.ExecuteToXml(exec);
+  };
+  const Result<std::string> want = run(*reference.value(), ExecBackend::kEager);
+  auto check = [&](const Result<std::string>& got, const char* what) {
+    ASSERT_EQ(got.ok(), want.ok())
+        << query << " (" << what << "): "
+        << (got.ok() ? got.value() : got.status().ToString());
+    if (want.ok()) {
+      EXPECT_EQ(got.value(), want.value()) << query << " (" << what << ")";
+    } else {
+      EXPECT_EQ(got.status().code(), want.status().code())
+          << query << " (" << what << ")";
+      EXPECT_EQ(got.status().message(), want.status().message())
+          << query << " (" << what << ")";
+    }
+  };
+  check(run(*reference.value(), ExecBackend::kLazy), "lazy, unoptimized");
+  check(run(*optimized.value(), ExecBackend::kLazy), "lazy");
+  check(run(*optimized.value(), ExecBackend::kEager), "eager");
+  check(run(*optimized.value(), ExecBackend::kVm), "vm");
+  return want.ok() ? want.value()
+                   : "ERROR: " + std::string(want.status().message());
+}
+
+struct CtorCase {
+  const char* query;
+  const char* want;
+};
+
+/// Trees built by element, attribute, text, comment and PI constructors
+/// are parentless: the constructed node is the root, so '/' below it is
+/// err:XPDY0050. Document constructors root their tree at the document.
+TEST(ConstructorDifferential, ConstructedTreesAreParentless) {
+  const CtorCase cases[] = {
+      {"let $x := <a><b/></a> return (count($x/..), name(root($x/b)), "
+       "count($x/b/ancestor::node()))",
+       "0 a 1"},
+      {"let $x := <a><b/></a> return count($x/b/(/))",
+       "ERROR: leading '/' requires the context node's tree to be rooted "
+       "at a document node"},
+      {"let $x := <a><b/><c/></a> return (count($x/c/preceding::node()), "
+       "count($x/b/following::node()), count($x/preceding-sibling::node()))",
+       "1 1 0"},
+      {"(count(attribute b {1}/..), count(text {'t'}/..), "
+       "count(comment {'c'}/..), count(processing-instruction p {'d'}/..))",
+       "0 0 0 0"},
+      {"let $t := text {'t'} return (root($t) is $t, "
+       "count(root(<a>{$t}</a>/text())/a))",
+       "true 0"},
+      {"let $d := document {<a><b/></a>} return (count($d/a/b/(/)), "
+       "count($d/a/..), name(root($d/a/b)/*))",
+       "1 1 a"},
+      {"let $x := <a><b/></a> return count(<c>{$x}</c>/a/b/ancestor::node())",
+       "2"},
+      {"count(doc('doc.xml')//c[1]/(/))", "1"},
+  };
+  for (const CtorCase& c : cases) {
+    EXPECT_EQ(RunEveryBackend(c.query), c.want) << c.query;
+  }
+}
+
+/// Direct attributes are written straight into their element's builder;
+/// duplicates, ordering, value joining and errors stay those of the
+/// attribute-node path.
+TEST(ConstructorDifferential, DirectAttributes) {
+  const CtorCase cases[] = {
+      {"<a b=\"1\">{attribute b {2}}</a>", "ERROR: duplicate attribute: b"},
+      {"<a b=\"1\">{attribute {'b'} {2}}</a>",
+       "ERROR: duplicate attribute: b"},
+      {"<a>x{attribute b {1}}</a>",
+       "ERROR: attribute \"b\" constructed after non-attribute content of "
+       "element"},
+      {"<a b=\"{()}\" c=\"x{()}y\"/>", "<a b=\"\" c=\"xy\"/>"},
+      {"<a b=\"[{doc('doc.xml')//c}]\" n=\"{(1, 'two', 3.5)}\"/>",
+       "<a b=\"[1 2]\" n=\"1 two 3.5\"/>"},
+      // Value parts evaluate in order, so the first error wins.
+      {"for $i in (0, 1) return <a b=\"{1 div $i}\" c=\"{'x' + $i}\"/>",
+       "ERROR: decimal division by zero"},
+      {"for $i in (0, 1) return <a b=\"{$i}\" c=\"{'x' + $i}\" "
+       "d=\"{1 div $i}\"/>",
+       "ERROR: arithmetic on non-numeric operand (xs:string)"},
+      {"<p:a xmlns:p=\"urn:p\" xmlns=\"urn:d\" p:b=\"1\" "
+       "c=\"{1 + 1}\"><d e=\"{'f'}\"/></p:a>",
+       "<p:a xmlns:p=\"urn:p\" xmlns=\"urn:d\" p:b=\"1\" c=\"2\">"
+       "<d e=\"f\"/></p:a>"},
+      {"<a>{attribute {concat('b', 'c')} {1}}</a>", "<a bc=\"1\"/>"},
+      {"element a {attribute {'x'} {1}, attribute y {2}}",
+       "<a x=\"1\" y=\"2\"/>"},
+      {"for $i in 1 to 2 return <v n=\"{$i}\" m=\"{$i * 2}\">{"
+       "attribute k {$i}, $i}</v>",
+       "<v n=\"1\" m=\"2\" k=\"1\">1</v><v n=\"2\" m=\"4\" k=\"2\">2</v>"},
+  };
+  for (const CtorCase& c : cases) {
+    EXPECT_EQ(RunEveryBackend(c.query), c.want) << c.query;
+  }
+}
+
+/// A memory budget that runs out inside a construction loop trips with the
+/// same code and message on every backend.
+TEST(ConstructorDifferential, MemoryBudgetTripsIdentically) {
+  QueryLimits limits;
+  limits.memory_budget_bytes = 64 * 1024;
+  EXPECT_EQ(RunEveryBackend("count(for $i in 1 to 100000 return "
+                            "<v a=\"{$i}\" b=\"x{$i}\">{$i}</v>)",
+                            limits),
+            "ERROR: query memory budget of 65536 bytes exceeded");
+}
 
 }  // namespace
 }  // namespace xqp

@@ -1,9 +1,15 @@
 #include "xml/document.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "base/fault.h"
+#include "base/limits.h"
 #include "tests/test_util.h"
+#include "xmark/generator.h"
 #include "xml/node.h"
+#include "xml/serializer.h"
 
 namespace xqp {
 namespace {
@@ -109,6 +115,121 @@ TEST(DocumentBuilder, CopySubtree) {
   EXPECT_EQ(copy->NumNodes(), 7u);
   EXPECT_EQ(copy->name(2).local, "a");
   EXPECT_EQ(copy->StringValue(1), "text");
+}
+
+/// The first difference between two node tables (kind, level, QName,
+/// value and every link), or "" when they are equal.
+std::string TableDiff(const Document& got, const Document& want) {
+  if (got.NumNodes() != want.NumNodes()) {
+    return "node count " + std::to_string(got.NumNodes()) + " vs " +
+           std::to_string(want.NumNodes());
+  }
+  for (NodeIndex i = 0; i < got.NumNodes(); ++i) {
+    const NodeRecord& g = got.node(i);
+    const NodeRecord& w = want.node(i);
+    const bool named = g.name_id != kNoName;
+    const bool same =
+        g.kind == w.kind && g.level == w.level && g.parent == w.parent &&
+        g.next_sibling == w.next_sibling && g.first_attr == w.first_attr &&
+        g.first_child == w.first_child && g.end == w.end &&
+        named == (w.name_id != kNoName) &&
+        (!named || (got.name(i).uri == want.name(i).uri &&
+                    got.name(i).prefix == want.name(i).prefix &&
+                    got.name(i).local == want.name(i).local)) &&
+        got.value(i) == want.value(i);
+    if (!same) return "row " + std::to_string(i);
+  }
+  return "";
+}
+
+/// Copies every element of `src` into a fresh builder and checks the copy
+/// against Document::Parse of the element's serialization: the same node
+/// table, the same serialization, and the source's namespace declarations.
+void ExpectEveryElementCopiesExactly(const std::shared_ptr<Document>& src) {
+  size_t elements = 0;
+  for (NodeIndex e = 0; e < src->NumNodes(); ++e) {
+    if (src->node(e).kind != NodeKind::kElement) continue;
+    ++elements;
+    DocumentBuilder builder;
+    XQP_ASSERT_OK(builder.CopySubtree(*src, e));
+    XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<Document> copy,
+                             builder.Finish());
+    XQP_ASSERT_OK_AND_ASSIGN(std::string xml,
+                             SerializeToString(Node(src, e)));
+    XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<Document> parsed,
+                             Document::Parse(xml));
+    ASSERT_EQ(TableDiff(*copy, *parsed), "") << "element row " << e;
+    EXPECT_EQ(SerializeToString(Node(copy, 1)).ValueOrDie(), xml);
+    EXPECT_EQ(SerializeToString(Node(parsed, 1)).ValueOrDie(), xml);
+    for (NodeIndex i = 1; i < copy->NumNodes(); ++i) {
+      const auto* want = src->NamespaceDecls(e + i - 1);
+      const auto* got = copy->NamespaceDecls(i);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "row " << i;
+      if (got == nullptr) continue;
+      ASSERT_EQ(got->size(), want->size());
+      for (size_t d = 0; d < got->size(); ++d) {
+        EXPECT_EQ((*got)[d].prefix, (*want)[d].prefix);
+        EXPECT_EQ((*got)[d].uri, (*want)[d].uri);
+      }
+    }
+  }
+  EXPECT_GT(elements, 0u);
+}
+
+TEST(DocumentBuilder, CopySubtreeMatchesReparseOnXMark) {
+  XMarkOptions options;
+  options.scale = 0.01;
+  ExpectEveryElementCopiesExactly(
+      Document::Parse(GenerateXMarkXml(options)).ValueOrDie());
+}
+
+TEST(DocumentBuilder, CopySubtreeMatchesReparseOnNamespacedMixedContent) {
+  ExpectEveryElementCopiesExactly(
+      Document::Parse(
+          "<r xmlns=\"urn:d\" xmlns:p=\"urn:p\"><p:a p:x=\"1\" y=\"a&amp;b\">"
+          "lead<b xmlns:q=\"urn:q\"><q:c q:z=\"\"/>t&lt;u</b><!--note-->"
+          "<?proc some data?>tail</p:a><e xmlns=\"\"><f/></e>more<p:a/></r>")
+          .ValueOrDie());
+}
+
+TEST(DocumentBuilder, CopySubtreePastMaxDepthFails) {
+  const uint32_t depth = QueryLimits::kDefaultMaxParseDepth;
+  std::string xml;
+  for (uint32_t i = 0; i < depth; ++i) xml += "<d>";
+  for (uint32_t i = 0; i < depth; ++i) xml += "</d>";
+  auto src = Document::Parse(xml).ValueOrDie();
+  {
+    DocumentBuilder builder;  // At the limit: fits exactly.
+    XQP_ASSERT_OK(builder.CopySubtree(*src, 1));
+    EXPECT_EQ(builder.NumNodes(), size_t(depth) + 1);
+  }
+  DocumentBuilder builder;
+  XQP_ASSERT_OK(builder.BeginElement(QName("wrap")));
+  Status st = builder.CopySubtree(*src, 1);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "element nesting exceeds maximum depth of " +
+                              std::to_string(depth));
+  EXPECT_EQ(builder.NumNodes(), 2u);  // The partial copy is dropped.
+}
+
+TEST(DocumentBuilder, CopySubtreeChargesEachRow) {
+  // Rows a, @p, b, text, comment, pi: the "alloc" site fires on the nth
+  // copied row for every n, and a copy needs exactly six charges.
+  auto src =
+      Document::Parse("<a p=\"1\"><b>t</b><!--c--><?pi d?></a>").ValueOrDie();
+  for (uint64_t n = 1; n <= 7; ++n) {
+    DocumentBuilder builder;
+    XQP_ASSERT_OK(builder.BeginElement(QName("wrap")));
+    fault::ScopedFault fault("alloc", n);
+    Status st = builder.CopySubtree(*src, 1);
+    if (n <= 6) {
+      EXPECT_EQ(st.code(), StatusCode::kInternal) << n;
+      EXPECT_EQ(builder.NumNodes(), 2u) << n;
+    } else {
+      XQP_ASSERT_OK(st);
+      EXPECT_EQ(builder.NumNodes(), 8u);
+    }
+  }
 }
 
 TEST(DocumentBuilder, RejectsDuplicateAttributes) {

@@ -387,6 +387,40 @@ TEST(ProfileTest, LazyOrderByProfilesEveryOperator) {
   EXPECT_EQ(ret->items, results);
 }
 
+/// Every attribute constructor of `e`'s tree, in pre-order.
+void CollectAttributeCtors(const Expr* e, std::vector<const Expr*>* out) {
+  if (e->kind() == ExprKind::kAttributeCtor) out->push_back(e);
+  for (size_t i = 0; i < e->NumChildren(); ++i) {
+    CollectAttributeCtors(e->child(i), out);
+  }
+}
+
+/// Direct attributes are evaluated inline by their element, yet Profile()
+/// still reports each attribute-ctor row: one call and one item per
+/// element built, on the lazy and the eager engine.
+TEST(ProfileTest, DirectAttributesKeepTheirRows) {
+  XQueryEngine engine;
+  auto compiled = engine.Compile(
+      "for $i in 1 to 3 return <x a=\"{$i}\" b=\"c\">{attribute d {$i}}</x>");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  std::vector<const Expr*> attrs;
+  CollectAttributeCtors(compiled.value()->module().body.get(), &attrs);
+  ASSERT_EQ(attrs.size(), 3u);
+  for (ExecBackend backend : {ExecBackend::kLazy, ExecBackend::kEager}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    auto report = compiled.value()->Profile(exec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report.value().result.size(), 3u);
+    for (const Expr* attr : attrs) {
+      const OpStats* stats = report.value().ops.Find(attr);
+      ASSERT_NE(stats, nullptr) << ExecBackendName(backend);
+      EXPECT_GE(stats->next_calls, 3u) << ExecBackendName(backend);
+      EXPECT_EQ(stats->items, 3u) << ExecBackendName(backend);
+    }
+  }
+}
+
 TEST(ProfileTest, ReportRendersTextAndJson) {
   auto engine = SmallXMarkEngine();
   auto compiled = engine->Compile("count(doc('xmark.xml')//item)");
@@ -420,6 +454,46 @@ TEST(ProfileTest, DisabledEngineLeavesRegistryOff) {
   EXPECT_FALSE(metrics::Enabled());
   // The forced-on window still captured engine counters for the run.
   EXPECT_FALSE(report.value().engine_metrics.counters.empty());
+}
+
+/// construct.documents counts one document per constructed node: a direct
+/// attribute is written into its element's document, not built on its own.
+TEST(ConstructMetrics, OneDocumentPerConstructedElement) {
+  std::string order = "<order><lines>";
+  for (int i = 0; i < 200; ++i) {
+    order += "<line sku=\"s" + std::to_string(i) + "\" qty=\"" +
+             std::to_string(i % 7 + 1) + "\" price=\"2.5\"/>";
+  }
+  order += "</lines></order>";
+  XQueryEngine engine;
+  ASSERT_TRUE(engine.ParseAndRegister("order.xml", order).ok());
+  struct Case {
+    const char* query;
+    uint64_t documents;
+    uint64_t nodes;
+  };
+  const Case cases[] = {
+      {"for $i in 1 to 10 return <x a=\"{$i}\"/>", 10, 20},
+      {"for $l in doc('order.xml')/order/lines/line return <line "
+       "sku=\"{$l/@sku}\" amount=\"{$l/@qty * $l/@price}\"/>",
+       200, 600},
+  };
+  for (const Case& c : cases) {
+    auto compiled = engine.Compile(c.query);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    for (ExecBackend backend :
+         {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+      CompiledQuery::ExecOptions exec;
+      exec.backend = backend;
+      auto report = compiled.value()->Profile(exec);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      auto& counters = report.value().engine_metrics.counters;
+      EXPECT_EQ(counters["construct.documents"], c.documents)
+          << c.query << " " << ExecBackendName(backend);
+      EXPECT_EQ(counters["construct.nodes"], c.nodes)
+          << c.query << " " << ExecBackendName(backend);
+    }
+  }
 }
 
 }  // namespace
