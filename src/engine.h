@@ -339,7 +339,10 @@ class ResultStream {
  public:
   /// Produces the next result item; false at end. Polls the stream's
   /// resource governor, so an open stream honors cancellation, deadlines,
-  /// and the result-item cap between pulls.
+  /// and the result-item cap between pulls. A constructed item points into
+  /// the stream's construction arena, which later pulls may still append
+  /// to: it may be read on another thread only once the stream is
+  /// exhausted or destroyed. On the pulling thread it stays readable.
   Result<bool> Next(Item* out);
 
  private:

@@ -68,19 +68,23 @@ AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test)
       break;
     }
     case Axis::kFollowing: {
-      // All nodes after the subtree, minus attributes.
+      // All nodes after the subtree up to the end of the origin's tree,
+      // minus attributes. A construction arena holds many trees in one
+      // document; the scan stays inside the origin's region.
       scan_ = rec.kind == NodeKind::kAttribute
                   ? origin.index() + 1  // Attribute: following starts after it.
                   : rec.end + 1;
-      scan_end_ = static_cast<NodeIndex>(doc.NumNodes() - 1);
-      if (scan_ > scan_end_ || doc.NumNodes() == 0) done_ = true;
+      scan_end_ = doc.node(origin.Root().index()).end;
+      if (scan_ > scan_end_) done_ = true;
       break;
     }
     case Axis::kPreceding: {
-      // Scan backwards from origin-1 to 1, excluding ancestors/attributes.
-      scan_ = origin.index() == 0 ? kNullNode : origin.index() - 1;
-      scan_end_ = 1;
-      if (origin.index() <= 1) done_ = true;
+      // Scan backwards from origin-1 to just after the tree's root (an
+      // ancestor), excluding ancestors/attributes.
+      const NodeIndex root = origin.Root().index();
+      scan_ = origin.index() - 1;
+      scan_end_ = root + 1;
+      if (origin.index() <= scan_end_) done_ = true;
       break;
     }
   }

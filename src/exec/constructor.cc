@@ -25,29 +25,35 @@ std::string AttributeValue(std::span<const Sequence> value_parts) {
   return value;
 }
 
-/// Counts one constructed document and the nodes of the tree it holds.
-std::shared_ptr<Document> Counted(std::shared_ptr<Document> doc,
-                                  size_t tree_nodes) {
+/// Counts `documents` documents created and `nodes` rows appended.
+void Count(uint64_t documents, uint64_t nodes) {
   if (metrics::Enabled()) {
-    static metrics::Counter* documents =
+    static metrics::Counter* documents_counter =
         metrics::MetricsRegistry::Global().counter("construct.documents");
-    static metrics::Counter* nodes =
+    static metrics::Counter* nodes_counter =
         metrics::MetricsRegistry::Global().counter("construct.nodes");
-    documents->Increment();
-    nodes->Add(tree_nodes);
+    documents_counter->Add(documents);
+    nodes_counter->Add(nodes);
   }
-  return doc;
-}
-
-/// Completes a non-document constructor: its node is the parentless row 1.
-Result<Item> FinishNode(DocumentBuilder* builder) {
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc,
-                       builder->FinishParentless());
-  const size_t tree_nodes = doc->NumNodes() - 1;  // Row 0 is hidden.
-  return Item(Node(Counted(std::move(doc), tree_nodes), 1));
 }
 
 }  // namespace
+
+DocumentBuilder& Arena::Builder() {
+  if (!builder_) {
+    builder_.emplace();
+    Count(1, 0);
+  }
+  return *builder_;
+}
+
+Result<Item> Arena::EndTree(NodeIndex root) {
+  XQP_RETURN_NOT_OK(builder_->EndTree(root));
+  Count(0, builder_->NumNodes() - root);
+  Item tree(Node(builder_->document(), root));
+  if (builder_->NumNodes() >= kSealRows) Seal();
+  return tree;
+}
 
 std::string AtomizedString(const Sequence& seq) {
   std::string out;
@@ -163,71 +169,74 @@ std::span<const Sequence> SplitDirectAttributes(
   return values.subspan(at);
 }
 
-Result<Item> Element(const QName& name,
+Result<Item> Element(Arena* arena, const QName& name,
                      const std::vector<ElementCtorExpr::NsDecl>& ns_decls,
                      std::span<const DirectAttribute> attributes,
                      std::span<const Sequence> content_parts) {
-  DocumentBuilder builder;
-  XQP_RETURN_NOT_OK(builder.BeginElement(name));
-  for (const auto& d : ns_decls) {
-    XQP_RETURN_NOT_OK(builder.NamespaceDecl(d.prefix, d.uri));
-  }
-  for (const DirectAttribute& a : attributes) {
-    XQP_RETURN_NOT_OK(
-        builder.Attribute(*a.name, AttributeValue(a.value_parts)));
-  }
-  for (const Sequence& part : content_parts) {
-    XQP_RETURN_NOT_OK(AppendContentPart(&builder, part,
-                                        /*allow_attributes=*/true));
-  }
-  XQP_RETURN_NOT_OK(builder.EndElement());
-  return FinishNode(&builder);
+  return arena->Append([&](DocumentBuilder* builder) -> Status {
+    XQP_RETURN_NOT_OK(builder->BeginElement(name));
+    for (const auto& d : ns_decls) {
+      XQP_RETURN_NOT_OK(builder->NamespaceDecl(d.prefix, d.uri));
+    }
+    for (const DirectAttribute& a : attributes) {
+      XQP_RETURN_NOT_OK(
+          builder->Attribute(*a.name, AttributeValue(a.value_parts)));
+    }
+    for (const Sequence& part : content_parts) {
+      XQP_RETURN_NOT_OK(AppendContentPart(builder, part,
+                                          /*allow_attributes=*/true));
+    }
+    return builder->EndElement();
+  });
 }
 
-Result<Item> Attribute(const QName& name,
+Result<Item> Attribute(Arena* arena, const QName& name,
                        std::span<const Sequence> value_parts) {
-  DocumentBuilder builder;
-  XQP_RETURN_NOT_OK(
-      builder.OrphanAttribute(name, AttributeValue(value_parts)));
-  return FinishNode(&builder);
+  const std::string value = AttributeValue(value_parts);
+  return arena->Append([&](DocumentBuilder* builder) {
+    return builder->OrphanAttribute(name, value);
+  });
 }
 
-Result<Sequence> Text(const Sequence& content) {
+Result<Sequence> Text(Arena* arena, const Sequence& content) {
   if (content.empty()) return Sequence{};
-  std::string value = AtomizedString(content);
+  const std::string value = AtomizedString(content);
   if (value.empty()) return Sequence{};  // Empty text dropped.
-  DocumentBuilder builder;
-  XQP_RETURN_NOT_OK(builder.Text(value));
-  XQP_ASSIGN_OR_RETURN(Item item, FinishNode(&builder));
+  XQP_ASSIGN_OR_RETURN(Item item,
+                       arena->Append([&](DocumentBuilder* builder) {
+                         return builder->Text(value);
+                       }));
   return Sequence{std::move(item)};
 }
 
-Result<Item> Comment(const Sequence& content) {
-  std::string value = AtomizedString(content);
+Result<Item> Comment(Arena* arena, const Sequence& content) {
+  const std::string value = AtomizedString(content);
   if (value.find("--") != std::string::npos || (!value.empty() && value.back() == '-')) {
     return Status::DynamicError("comment content may not contain \"--\"");
   }
-  DocumentBuilder builder;
-  XQP_RETURN_NOT_OK(builder.Comment(value));
-  return FinishNode(&builder);
+  return arena->Append(
+      [&](DocumentBuilder* builder) { return builder->Comment(value); });
 }
 
-Result<Item> Pi(const std::string& target, const Sequence& content) {
-  std::string value = AtomizedString(content);
-  DocumentBuilder builder;
-  XQP_RETURN_NOT_OK(builder.ProcessingInstruction(target, value));
-  return FinishNode(&builder);
+Result<Item> Pi(Arena* arena, const std::string& target,
+                const Sequence& content) {
+  const std::string value = AtomizedString(content);
+  return arena->Append([&](DocumentBuilder* builder) {
+    return builder->ProcessingInstruction(target, value);
+  });
 }
 
-Result<Item> DocumentNode(std::span<const Sequence> content_parts) {
+Result<Item> DocumentNode(Arena* arena,
+                          std::span<const Sequence> content_parts) {
   DocumentBuilder builder;
   for (const Sequence& part : content_parts) {
     XQP_RETURN_NOT_OK(AppendContentPart(&builder, part,
                                         /*allow_attributes=*/false));
   }
   XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
-  const size_t tree_nodes = doc->NumNodes();
-  return Item(Node(Counted(std::move(doc), tree_nodes), 0));
+  Count(1, doc->NumNodes());
+  arena->Seal();
+  return Item(Node(std::move(doc), 0));
 }
 
 }  // namespace construct

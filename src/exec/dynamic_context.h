@@ -8,6 +8,7 @@
 
 #include "base/limits.h"
 #include "base/parallel.h"
+#include "exec/constructor.h"
 #include "exec/lazy_seq.h"
 #include "query/expr.h"
 #include "query/static_context.h"
@@ -107,6 +108,12 @@ class DynamicContext {
   /// This run's value-join indexes by FlworExpr::Clause::join_id, built on
   /// first use (exec/value_join.h).
   std::vector<std::shared_ptr<value_join::Index>> value_joins;
+
+  /// This run's construction arena: every element, attribute, text,
+  /// comment and PI constructor appends its tree to it. Its document is
+  /// created by the first constructor that runs, so a run that constructs
+  /// nothing creates none.
+  construct::Arena arena;
 };
 
 /// RAII frame swap for user-function calls.

@@ -295,25 +295,28 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
         XQP_ASSIGN_OR_RETURN(Sequence part, Eval(e->child(i)));
         parts.push_back(std::move(part));
       }
-      XQP_ASSIGN_OR_RETURN(Item item, construct::Attribute(name, parts));
+      XQP_ASSIGN_OR_RETURN(Item item,
+                           construct::Attribute(&ctx_->arena, name, parts));
       return Sequence{std::move(item)};
     }
 
     case ExprKind::kTextCtor: {
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      return construct::Text(content);
+      return construct::Text(&ctx_->arena, content);
     }
 
     case ExprKind::kCommentCtor: {
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Item item, construct::Comment(content));
+      XQP_ASSIGN_OR_RETURN(Item item,
+                           construct::Comment(&ctx_->arena, content));
       return Sequence{std::move(item)};
     }
 
     case ExprKind::kPiCtor: {
       const auto* pi = static_cast<const PiCtorExpr*>(e);
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Item item, construct::Pi(pi->target, content));
+      XQP_ASSIGN_OR_RETURN(
+          Item item, construct::Pi(&ctx_->arena, pi->target, content));
       return Sequence{std::move(item)};
     }
 
@@ -329,8 +332,8 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
 
     case ExprKind::kDocumentCtor: {
       XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Item item,
-                           construct::DocumentNode({&content, 1}));
+      XQP_ASSIGN_OR_RETURN(
+          Item item, construct::DocumentNode(&ctx_->arena, {&content, 1}));
       return Sequence{std::move(item)};
     }
   }
@@ -610,7 +613,8 @@ Result<Sequence> Interpreter::EvalElementCtor(const ElementCtorExpr* e) {
   std::span<const Sequence> content =
       construct::SplitDirectAttributes(*e, values, &direct);
   XQP_ASSIGN_OR_RETURN(
-      Item item, construct::Element(name, e->ns_decls, direct, content));
+      Item item,
+      construct::Element(&ctx_->arena, name, e->ns_decls, direct, content));
   return Sequence{std::move(item)};
 }
 

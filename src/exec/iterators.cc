@@ -831,8 +831,9 @@ class CtorIt : public ComputeOnceIt {
       std::vector<construct::DirectAttribute> direct;
       std::span<const Sequence> content = construct::SplitDirectAttributes(
           *ctor, std::span<const Sequence>(parts).subspan(start), &direct);
-      XQP_ASSIGN_OR_RETURN(
-          Item item, construct::Element(name, ctor->ns_decls, direct, content));
+      XQP_ASSIGN_OR_RETURN(Item item,
+                           construct::Element(&ctx_->arena, name,
+                                              ctor->ns_decls, direct, content));
       return Sequence{std::move(item)};
     }
     XQP_RETURN_NOT_OK(drain(children_.size()));
@@ -848,22 +849,26 @@ class CtorIt : public ComputeOnceIt {
         XQP_ASSIGN_OR_RETURN(
             Item item,
             construct::Attribute(
-                name, std::span<const Sequence>(parts).subspan(start)));
+                &ctx_->arena, name,
+                std::span<const Sequence>(parts).subspan(start)));
         return Sequence{std::move(item)};
       }
       case ExprKind::kTextCtor:
-        return construct::Text(parts[0]);
+        return construct::Text(&ctx_->arena, parts[0]);
       case ExprKind::kCommentCtor: {
-        XQP_ASSIGN_OR_RETURN(Item item, construct::Comment(parts[0]));
+        XQP_ASSIGN_OR_RETURN(Item item,
+                             construct::Comment(&ctx_->arena, parts[0]));
         return Sequence{std::move(item)};
       }
       case ExprKind::kPiCtor: {
         const auto* pi = static_cast<const PiCtorExpr*>(e_);
-        XQP_ASSIGN_OR_RETURN(Item item, construct::Pi(pi->target, parts[0]));
+        XQP_ASSIGN_OR_RETURN(
+            Item item, construct::Pi(&ctx_->arena, pi->target, parts[0]));
         return Sequence{std::move(item)};
       }
       case ExprKind::kDocumentCtor: {
-        XQP_ASSIGN_OR_RETURN(Item item, construct::DocumentNode(parts));
+        XQP_ASSIGN_OR_RETURN(Item item,
+                             construct::DocumentNode(&ctx_->arena, parts));
         return Sequence{std::move(item)};
       }
       default:

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -415,7 +416,8 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
   doc->backing_ = backing;
   doc->nodes_data_ = reinterpret_cast<const NodeRecord*>(nodes.data);
   doc->nodes_count_ = node_count;
-  doc->names_ = std::move(names);
+  doc->names_.assign(std::make_move_iterator(names.begin()),
+                     std::make_move_iterator(names.end()));
   for (uint32_t id = 0; id < doc->names_.size(); ++id) {
     if (!doc->name_index_.emplace(doc->names_[id], id).second) {
       return Corrupt("duplicate entry in name table");

@@ -87,8 +87,8 @@ enum class Op : uint8_t {
                      //   value parts, then the other content parts, as
                      //   construct::EvaluatedChildren lists them; the
                      //   expression's attribute children give the split),
-                     //   assemble the element in a scratch
-                     //   DocumentBuilder via the shared construct::Element
+                     //   append the element to the run's construction
+                     //   arena via the shared construct::Element
                      //   (identical namespace handling, whitespace joining,
                      //   governor byte charges, and error strings in every
                      //   backend), push the singleton node.

@@ -661,10 +661,10 @@ Result<Sequence> Vm::Run() {
     // Assemble the constructor from its already-evaluated children: the
     // computed name (when present) sits below the content parts, and an
     // element's direct attributes left their value parts flat. Building
-    // goes through the shared construct:: path, so the scratch
-    // DocumentBuilder's byte charges (ChargeNode via the thread-local
-    // governor), whitespace joining, namespace handling, and error strings
-    // are identical to both interpreters.
+    // goes through the shared construct:: path into the run's arena, so
+    // byte charges (ChargeNode via the thread-local governor), whitespace
+    // joining, namespace handling, and error strings are identical to both
+    // interpreters.
     {  // Scoped, as in kArith: `built` owns the node.
       const Expr* ce = p_.ctors[size_t(ip->a)].expr;
       const size_t n = size_t(ip->b);
@@ -681,12 +681,14 @@ Result<Sequence> Vm::Run() {
         }
         if (ip->op == Op::kConstructAttr) {
           const auto* attr = static_cast<const AttributeCtorExpr*>(ce);
-          return construct::Attribute(computed ? name : attr->name, children);
+          return construct::Attribute(&ctx_->arena,
+                                      computed ? name : attr->name, children);
         }
         const auto* elem = static_cast<const ElementCtorExpr*>(ce);
         std::span<const Sequence> content =
             construct::SplitDirectAttributes(*elem, children, &direct_attrs_);
-        return construct::Element(computed ? name : elem->name,
+        return construct::Element(&ctx_->arena,
+                                  computed ? name : elem->name,
                                   elem->ns_decls, direct_attrs_, content);
       }();
       if (!built.ok()) return built.status();
@@ -699,7 +701,7 @@ Result<Sequence> Vm::Run() {
   }
 
   VM_CASE(kConstructText) : {
-    auto r = construct::Text(stack[sp - 1]);
+    auto r = construct::Text(&ctx_->arena, stack[sp - 1]);
     if (!r.ok()) return r.status();
     stack[sp - 1] = std::move(r).value();
     VM_NEXT();
@@ -710,14 +712,15 @@ Result<Sequence> Vm::Run() {
     auto built = [&]() -> Result<Item> {
       switch (ip->flag) {
         case 0:
-          return construct::Comment(content);
+          return construct::Comment(&ctx_->arena, content);
         case 1:
           return construct::Pi(
+              &ctx_->arena,
               static_cast<const PiCtorExpr*>(p_.ctors[size_t(ip->a)].expr)
                   ->target,
               content);
         default:
-          return construct::DocumentNode({&content, 1});
+          return construct::DocumentNode(&ctx_->arena, {&content, 1});
       }
     }();
     if (!built.ok()) return built.status();

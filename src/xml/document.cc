@@ -395,8 +395,13 @@ Status DocumentBuilder::CopySubtree(const Document& src, NodeIndex root) {
 
 Status DocumentBuilder::CopyElementRows(const Document& src, NodeIndex root) {
   if (finished_) return Status::Internal("builder already finished");
-  const NodeRecord& r = src.node(root);
+  // An in-arena copy reads the very table it appends to: source rows are
+  // read by value after the reserve below, never through a reference held
+  // across an append, and name and value ids are already this document's.
+  const bool in_place = &src == doc_.get();
   std::vector<NodeRecord>& rows = doc_->nodes_;
+  const NodeIndex root_end = src.node(root).end;
+  const uint16_t root_level = src.node(root).level;
   const NodeIndex base = static_cast<NodeIndex>(rows.size());
   // Source row i lands at row i + shift (unsigned wrap-around is intended).
   const NodeIndex shift = base - root;
@@ -404,48 +409,47 @@ Status DocumentBuilder::CopyElementRows(const Document& src, NodeIndex root) {
     return i == kNullNode ? kNullNode : i + shift;
   };
   const uint32_t max_depth = MaxDepth();
-  copy_names_.assign(src.NumNames(), kNoName);
+  if (!in_place) copy_names_.assign(src.NumNames(), kNoName);
   // Grow geometrically: a parent constructor copies its children one by
   // one, and an exact reserve per copy would reallocate every time.
-  const size_t needed = size_t(base) + (r.end - root) + 1;
+  const size_t needed = size_t(base) + (root_end - root) + 1;
   if (rows.capacity() < needed) {
     rows.reserve(std::max(needed, 2 * rows.capacity()));
+    doc_->SyncNodeView();
   }
-  for (NodeIndex i = root; i <= r.end; ++i) {
-    const NodeRecord& s = src.node(i);
-    NodeRecord d = s;
+  auto fail = [&](Status st) {
+    rows.resize(base);
+    doc_->SyncNodeView();
+    return st;
+  };
+  for (NodeIndex i = root; i <= root_end; ++i) {
+    NodeRecord d = src.node(i);
     // The root lands one level below the open element, as BeginElement
     // would place it; descendants keep their depth relative to it.
-    const size_t level = stack_.size() + (s.level - r.level);
+    const size_t level = stack_.size() + (d.level - root_level);
     std::string_view value;
-    if (s.kind == NodeKind::kElement) {
+    if (d.kind == NodeKind::kElement) {
       // BeginElement's check: the new element would sit at `level`.
-      if (level > max_depth) {
-        rows.resize(base);
-        doc_->SyncNodeView();
-        return DepthError();
-      }
+      if (level > max_depth) return fail(DepthError());
       d.value_id = kNoValue;
     } else {
       value = src.value(i);
     }
-    if (Status st = ChargeNode(value.size()); !st.ok()) {
-      rows.resize(base);
-      doc_->SyncNodeView();
-      return st;
-    }
-    if (s.kind != NodeKind::kElement) d.value_id = doc_->pool_.Intern(value);
-    if (s.name_id != kNoName) {
-      uint32_t& name = copy_names_[s.name_id];
-      if (name == kNoName) name = InternName(src.name_at(s.name_id));
-      d.name_id = name;
+    if (Status st = ChargeNode(value.size()); !st.ok()) return fail(st);
+    if (!in_place) {
+      if (d.kind != NodeKind::kElement) d.value_id = doc_->pool_.Intern(value);
+      if (d.name_id != kNoName) {
+        uint32_t& name = copy_names_[d.name_id];
+        if (name == kNoName) name = InternName(src.name_at(d.name_id));
+        d.name_id = name;
+      }
     }
     d.level = static_cast<uint16_t>(level);
-    d.parent = i == root ? stack_.back().index : s.parent + shift;
-    d.next_sibling = i == root ? kNullNode : moved(s.next_sibling);
-    d.first_attr = moved(s.first_attr);
-    d.first_child = moved(s.first_child);
-    d.end = s.end + shift;
+    d.parent = i == root ? stack_.back().index : d.parent + shift;
+    d.next_sibling = i == root ? kNullNode : moved(d.next_sibling);
+    d.first_attr = moved(d.first_attr);
+    d.first_child = moved(d.first_child);
+    d.end += shift;
     rows.push_back(d);
   }
   doc_->SyncNodeView();
@@ -461,8 +465,10 @@ Status DocumentBuilder::CopyElementRows(const Document& src, NodeIndex root) {
   top.last_was_text = false;
 
   if (!src.ns_decls_.empty()) {
-    for (NodeIndex i = root; i <= r.end; ++i) {
+    for (NodeIndex i = root; i <= root_end; ++i) {
       if (const auto* decls = src.NamespaceDecls(i)) {
+        // In place `decls` lives in the map being grown; a rehash keeps
+        // element references valid.
         doc_->ns_decls_[i + shift] = *decls;
       }
     }
@@ -480,10 +486,29 @@ Result<std::shared_ptr<Document>> DocumentBuilder::Finish() {
   return doc_;
 }
 
-Result<std::shared_ptr<Document>> DocumentBuilder::FinishParentless() {
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, Finish());
-  if (doc->nodes_.size() > 1) doc->nodes_[1].parent = kNullNode;
-  return doc;
+Status DocumentBuilder::EndTree(NodeIndex root) {
+  if (stack_.size() != 1 || root >= doc_->nodes_.size()) {
+    return Status::Internal("EndTree without one complete top-level node");
+  }
+  NodeRecord& top = doc_->nodes_[0];
+  top.first_child = kNullNode;
+  top.first_attr = kNullNode;
+  top.end = static_cast<NodeIndex>(doc_->nodes_.size() - 1);
+  doc_->nodes_[root].parent = kNullNode;
+  stack_[0] = Open{0};
+  return Status::OK();
+}
+
+void DocumentBuilder::AbandonTree(NodeIndex root) {
+  doc_->nodes_.resize(std::max<size_t>(root, 1));
+  doc_->SyncNodeView();
+  std::erase_if(doc_->ns_decls_,
+                [root](const auto& entry) { return entry.first >= root; });
+  NodeRecord& top = doc_->nodes_[0];
+  top.first_child = kNullNode;
+  top.first_attr = kNullNode;
+  stack_.resize(1);
+  stack_[0] = Open{0};
 }
 
 }  // namespace xqp

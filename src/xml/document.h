@@ -2,6 +2,7 @@
 #define XQP_XML_DOCUMENT_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -72,11 +73,19 @@ struct ParseOptions {
   uint32_t max_parse_depth = 0;
 };
 
-/// An immutable XML document: a pre-order node table plus string/name pools.
-/// This is the "array" storage mode of the paper (TokenStream section) in
-/// its random-access form; `tokens/TokenStream` provides the sequential
-/// view. Documents are created by Parse() or DocumentBuilder and never
-/// mutated afterwards, so node handles can be shared freely across threads.
+/// An XML document: a pre-order node table plus string/name pools. This is
+/// the "array" storage mode of the paper (TokenStream section) in its
+/// random-access form; `tokens/TokenStream` provides the sequential view.
+/// Documents are created by Parse(), DocumentBuilder or the snapshot
+/// loader. A parsed or loaded document is never mutated afterwards. A
+/// construction arena (construct::Arena) grows only while its execution
+/// appends to it: rows are only appended, existing rows keep their index,
+/// and once the execution ends (or the arena seals it) the document is as
+/// immutable as a parsed one, so node handles can be shared freely across
+/// threads; until then, only the appending thread may read it. Appends may
+/// move the node table, so no `const NodeRecord&` may be held across one;
+/// names live in a deque and pooled strings in fixed chunks, so `name()`
+/// references and `value()` views stay valid.
 class Document : public std::enable_shared_from_this<Document> {
  public:
   /// Parses a complete XML document. Returns a ParseError with line/column
@@ -164,7 +173,9 @@ class Document : public std::enable_shared_from_this<Document> {
   /// Keeps a snapshot mapping alive for as long as any view (node table,
   /// pooled strings) points into it; null for built documents.
   std::shared_ptr<const void> backing_;
-  std::vector<QName> names_;
+  /// A deque, not a vector: interning a name must not move the names that
+  /// `name()` has handed out while an arena document grows.
+  std::deque<QName> names_;
   std::unordered_map<QName, uint32_t, QNameHash> name_index_;
   StringPool pool_;
   std::unordered_map<NodeIndex, std::vector<NsDecl>> ns_decls_;
@@ -212,7 +223,8 @@ class DocumentBuilder {
   /// node identities. An element is copied as one block of rows (see
   /// CopyElementRows), verbatim: strip_whitespace applies to Text() events
   /// only. Text (coalescing), attribute (duplicate check), comment, PI and
-  /// document roots go through the event methods.
+  /// document roots go through the event methods. `src` may be the
+  /// document under construction itself (an in-arena copy).
   Status CopySubtree(const Document& src, NodeIndex root);
 
   /// Sizes the node table and string pool for an input of `input_bytes`
@@ -230,11 +242,23 @@ class DocumentBuilder {
   /// Completes the document. All elements must be closed.
   Result<std::shared_ptr<Document>> Finish();
 
-  /// Completes a constructed node: Finish(), after which the single
-  /// top-level node (row 1) is a parentless root, as XQuery requires of
-  /// element, attribute, text, comment and PI constructors. The document
-  /// node stays at row 0 but no node reaches it.
-  Result<std::shared_ptr<Document>> FinishParentless();
+  /// The document under construction (construct::Arena hands out nodes
+  /// into it while it grows).
+  const std::shared_ptr<Document>& document() const { return doc_; }
+
+  /// Arena mode (construct::Arena): the builder appends parentless trees,
+  /// one after another, behind its hidden document node at row 0. The
+  /// caller notes NumNodes() as the next tree's root row, appends exactly
+  /// one top-level node (with its subtree), then calls EndTree.
+
+  /// Completes the tree rooted at `root`: the root loses its parent and is
+  /// unlinked from row 0, so no axis leads from one tree to another.
+  Status EndTree(NodeIndex root);
+
+  /// Drops every row from `root` on (a failed constructor), along with
+  /// their namespace declarations, and closes any elements left open.
+  /// Interned names and strings stay.
+  void AbandonTree(NodeIndex root);
 
  private:
   uint32_t InternName(const QName& name);
@@ -247,9 +271,11 @@ class DocumentBuilder {
   Status DepthError() const;
 
   /// CopySubtree of an element: appends the source rows [root, end] in one
-  /// pre-order pass, shifting links, mapping names through a per-call
-  /// source-to-destination name-id table, re-interning values and copying
-  /// namespace declarations. Charges each row and raises the depth error
+  /// pre-order pass, shifting links and levels and copying namespace
+  /// declarations. From another document, names map through a per-call
+  /// source-to-destination name-id table and values are re-interned; from
+  /// the document under construction (an in-arena copy), name and value
+  /// ids are kept as they are. Charges each row and raises the depth error
   /// exactly where the BeginElement/Attribute/Text sequence would; on
   /// failure the appended rows are dropped again.
   Status CopyElementRows(const Document& src, NodeIndex root);

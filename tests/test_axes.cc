@@ -86,6 +86,39 @@ TEST(Axes, PrecedingExcludesAncestors) {
   EXPECT_EQ(doc->name(preceding[0]).local, "b");
 }
 
+/// Two parentless trees appended to one document, as a construction arena
+/// holds them: following and preceding stop at the origin's tree.
+TEST(Axes, FollowingAndPrecedingStayInTheOriginTree) {
+  DocumentBuilder builder;
+  auto add_tree = [&](const char* outer, const char* inner) {
+    const NodeIndex root = static_cast<NodeIndex>(builder.NumNodes());
+    EXPECT_TRUE(builder.BeginElement(QName(outer)).ok());
+    EXPECT_TRUE(builder.BeginElement(QName(inner)).ok());
+    EXPECT_TRUE(builder.EndElement().ok());
+    EXPECT_TRUE(builder.Text("t").ok());
+    EXPECT_TRUE(builder.EndElement().ok());
+    EXPECT_TRUE(builder.EndTree(root).ok());
+    return root;
+  };
+  const NodeIndex a = add_tree("a", "b");  // a(1) b(2) t(3)
+  const NodeIndex c = add_tree("c", "d");  // c(4) d(5) t(6)
+  std::shared_ptr<const Document> doc = builder.document();
+  ASSERT_EQ(doc->NumNodes(), 7u);
+  EXPECT_EQ(doc->node(a).parent, kNullNode);
+  EXPECT_EQ(doc->node(c).parent, kNullNode);
+  EXPECT_EQ(doc->node(a).next_sibling, kNullNode);
+  EXPECT_EQ(Collect(Node(doc, a + 1), Axis::kFollowing),
+            std::vector<NodeIndex>{a + 2});
+  EXPECT_TRUE(Collect(Node(doc, a + 2), Axis::kFollowing).empty());
+  EXPECT_TRUE(Collect(Node(doc, a), Axis::kFollowing).empty());
+  EXPECT_TRUE(Collect(Node(doc, c + 1), Axis::kPreceding).empty());
+  EXPECT_EQ(Collect(Node(doc, c + 2), Axis::kPreceding),
+            std::vector<NodeIndex>{c + 1});
+  EXPECT_TRUE(Collect(Node(doc, c), Axis::kPreceding).empty());
+  EXPECT_TRUE(Collect(Node(doc, c), Axis::kPrecedingSibling).empty());
+  EXPECT_TRUE(Collect(Node(doc, a), Axis::kFollowingSibling).empty());
+}
+
 TEST(Axes, SelfAndParent) {
   auto doc = Document::Parse("<r><a x=\"1\"/></r>").value();
   Node a(doc, 2);

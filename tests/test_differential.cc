@@ -7,6 +7,7 @@
 // construction queries, errors included, across all three backends.
 
 #include <memory>
+#include <set>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -422,23 +423,47 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XMarkDifferentialTest,
 
 // --- Constructor tables ------------------------------------------------------
 
+constexpr char kCtorDocXml[] = "<r><c>1</c><c>2</c></r>";
+
+/// kCtorDocXml frozen through the storage subsystem, for the snapshot twin
+/// of the constructor tables.
+const std::string& CtorDocSnapshotPath() {
+  static auto* path = new std::string([] {
+    std::string p = ::testing::TempDir() + "/xqp_diff_ctor_doc.xqps";
+    auto doc = Document::Parse(kCtorDocXml).ValueOrDie();
+    storage::SnapshotInput input;
+    input.doc = doc.get();
+    Status st = storage::WriteSnapshotFile(p, input);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return p;
+  }());
+  return *path;
+}
+
 /// Runs `query` on the unoptimized eager reference, then on lazy
-/// (unoptimized) and lazy, eager and vm (optimized), each with `limits`:
+/// (unoptimized), lazy, eager and vm (optimized), and lazy, eager and vm
+/// against a snapshot-loaded twin of the document, each with `limits`:
 /// every run must produce the reference serialization, or fail with the
 /// reference's code and exact message. Returns the serialization or
 /// "ERROR: <message>".
 std::string RunEveryBackend(const std::string& query,
                             const QueryLimits& limits = {}) {
   XQueryEngine engine;
-  auto doc = engine.ParseAndRegister("doc.xml", "<r><c>1</c><c>2</c></r>");
+  auto doc = engine.ParseAndRegister("doc.xml", kCtorDocXml);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  XQueryEngine snapped;
+  auto loaded = snapped.LoadDocumentSnapshot("doc.xml", CtorDocSnapshotPath());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   XQueryEngine::CompileOptions no_opt;
   no_opt.optimize = false;
   auto reference = engine.Compile(query, no_opt);
   auto optimized = engine.Compile(query);
-  if (!reference.ok() || !optimized.ok()) {
+  auto twin = snapped.Compile(query);
+  if (!reference.ok() || !optimized.ok() || !twin.ok()) {
     ADD_FAILURE() << query << ": "
-                  << (reference.ok() ? optimized : reference)
+                  << (!reference.ok() ? reference
+                      : !optimized.ok() ? optimized
+                                        : twin)
                          .status()
                          .ToString();
     return "COMPILE-ERROR";
@@ -467,6 +492,9 @@ std::string RunEveryBackend(const std::string& query,
   check(run(*optimized.value(), ExecBackend::kLazy), "lazy");
   check(run(*optimized.value(), ExecBackend::kEager), "eager");
   check(run(*optimized.value(), ExecBackend::kVm), "vm");
+  check(run(*twin.value(), ExecBackend::kLazy), "snapshot twin, lazy");
+  check(run(*twin.value(), ExecBackend::kEager), "snapshot twin, eager");
+  check(run(*twin.value(), ExecBackend::kVm), "snapshot twin, vm");
   return want.ok() ? want.value()
                    : "ERROR: " + std::string(want.status().message());
 }
@@ -553,6 +581,179 @@ TEST(ConstructorDifferential, MemoryBudgetTripsIdentically) {
                             "<v a=\"{$i}\" b=\"x{$i}\">{$i}</v>)",
                             limits),
             "ERROR: query memory budget of 65536 bytes exceeded");
+}
+
+/// Every element, attribute, text, comment and PI constructor of one
+/// execution appends its tree to one construction arena. Identity, order
+/// and the axes must still see one tree per constructed node.
+TEST(ConstructorDifferential, SharedArena) {
+  const CtorCase cases[] = {
+      {"<a/> is <a/>", "false"},
+      {"let $a := <a/> return ($a is $a, $a << <b/>, <c/> >> $a)",
+       "true true true"},
+      // A node copied twice into one parent: two distinct copies.
+      {"let $b := <b n=\"1\"><i/></b> let $a := <a>{$b, $b}</a> return "
+       "(count($a/b), $a/b[1] is $a/b[2], count($a/b | $a/b), "
+       "count($a//i), $a/b[1] is $b)",
+       "2 false 2 2 false"},
+      // Constructed trees order by construction under '/'-union, copies
+      // after their sources, and a document constructor between the
+      // trees built before and after it. (A sequence fixes the
+      // construction order; the optimizer may inline single-use lets.)
+      {"let $s := (<x/>, <y/>, <z/>) return "
+       "string-join(for $n in ($s[3] | $s[1] | $s[2]) return name($n), ' ')",
+       "x y z"},
+      {"let $a := <a/>, $b := <b>{$a}</b> return "
+       "for $n in ($b/a | $a) return $n is $a",
+       "true false"},
+      {"let $s := (<x/>, document {<d/>}, <y/>) return "
+       "string-join(for $n in ($s[3] | $s[2]/d | $s[1]) return name($n), "
+       "' ')",
+       "x d y"},
+      {"let $n := (<a/>, attribute b {1}, text {'t'}, comment {'c'}, "
+       "processing-instruction p {'d'}) return "
+       "(count($n | ()), count($n[1]/following::node()), "
+       "count($n[5]/preceding::node()))",
+       "5 0 0"},
+      // following/preceding stay inside the origin's tree.
+      {"let $a := <a><b/></a>, $c := <c/> return "
+       "(count($a/b/following::node()), count($c/preceding::node()))",
+       "0 0"},
+      {"let $a := <a><b/><c><d/></c></a>, $e := <e><f/></e>, $g := <g/> "
+       "return (count($a/b/following::node()), "
+       "count($e/f/preceding::node()), count($a/c/d/preceding::node()), "
+       "count(<h>{$a}</h>/a/b/following::*))",
+       "2 0 1 2"},
+      // In-arena copies keep names, values and namespaces.
+      {"let $p := <p:a xmlns:p=\"urn:p\" k=\"v\">t<p:b/></p:a> "
+       "return (<w>{$p/@*, $p, $p/text()}</w>, namespace-uri(<w>{$p}</w>/*))",
+       "<w k=\"v\"><p:a xmlns:p=\"urn:p\" k=\"v\">t<p:b/></p:a>t</w>"
+       "urn:p"},
+      // A failed constructor leaves no rows behind for later trees.
+      {"let $x := <x><y/></x> return (try { <a>{attribute b {1}, 'x', "
+       "attribute c {2}}</a> } catch * { 'caught' }, <z>{$x}</z>, "
+       "count(<q/>/preceding::node()), count($x/y/following::node()))",
+       "caught<z><x><y/></x></z>0 0"},
+  };
+  for (const CtorCase& c : cases) {
+    EXPECT_EQ(RunEveryBackend(c.query), c.want) << c.query;
+  }
+}
+
+/// A run that builds more than Arena::kSealRows rows spans several arena
+/// documents: copies across the boundary, identity, order and the
+/// tree-bounded axes read the same as inside one document.
+TEST(ConstructorDifferential, SealedArenaDocumentsKeepOrderAndCopies) {
+  EXPECT_EQ(RunEveryBackend("let $s := for $i in 1 to 40000 return "
+                            "<a n=\"{$i}\"><b/></a> return "
+                            "(count(<w>{$s}</w>//b), "
+                            "<w>{$s[1], $s[40000]}</w>, "
+                            "($s[40000] | $s[1])[1] is $s[1], "
+                            "$s[32768] << $s[32769], "
+                            "count($s[1]/b/following::node()), "
+                            "count($s[40000]/b/preceding::node()))"),
+            "40000<w><a n=\"1\"><b/></a><a n=\"40000\"><b/></a></w>"
+            "true true 0 0");
+}
+
+/// A memory budget that runs out while an in-arena copy is appending its
+/// rows trips with the same code and message on every backend.
+TEST(ConstructorDifferential, MemoryBudgetTripsInsideInArenaCopy) {
+  QueryLimits limits;
+  limits.memory_budget_bytes = 96 * 1024;
+  EXPECT_EQ(RunEveryBackend("let $v := <v>{for $i in 1 to 600 return "
+                            "<w a=\"{$i}\">{$i}</w>}</v> return "
+                            "count(for $i in 1 to 10 return <c>{$v}</c>)",
+                            limits),
+            "ERROR: query memory budget of 98304 bytes exceeded");
+}
+
+/// Results point into the execution's arena document, which outlives the
+/// arena, the compiled query and the engine.
+TEST(ConstructorDifferential, ResultsOutliveEngine) {
+  for (ExecBackend backend :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    Sequence result;
+    {
+      XQueryEngine engine;
+      auto compiled = engine.Compile(
+          "let $a := <a k=\"1\"><b>x</b></a> return "
+          "(<c>{$a}</c>, $a/b, $a/@k, text {'t'})");
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      CompiledQuery::ExecOptions exec;
+      exec.backend = backend;
+      XQP_ASSERT_OK_AND_ASSIGN(result, compiled.value()->Execute(exec));
+    }
+    ASSERT_EQ(result.size(), 4u);
+    EXPECT_EQ(SerializeSequence({result[0], result[1], result[3]}).ValueOrDie(),
+              "<c><a k=\"1\"><b>x</b></a></c><b>x</b>t")
+        << ExecBackendName(backend);
+    EXPECT_EQ(result[2].AsNode().value(), "1") << ExecBackendName(backend);
+    EXPECT_TRUE(result[1].AsNode().Root().SameNode(
+        result[2].AsNode().Parent()))
+        << ExecBackendName(backend);
+  }
+}
+
+/// Items pulled from an Open() stream stay readable while later
+/// constructors of the same execution append to the arena.
+TEST(ConstructorDifferential, StreamedItemsSurviveLaterAppends) {
+  XQueryEngine engine;
+  auto compiled = engine.Compile(
+      "for $i in 1 to 300 return <a n=\"{$i}\"><b>{$i}</b></a>");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  XQP_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ResultStream> stream,
+                           compiled.value()->Open());
+  Sequence items;
+  Item item;
+  while (true) {
+    XQP_ASSERT_OK_AND_ASSIGN(bool more, stream->Next(&item));
+    if (!more) break;
+    items.push_back(item);
+  }
+  ASSERT_EQ(items.size(), 300u);
+  EXPECT_EQ(SerializeSequence({items[0]}).ValueOrDie(),
+            "<a n=\"1\"><b>1</b></a>");
+  stream.reset();
+  EXPECT_EQ(SerializeSequence({items[299]}).ValueOrDie(),
+            "<a n=\"300\"><b>300</b></a>");
+  for (size_t i = 1; i < items.size(); ++i) {
+    EXPECT_LT(Node::CompareDocOrder(items[i - 1].AsNode(), items[i].AsNode()),
+              0);
+    EXPECT_TRUE(items[i].AsNode().Parent().IsNull());
+  }
+}
+
+/// An open stream seals its arena document once it is full, so a long
+/// constructing stream does not keep every tree it built: the first
+/// document is freed once the caller drops the items into it.
+TEST(ConstructorDifferential, LongStreamsReleaseSealedArenaDocuments) {
+  XQueryEngine engine;
+  auto compiled = engine.Compile(
+      "for $i in 1 to 50000 return <r><b>{$i}</b></r>");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  XQP_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ResultStream> stream,
+                           compiled.value()->Open());
+  std::weak_ptr<const Document> first;
+  std::set<uint64_t> documents;
+  size_t pulled = 0;
+  Item item;
+  while (true) {
+    XQP_ASSERT_OK_AND_ASSIGN(bool more, stream->Next(&item));
+    if (!more) break;
+    const Node& node = item.AsNode();
+    if (pulled == 0) first = node.doc_ptr();
+    documents.insert(node.doc().id());
+    ++pulled;
+    if (pulled == 1000) {
+      EXPECT_EQ(SerializeSequence({item}).ValueOrDie(), "<r><b>1000</b></r>");
+    }
+  }
+  EXPECT_EQ(pulled, 50000u);
+  // Each item appends 5 rows (<b> and its text, then <r> with a copy of
+  // them): about 250000 rows, more than three documents' worth.
+  EXPECT_GE(documents.size(), 3u);
+  EXPECT_TRUE(first.expired());
 }
 
 }  // namespace

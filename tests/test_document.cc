@@ -176,6 +176,117 @@ void ExpectEveryElementCopiesExactly(const std::shared_ptr<Document>& src) {
   EXPECT_GT(elements, 0u);
 }
 
+/// The first difference between `n` rows of `got` from `got_base` and of
+/// `want` from `want_base`, links compared relative to the bases (the
+/// first row's parent is not compared), or "" when they are equal.
+std::string RegionDiff(const Document& got, NodeIndex got_base,
+                       const Document& want, NodeIndex want_base, size_t n) {
+  auto rel = [](NodeIndex i, NodeIndex base) {
+    return i == kNullNode ? kNullNode : i - base;
+  };
+  for (NodeIndex k = 0; k < n; ++k) {
+    const NodeIndex gi = got_base + k, wi = want_base + k;
+    const NodeRecord g = got.node(gi);
+    const NodeRecord w = want.node(wi);
+    const bool named = g.name_id != kNoName;
+    const bool same =
+        g.kind == w.kind && g.level == w.level &&
+        (k == 0 || rel(g.parent, got_base) == rel(w.parent, want_base)) &&
+        rel(g.next_sibling, got_base) == rel(w.next_sibling, want_base) &&
+        rel(g.first_attr, got_base) == rel(w.first_attr, want_base) &&
+        rel(g.first_child, got_base) == rel(w.first_child, want_base) &&
+        rel(g.end, got_base) == rel(w.end, want_base) &&
+        named == (w.name_id != kNoName) &&
+        (!named || (got.name(gi) == want.name(wi) &&
+                    got.name(gi).prefix == want.name(wi).prefix)) &&
+        got.value(gi) == want.value(wi) &&
+        (got.NamespaceDecls(gi) == nullptr) ==
+            (want.NamespaceDecls(wi) == nullptr);
+    if (!same) return "row " + std::to_string(k);
+  }
+  return "";
+}
+
+/// Copies every element of `src` into an arena tree, then copies that tree
+/// again inside the arena (the in-place row move: no name map, no
+/// re-interning) under a wrapper; the result must equal a wrapper built
+/// by copying straight from `src`.
+void ExpectInArenaCopiesMatch(const std::shared_ptr<Document>& src) {
+  size_t elements = 0;
+  DocumentBuilder arena;
+  for (NodeIndex e = 0; e < src->NumNodes(); ++e) {
+    if (src->node(e).kind != NodeKind::kElement) continue;
+    ++elements;
+    const size_t rows = src->node(e).end - e + 1;
+    const NodeIndex first = static_cast<NodeIndex>(arena.NumNodes());
+    XQP_ASSERT_OK(arena.CopySubtree(*src, e));
+    XQP_ASSERT_OK(arena.EndTree(first));
+    const NodeIndex second = static_cast<NodeIndex>(arena.NumNodes());
+    XQP_ASSERT_OK(arena.BeginElement(QName("wrap")));
+    XQP_ASSERT_OK(arena.CopySubtree(*arena.document(), first));
+    XQP_ASSERT_OK(arena.EndElement());
+    XQP_ASSERT_OK(arena.EndTree(second));
+
+    DocumentBuilder reference;
+    XQP_ASSERT_OK(reference.BeginElement(QName("wrap")));
+    XQP_ASSERT_OK(reference.CopySubtree(*src, e));
+    XQP_ASSERT_OK(reference.EndElement());
+    XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<Document> want,
+                             reference.Finish());
+    const Document& got = *arena.document();
+    ASSERT_EQ(got.NumNodes(), size_t(second) + rows + 1);
+    ASSERT_EQ(RegionDiff(got, second, *want, 1, rows + 1), "")
+        << "element row " << e;
+    EXPECT_EQ(got.node(second).parent, kNullNode);
+    EXPECT_EQ(SerializeToString(Node(arena.document(), second)).ValueOrDie(),
+              SerializeToString(Node(want, 1)).ValueOrDie());
+  }
+  EXPECT_GT(elements, 0u);
+}
+
+TEST(DocumentBuilder, InArenaCopyMatchesCopyFromSource) {
+  ExpectInArenaCopiesMatch(
+      Document::Parse(
+          "<r xmlns=\"urn:d\" xmlns:p=\"urn:p\"><p:a p:x=\"1\" y=\"a&amp;b\">"
+          "lead<b xmlns:q=\"urn:q\"><q:c q:z=\"\"/>t&lt;u</b><!--note-->"
+          "<?proc some data?>tail</p:a><e xmlns=\"\"><f/></e>more<p:a/></r>")
+          .ValueOrDie());
+  XMarkOptions options;
+  options.scale = 0.002;
+  ExpectInArenaCopiesMatch(
+      Document::Parse(GenerateXMarkXml(options)).ValueOrDie());
+}
+
+/// A failed tree leaves nothing behind: its rows and namespace
+/// declarations go, and the next tree starts where it started.
+TEST(DocumentBuilder, AbandonTreeDropsTheFailedTree) {
+  DocumentBuilder arena;
+  const NodeIndex kept = static_cast<NodeIndex>(arena.NumNodes());
+  XQP_ASSERT_OK(arena.BeginElement(QName("k")));
+  XQP_ASSERT_OK(arena.EndElement());
+  XQP_ASSERT_OK(arena.EndTree(kept));
+  const NodeIndex failed = static_cast<NodeIndex>(arena.NumNodes());
+  XQP_ASSERT_OK(arena.BeginElement(QName("x")));
+  XQP_ASSERT_OK(arena.NamespaceDecl("p", "urn:p"));
+  XQP_ASSERT_OK(arena.Attribute(QName("a"), "1"));
+  XQP_ASSERT_OK(arena.BeginElement(QName("y")));
+  XQP_ASSERT_OK(arena.Attribute(QName("a"), "1"));
+  EXPECT_FALSE(arena.Attribute(QName("a"), "2").ok());
+  arena.AbandonTree(failed);
+  EXPECT_EQ(arena.NumNodes(), size_t(failed));
+  const NodeIndex next = static_cast<NodeIndex>(arena.NumNodes());
+  EXPECT_EQ(next, failed);
+  XQP_ASSERT_OK(arena.Text("t"));
+  XQP_ASSERT_OK(arena.EndTree(next));
+  const Document& doc = *arena.document();
+  EXPECT_EQ(doc.NumNodes(), 3u);
+  EXPECT_EQ(doc.NamespaceDecls(next), nullptr);
+  EXPECT_EQ(doc.node(next).kind, NodeKind::kText);
+  EXPECT_EQ(doc.node(next).parent, kNullNode);
+  EXPECT_EQ(doc.node(kept).next_sibling, kNullNode);
+  EXPECT_EQ(doc.node(0).first_child, kNullNode);
+}
+
 TEST(DocumentBuilder, CopySubtreeMatchesReparseOnXMark) {
   XMarkOptions options;
   options.scale = 0.01;

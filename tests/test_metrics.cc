@@ -456,9 +456,11 @@ TEST(ProfileTest, DisabledEngineLeavesRegistryOff) {
   EXPECT_FALSE(report.value().engine_metrics.counters.empty());
 }
 
-/// construct.documents counts one document per constructed node: a direct
-/// attribute is written into its element's document, not built on its own.
-TEST(ConstructMetrics, OneDocumentPerConstructedElement) {
+/// construct.documents counts the construction arenas: one per execution
+/// that constructs, none for one that does not. construct.nodes counts the
+/// rows appended to them, copied rows included; a direct attribute is
+/// written into its element's rows, not built on its own.
+TEST(ConstructMetrics, OneArenaPerExecution) {
   std::string order = "<order><lines>";
   for (int i = 0; i < 200; ++i) {
     order += "<line sku=\"s" + std::to_string(i) + "\" qty=\"" +
@@ -473,10 +475,15 @@ TEST(ConstructMetrics, OneDocumentPerConstructedElement) {
     uint64_t nodes;
   };
   const Case cases[] = {
-      {"for $i in 1 to 10 return <x a=\"{$i}\"/>", 10, 20},
+      {"for $i in 1 to 10 return <x a=\"{$i}\"/>", 1, 20},
       {"for $l in doc('order.xml')/order/lines/line return <line "
        "sku=\"{$l/@sku}\" amount=\"{$l/@qty * $l/@price}\"/>",
-       200, 600},
+       1, 600},
+      // 600 rows of lines, then <w> and a copy of each line.
+      {"<w>{for $l in doc('order.xml')/order/lines/line return <line "
+       "sku=\"{$l/@sku}\" amount=\"{$l/@qty * $l/@price}\"/>}</w>",
+       1, 1201},
+      {"count(doc('order.xml')/order/lines/line)", 0, 0},
   };
   for (const Case& c : cases) {
     auto compiled = engine.Compile(c.query);

@@ -292,14 +292,31 @@ TEST(EngineConcurrency, ParallelExecuteCachedIsConsistent) {
   EXPECT_LE(stats.misses, static_cast<uint64_t>(3 * kHammerThreads));
 }
 
+// Constructing queries whose enclosing constructors copy trees that were
+// built earlier in the same execution (in-arena copies).
+constexpr const char* kNestedCopyQueries[] = {
+    "<w>{for $b in doc('bib.xml')//book return "
+    "<e y=\"{$b/@year}\">{$b/title}</e>}</w>",
+    "let $t := <t>{doc('bib.xml')//title}</t> "
+    "return <u>{$t, $t/title[2], text {count($t/title/following::node())}}</u>",
+};
+
 TEST(EngineConcurrency, ExecuteBatchParallelMatchesSerial) {
   XQueryEngine engine;
   ASSERT_TRUE(engine.ParseAndRegister("bib.xml", kXml).ok());
   std::vector<std::string> storage;
   for (int i = 0; i < 32; ++i) {
-    storage.push_back(i % 2 == 0
-                          ? "count(doc('bib.xml')//book)"
-                          : "doc('bib.xml')//book[@year = 2000]/title");
+    switch (i % 4) {
+      case 0:
+        storage.push_back("count(doc('bib.xml')//book)");
+        break;
+      case 1:
+        storage.push_back("doc('bib.xml')//book[@year = 2000]/title");
+        break;
+      default:
+        storage.push_back(kNestedCopyQueries[i % 4 - 2]);
+        break;
+    }
   }
   std::vector<std::string_view> queries(storage.begin(), storage.end());
   auto batch = engine.ExecuteBatchParallel(queries);
@@ -315,6 +332,44 @@ TEST(EngineConcurrency, ExecuteBatchParallelMatchesSerial) {
   auto mixed = engine.ExecuteBatchParallel(bad);
   EXPECT_TRUE(mixed[0].ok());
   EXPECT_FALSE(mixed[1].ok());
+}
+
+// One constructing CompiledQuery executed from many threads at once: each
+// execution appends to its own construction arena, so every result must
+// equal the serial run's.
+TEST(EngineConcurrency, OneConstructingQueryFromManyThreads) {
+  XQueryEngine engine;
+  ASSERT_TRUE(engine.ParseAndRegister("bib.xml", kXml).ok());
+  auto compiled = engine.Compile(
+      "let $t := <t>{for $b in doc('bib.xml')//book return "
+      "<e y=\"{$b/@year}\">{$b/title}</e>}</t> "
+      "return (<u>{$t, $t/e[2]}</u>, count($t//title/following::node()))");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  for (ExecBackend backend :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    const std::string expected =
+        compiled.value()->ExecuteToXml(exec).ValueOrDie();
+    constexpr int kThreads = 8;
+    constexpr int kIters = 20;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kIters; ++i) {
+          auto result = compiled.value()->Execute(exec);
+          if (!result.ok() ||
+              SerializeSequence(result.value()).value() != expected) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0) << ExecBackendName(backend);
+  }
 }
 
 TEST(EngineConcurrency, ConcurrentTagIndexAndRegistration) {
