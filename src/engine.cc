@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <string_view>
-#include <unordered_map>
 
 #include "base/fault.h"
 #include "storage/snapshot.h"
@@ -563,7 +562,7 @@ Result<std::unique_ptr<CompiledQuery>> XQueryEngine::Compile(
     // Pre-lowering inline fixpoint: the rewriter inlines at most
     // max_passes layers of user-function calls; finishing the job here
     // means call chains of any depth reach the bytecode compiler as plain
-    // FLWORs instead of per-evaluation bailout thunks.
+    // FLWORs, so only a recursive call makes it decline the plan.
     if (rewriter.function_inlining) {
       XQP_RETURN_NOT_OK(InlineSmallFunctions(compiled->module_.get(),
                                              rewriter.inline_size_limit)
@@ -713,14 +712,12 @@ std::string CompiledQuery::ExplainTree(const ExecOptions& options) const {
   Result<std::shared_ptr<const vm::Program>> prog = VmProgram();
   if (!prog.ok()) return RenderExplainTree(*module_->body);
   const vm::Program& p = *prog.value();
-  std::unordered_map<const Expr*, const std::string*> thunk_reasons;
-  for (const vm::Program::Thunk& t : p.thunks) {
-    thunk_reasons.emplace(t.expr, &t.reason);
-  }
+  // A compiled plan marks its root; a declined one marks the subtree that
+  // stopped the compiler.
+  const Expr* root = module_->body.get();
   ExplainAnnotator annotate = [&](const Expr& e) -> std::string {
-    auto it = thunk_reasons.find(&e);
-    if (it != thunk_reasons.end()) return " [bailout: " + *it->second + "]";
-    if (&e == p.root && !p.trivial_bailout) return " [vm]";
+    if (p.thunks.empty()) return &e == root ? " [vm]" : "";
+    if (&e == p.thunks[0].expr) return " [bailout: " + p.thunks[0].reason + "]";
     return "";
   };
   return RenderExplainTree(*module_->body, annotate);
@@ -781,7 +778,7 @@ Result<Sequence> CompiledQuery::RunPlan(const ExecOptions& options,
     }
     case ExecBackend::kVm: {
       Result<std::shared_ptr<const vm::Program>> prog = VmProgram();
-      if (prog.ok() && !prog.value()->trivial_bailout) {
+      if (prog.ok() && prog.value()->thunks.empty()) {
         XQP_RETURN_NOT_OK(
             governor.ChargeBytes(prog.value()->const_pool_bytes));
         std::chrono::steady_clock::time_point start;
@@ -791,9 +788,9 @@ Result<Sequence> CompiledQuery::RunPlan(const ExecOptions& options,
         XQP_RETURN_NOT_OK(governor.ChargeResultItems(result.size()));
         if (profile != nullptr) {
           // The VM does not profile per compiled operator (compiled
-          // subtrees have no operator boundaries); bailout thunks profile
-          // normally via the lazy engine. Account the run to the plan root
-          // so root-based invariants (items == result cardinality) hold.
+          // code has no operator boundaries). Account the run to the plan
+          // root so root-based invariants (items == result cardinality)
+          // hold.
           OpStats* root = profile->StatsFor(body);
           root->next_calls += 1;
           root->items += result.size();
@@ -801,9 +798,9 @@ Result<Sequence> CompiledQuery::RunPlan(const ExecOptions& options,
         }
         return result;
       }
-      // Whole-plan fallback: the root is uncompilable (or compilation
-      // failed under fault injection) — run the lazy path, bit-identical
-      // to backend=lazy including fault sites and drain accounting.
+      // Whole-plan fallback: the compiler declined the plan (or failed
+      // under fault injection) — run the lazy path, bit-identical to
+      // backend=lazy including fault sites and drain accounting.
       if (metrics::Enabled()) {
         static metrics::Counter* fallbacks =
             metrics::MetricsRegistry::Global().counter("vm.fallbacks");
@@ -913,19 +910,6 @@ std::string ProfileReport::ToJson() const {
   first = true;
   for (const auto& [name, value] : engine_metrics.counters) {
     if (value == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    AppendJsonEscaped(name, &out);
-    out += "\":" + std::to_string(value);
-  }
-  // Per-reason bailout counters, broken out of the flat counter map so CI
-  // can diff the VM's compiled coverage directly. MetricsSnapshot's
-  // counters are an ordered map, so the key order is deterministic.
-  out += "},\"vm_bailouts\":{";
-  first = true;
-  for (const auto& [name, value] : engine_metrics.counters) {
-    if (value == 0 || name.rfind("vm.bailout.", 0) != 0) continue;
     if (!first) out += ",";
     first = false;
     out += "\"";

@@ -35,9 +35,9 @@ struct Program;
 
 /// Which execution backend runs a compiled query. kLazy is the streaming
 /// iterator engine (default), kEager the materializing reference
-/// interpreter, kVm the bytecode compiler + dispatch-loop VM (compiled
-/// subtrees run as flat bytecode; uncompilable subtrees bail out to the
-/// lazy engine per-thunk, so results are identical across backends).
+/// interpreter, kVm the bytecode compiler + dispatch-loop VM (a plan runs
+/// whole as flat bytecode, or, when it holds a construct outside the ISA,
+/// whole on the lazy engine, so results are identical across backends).
 enum class ExecBackend : uint8_t { kLazy, kEager, kVm };
 
 /// "lazy" / "eager" / "vm".
@@ -404,8 +404,9 @@ class CompiledQuery {
   /// Deterministic indented operator tree for the optimized plan — the
   /// EXPLAIN rendering (no runtime numbers; stable across runs). The
   /// ExecOptions overload annotates for the backend the options select:
-  /// under kVm, compiled subtree roots render " [vm]" and bailout thunk
-  /// roots " [bailout: <reason>]".
+  /// under kVm, a compiled plan's root renders " [vm]"; a declined plan
+  /// (run whole on the lazy engine) has no " [vm]" and marks the subtree
+  /// that stopped the compiler " [bailout: <reason>]".
   std::string ExplainTree() const;
   std::string ExplainTree(const ExecOptions& options) const;
 

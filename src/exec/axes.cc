@@ -1,5 +1,7 @@
 #include "exec/axes.h"
 
+#include "exec/dynamic_context.h"
+
 namespace xqp {
 
 Result<Item> SlashRoot(const Item& item) {
@@ -197,6 +199,22 @@ bool AxisCursor::Next(Node* out) {
     }
   }
   return false;
+}
+
+Status FinishPathResult(const PathExpr& path, const DynamicContext& ctx,
+                        Sequence* out) {
+  bool saw_node = false;
+  bool saw_atomic = false;
+  for (const Item& item : *out) (item.IsNode() ? saw_node : saw_atomic) = true;
+  if (saw_node && saw_atomic) {
+    return Status::TypeError("path result mixes nodes and atomic values");
+  }
+  if (!saw_node) return Status::OK();
+  if (path.needs_sort) {
+    return SortDocOrderDistinct(out, ctx.parallel_threshold, ctx.num_threads);
+  }
+  if (path.needs_dedup) return DedupNodesPreservingOrder(out);
+  return Status::OK();
 }
 
 void CollectAxis(const Node& origin, Axis axis, const NodeTest& test,

@@ -1,5 +1,6 @@
 #include "exec/compare.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace xqp {
@@ -177,6 +178,26 @@ Result<Sequence> EvalNodeComparison(CompOp op, const Sequence& lhs,
       return Status::Internal("not a node comparison");
   }
   return Sequence{Item(AtomicValue::Boolean(out))};
+}
+
+Result<Sequence> EvalSetOperation(const Expr& e, Sequence lhs, Sequence rhs) {
+  if (e.kind() == ExprKind::kUnion) {
+    lhs.insert(lhs.end(), rhs.begin(), rhs.end());
+    XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
+    return lhs;
+  }
+  const bool is_except = static_cast<const IntersectExceptExpr&>(e).is_except;
+  XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
+  XQP_RETURN_NOT_OK(SortDocOrderDistinct(&rhs));
+  Sequence out;
+  for (const Item& item : lhs) {
+    const bool in_rhs =
+        std::any_of(rhs.begin(), rhs.end(), [&](const Item& r) {
+          return item.AsNode().SameNode(r.AsNode());
+        });
+    if (in_rhs != is_except) out.push_back(item);
+  }
+  return out;
 }
 
 Result<CmpResult> CompareForOrdering(const AtomicValue& a,

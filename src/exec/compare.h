@@ -32,6 +32,11 @@ Result<bool> EvalGeneralComparison(CompOp op, const Sequence& lhs,
 Result<Sequence> EvalNodeComparison(CompOp op, const Sequence& lhs,
                                     const Sequence& rhs);
 
+/// `lhs union rhs`, `lhs intersect rhs` or `lhs except rhs` as `e` (a
+/// union or intersect/except expression) says: nodes only, in document
+/// order, without duplicates. Every backend calls this one implementation.
+Result<Sequence> EvalSetOperation(const Expr& e, Sequence lhs, Sequence rhs);
+
 /// Total ordering used by "order by", fn:min and fn:max: untypedAtomic is
 /// cast to double when the other side is numeric, otherwise compared as
 /// string; NaN sorts before all other numbers; the empty sequence is

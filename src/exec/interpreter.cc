@@ -207,12 +207,12 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
     }
 
     case ExprKind::kTreatAs: {
-      const auto* treat = static_cast<const TreatExpr*>(e);
+      const SequenceType& type = static_cast<const TreatExpr*>(e)->type;
       XQP_ASSIGN_OR_RETURN(Sequence v, Eval(e->child(0)));
-      if (!MatchesSequenceType(v, treat->type)) {
-        return Status::TypeError("treat as " + treat->type.ToString() +
-                                 " failed");
+      for (size_t i = 0; i < v.size(); ++i) {
+        XQP_RETURN_NOT_OK(CheckTreat(type, &v[i], i + 1));
       }
+      XQP_RETURN_NOT_OK(CheckTreat(type, nullptr, v.size()));
       return v;
     }
 
@@ -247,32 +247,11 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
       return Sequence{Item(AtomicValue::Boolean(ok))};
     }
 
-    case ExprKind::kUnion: {
-      XQP_ASSIGN_OR_RETURN(Sequence lhs, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Sequence rhs, Eval(e->child(1)));
-      lhs.insert(lhs.end(), rhs.begin(), rhs.end());
-      XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
-      return lhs;
-    }
-
+    case ExprKind::kUnion:
     case ExprKind::kIntersectExcept: {
-      const auto* ie = static_cast<const IntersectExceptExpr*>(e);
       XQP_ASSIGN_OR_RETURN(Sequence lhs, Eval(e->child(0)));
       XQP_ASSIGN_OR_RETURN(Sequence rhs, Eval(e->child(1)));
-      XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
-      XQP_RETURN_NOT_OK(SortDocOrderDistinct(&rhs));
-      Sequence out;
-      for (const Item& item : lhs) {
-        bool in_rhs = false;
-        for (const Item& r : rhs) {
-          if (item.AsNode().SameNode(r.AsNode())) {
-            in_rhs = true;
-            break;
-          }
-        }
-        if (in_rhs != ie->is_except) out.push_back(item);
-      }
-      return out;
+      return EvalSetOperation(*e, std::move(lhs), std::move(rhs));
     }
 
     case ExprKind::kFunctionCall:
@@ -348,31 +327,16 @@ Result<Sequence> Interpreter::EvalPath(const PathExpr* e) {
   }
   XQP_ASSIGN_OR_RETURN(Sequence input, Eval(e->child(0)));
   Sequence out;
-  bool saw_node = false;
-  bool saw_atomic = false;
   int64_t size = static_cast<int64_t>(input.size());
   for (int64_t i = 0; i < size; ++i) {
     focus_.push_back(Focus{input[i], i + 1, size});
     auto part = Eval(e->child(1));
     focus_.pop_back();
     XQP_RETURN_NOT_OK(part.status());
-    for (Item& item : part.value()) {
-      (item.IsNode() ? saw_node : saw_atomic) = true;
-      out.push_back(std::move(item));
-    }
+    out.insert(out.end(), std::make_move_iterator(part.value().begin()),
+               std::make_move_iterator(part.value().end()));
   }
-  if (saw_node && saw_atomic) {
-    return Status::TypeError(
-        "path result mixes nodes and atomic values");
-  }
-  if (saw_node) {
-    if (e->needs_sort) {
-      XQP_RETURN_NOT_OK(SortDocOrderDistinct(&out, ctx_->parallel_threshold,
-                                             ctx_->num_threads));
-    } else if (e->needs_dedup) {
-      XQP_RETURN_NOT_OK(DedupNodesPreservingOrder(&out));
-    }
-  }
+  XQP_RETURN_NOT_OK(FinishPathResult(*e, *ctx_, &out));
   return out;
 }
 
@@ -397,13 +361,7 @@ Result<Sequence> Interpreter::EvalFilter(const FilterExpr* e) {
       auto value = Eval(pred);
       focus_.pop_back();
       XQP_RETURN_NOT_OK(value.status());
-      const Sequence& v = value.value();
-      bool keep;
-      if (v.size() == 1 && v[0].IsAtomic() && v[0].AsAtomic().IsNumeric()) {
-        keep = v[0].AsAtomic().NumericAsDouble() == static_cast<double>(i + 1);
-      } else {
-        XQP_ASSIGN_OR_RETURN(keep, EffectiveBooleanValue(v));
-      }
+      XQP_ASSIGN_OR_RETURN(bool keep, PredicateKeeps(value.value(), i + 1));
       if (keep) next.push_back(current[i]);
     }
     current = std::move(next);

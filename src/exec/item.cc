@@ -43,6 +43,15 @@ Result<bool> EffectiveBooleanValue(const Sequence& seq) {
   return Status::TypeError("effective boolean value: unsupported type");
 }
 
+Result<bool> PredicateKeeps(const Sequence& value, int64_t position) {
+  if (value.size() == 1 && value[0].IsAtomic() &&
+      value[0].AsAtomic().IsNumeric()) {
+    return value[0].AsAtomic().NumericAsDouble() ==
+           static_cast<double>(position);
+  }
+  return EffectiveBooleanValue(value);
+}
+
 Status SortDocOrderDistinct(Sequence* seq, size_t parallel_threshold,
                             int num_threads) {
   // ddo sorts run at materialization points over arbitrarily large

@@ -52,6 +52,11 @@ Sequence Atomize(const Sequence& seq);
 /// by value; anything else is a type error.
 Result<bool> EffectiveBooleanValue(const Sequence& seq);
 
+/// The keep rule of a predicate `E[p]`, shared by every backend: a
+/// singleton numeric value is a position test against the focus
+/// `position`, anything else takes its effective boolean value.
+Result<bool> PredicateKeeps(const Sequence& value, int64_t position);
+
 /// Sorts nodes into document order and removes duplicate (identical) nodes.
 /// Errors if the sequence contains atomic values (callers guarantee
 /// node-only input). This is the expensive "ddo" operation whose elision

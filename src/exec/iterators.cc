@@ -497,30 +497,9 @@ class TreatIt : public ItemIterator {
   }
   Result<bool> Next(Item* out) override {
     XQP_ASSIGN_OR_RETURN(bool got, operand_->Next(out));
-    const SequenceType& t = e_->type;
-    if (!got) {
-      if (count_ == 0 && !t.empty_sequence &&
-          (t.occurrence == Occurrence::kOne ||
-           t.occurrence == Occurrence::kPlus)) {
-        return Status::TypeError("treat as " + t.ToString() +
-                                 ": empty sequence");
-      }
-      return false;
-    }
-    ++count_;
-    if (t.empty_sequence) {
-      return Status::TypeError("treat as empty-sequence(): non-empty input");
-    }
-    if (count_ > 1 && (t.occurrence == Occurrence::kOne ||
-                       t.occurrence == Occurrence::kOptional)) {
-      return Status::TypeError("treat as " + t.ToString() +
-                               ": more than one item");
-    }
-    if (!MatchesItemType(*out, t.item)) {
-      return Status::TypeError("treat as " + t.ToString() +
-                               ": item type mismatch");
-    }
-    return true;
+    if (got) ++count_;
+    XQP_RETURN_NOT_OK(CheckTreat(e_->type, got ? out : nullptr, count_));
+    return got;
   }
 
  private:
@@ -543,26 +522,7 @@ class UnionIt : public ComputeOnceIt {
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence lhs, Drain(lhs_.get()));
     XQP_ASSIGN_OR_RETURN(Sequence rhs, Drain(rhs_.get()));
-    if (e_->kind() == ExprKind::kUnion) {
-      lhs.insert(lhs.end(), rhs.begin(), rhs.end());
-      XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
-      return lhs;
-    }
-    bool is_except = static_cast<const IntersectExceptExpr*>(e_)->is_except;
-    XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
-    XQP_RETURN_NOT_OK(SortDocOrderDistinct(&rhs));
-    Sequence out;
-    for (const Item& item : lhs) {
-      bool in_rhs = false;
-      for (const Item& r : rhs) {
-        if (item.AsNode().SameNode(r.AsNode())) {
-          in_rhs = true;
-          break;
-        }
-      }
-      if (in_rhs != is_except) out.push_back(item);
-    }
-    return out;
+    return EvalSetOperation(*e_, std::move(lhs), std::move(rhs));
   }
 
  private:
@@ -1136,11 +1096,6 @@ Result<std::unique_ptr<ItemIterator>> OpenLazy(const Expr* e,
                        CompileIterator(e, nullptr));
   XQP_RETURN_NOT_OK(it->Reset(ctx));
   return it;
-}
-
-Result<Sequence> ExecuteLazy(const Expr* e, DynamicContext* ctx) {
-  XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it, OpenLazy(e, ctx));
-  return Drain(it.get());
 }
 
 }  // namespace xqp

@@ -29,9 +29,6 @@ struct LazyFocus {
 Result<std::unique_ptr<ItemIterator>> CompileIterator(const Expr* e,
                                                       const LazyFocus* focus);
 
-/// Compiles, resets, and drains `e` under `ctx`.
-Result<Sequence> ExecuteLazy(const Expr* e, DynamicContext* ctx);
-
 /// Compiles and resets `e`, returning the iterator for incremental
 /// consumption (time-to-first-item measurements, experiment E1).
 Result<std::unique_ptr<ItemIterator>> OpenLazy(const Expr* e,

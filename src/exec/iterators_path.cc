@@ -189,16 +189,7 @@ class PathIt : public ItemIterator {
         buffer_.push_back(std::move(item));
       }
     }
-    if (saw_node_) {
-      if (e_->needs_sort) {
-        // Large materialized path results route to the parallel sort.
-        XQP_RETURN_NOT_OK(SortDocOrderDistinct(
-            &buffer_, ctx_->parallel_threshold, ctx_->num_threads));
-      } else if (e_->needs_dedup) {
-        XQP_RETURN_NOT_OK(DedupNodesPreservingOrder(&buffer_));
-      }
-    }
-    return Status::OK();
+    return FinishPathResult(*e_, *ctx_, &buffer_);
   }
 
   const PathExpr* e_;
@@ -312,26 +303,20 @@ class FilterIt : public ItemIterator {
     return true;
   }
 
-  /// Evaluates the predicate for the current focus item: a singleton
-  /// numeric result is a position test, anything else takes its EBV.
+  /// Applies the shared keep rule to the predicate's value for the current
+  /// focus item. A node first, or a second item, settles it, so at most two
+  /// items are pulled.
   Result<bool> EvalPredicate() {
     XQP_RETURN_NOT_OK(pred_->Reset(ctx_));
-    Item first;
-    XQP_ASSIGN_OR_RETURN(bool got, pred_->Next(&first));
-    if (!got) return false;
-    if (first.IsNode()) return true;  // EBV of node-first sequence.
-    const AtomicValue& v = first.AsAtomic();
-    Item second;
-    XQP_ASSIGN_OR_RETURN(bool more, pred_->Next(&second));
-    if (more) {
-      return Status::TypeError(
-          "effective boolean value of a multi-item atomic sequence");
+    pred_head_.clear();
+    Item item;
+    while (pred_head_.size() < 2 &&
+           (pred_head_.empty() || pred_head_[0].IsAtomic())) {
+      XQP_ASSIGN_OR_RETURN(bool got, pred_->Next(&item));
+      if (!got) break;
+      pred_head_.push_back(std::move(item));
     }
-    if (v.IsNumeric()) {
-      return v.NumericAsDouble() == static_cast<double>(focus_.position);
-    }
-    Sequence single{first};
-    return EffectiveBooleanValue(single);
+    return PredicateKeeps(pred_head_, focus_.position);
   }
 
   const Expr* pred_expr_;
@@ -343,6 +328,7 @@ class FilterIt : public ItemIterator {
   double constant_position_ = 0;
   Sequence base_buffer_;
   size_t base_pos_ = 0;
+  Sequence pred_head_;
   bool materialized_ = false;
   bool done_ = false;
 };

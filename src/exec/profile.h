@@ -82,7 +82,8 @@ std::string RenderExplainTree(const Expr& root);
 
 /// Per-node suffix hook for EXPLAIN: the returned string (may be empty) is
 /// appended verbatim after the operator label. Used by the bytecode backend
-/// to mark compiled subtrees ("[vm]") and bailout thunks.
+/// to mark a compiled plan's root ("[vm]") or the subtree that made it
+/// decline a plan ("[bailout: <reason>]").
 using ExplainAnnotator = std::function<std::string(const Expr&)>;
 
 /// RenderExplainTree with a per-node annotation suffix.

@@ -61,4 +61,30 @@ bool MatchesSequenceType(const Sequence& seq, const SequenceType& type) {
   return true;
 }
 
+Status CheckTreat(const SequenceType& type, const Item* item, size_t count) {
+  const bool at_most_one = type.occurrence == Occurrence::kOne ||
+                           type.occurrence == Occurrence::kOptional;
+  const bool at_least_one = type.occurrence == Occurrence::kOne ||
+                            type.occurrence == Occurrence::kPlus;
+  if (item == nullptr) {
+    if (count == 0 && !type.empty_sequence && at_least_one) {
+      return Status::TypeError("treat as " + type.ToString() +
+                               ": empty sequence");
+    }
+    return Status::OK();
+  }
+  if (type.empty_sequence) {
+    return Status::TypeError("treat as empty-sequence(): non-empty input");
+  }
+  if (count > 1 && at_most_one) {
+    return Status::TypeError("treat as " + type.ToString() +
+                             ": more than one item");
+  }
+  if (!MatchesItemType(*item, type.item)) {
+    return Status::TypeError("treat as " + type.ToString() +
+                             ": item type mismatch");
+  }
+  return Status::OK();
+}
+
 }  // namespace xqp

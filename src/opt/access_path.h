@@ -33,7 +33,7 @@ AccessPathDecision ChooseAccessPath(const DocumentIndexes& idx,
                                     const IndexQuery& q, AccessPath force);
 
 /// Execution hook shared by the lazy iterator tree, the eager interpreter,
-/// and (via bailout thunks) the VM: plans `e`, fetches the document's
+/// and the VM's probe opcodes: plans `e`, fetches the document's
 /// indexes through ctx->provider, chooses an access path (honoring
 /// ctx->force_access_path), and runs the chosen executor. Returns nullopt
 /// (not an error) whenever any stage declines — the normal navigation plan

@@ -23,8 +23,8 @@ Result<int> InlineFunctionCalls(ExprPtr& e, const ParsedModule& module,
 /// Pre-lowering pass over the module body: repeats InlineFunctionCalls
 /// until no eligible call site remains, so call chains deeper than the
 /// rewriter's max_passes still flatten completely before the bytecode
-/// compiler runs (a kFunctionCall to a user function otherwise costs a
-/// bailout thunk per evaluation). Extends module->num_slots with the
+/// compiler runs (a kFunctionCall to a user function otherwise makes the
+/// VM decline the whole plan). Extends module->num_slots with the
 /// frames of the spliced bodies. Returns the total number of calls
 /// expanded.
 Result<int> InlineSmallFunctions(ParsedModule* module, int inline_size_limit);

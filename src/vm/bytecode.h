@@ -2,7 +2,6 @@
 #define XQP_VM_BYTECODE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,9 +17,10 @@ namespace vm {
 /// The instruction set of the bytecode backend: a register/stack hybrid
 /// scoped to the profitable core of the language — FLWOR tuple iteration
 /// (including order-by), arithmetic, comparisons, boolean logic, variable
-/// refs, literals, sequence construction, builtin calls, path navigation
-/// and index probes, and node construction. Everything else compiles to a
-/// kBailout referencing a thunk that runs the subtree on the lazy engine.
+/// refs, literals, sequence construction, builtin calls, paths, steps and
+/// filters (one focus loop serves all three), index probes, and node
+/// construction. A plan that contains anything else is not compiled at
+/// all: the engine runs it whole on the lazy engine.
 ///
 /// Value model: every stack cell and local register holds a full Sequence.
 /// Stack cells are preallocated and assigned into (never pushed/popped as
@@ -33,7 +33,7 @@ enum class Op : uint8_t {
   kLoadLocal,        // a = slot; push a copy of local register `a`.
   kLoadGlobal,       // a = global slot; materialize and push ctx->globals[a].
   kStoreLocal,       // a = slot; pop into register `a`. flag&1: also mirror
-                     //   into ctx->slots[a] for bailout thunks.
+                     //   into ctx->slots[a] for a value join to read.
   kConcat,           // a = n; pop n sequences, push their concatenation.
   kRange,            // Pop hi, lo; push the integer range (governed).
   kArith,            // flag = ArithOp; pop rhs, lhs; push the result.
@@ -45,16 +45,29 @@ enum class Op : uint8_t {
   kJump,             // a = target pc.
   kJumpIfFalse,      // a = target pc; pop, branch when EBV is false.
   kJumpIfTrue,       // a = target pc; pop, branch when EBV is true.
-  kIterNew,          // a = iterator register; pop the domain sequence.
+  kIterNew,          // a = iterator register; pop the domain sequence
+                     //   (a FLWOR/quantifier domain or a focus loop's).
   kIterNext,         // a = iterator register, b = exit pc, c = var slot
                      //   (-1: none). Advances the iterator; at end jumps to
                      //   b, else binds the item into register c. flag&1:
-                     //   mirror the binding into ctx->slots[c]. Polls the
+                     //   mirror the binding into ctx->slots[c] (read by a
+                     //   value join's domain or key). Polls the
                      //   governor (every loop back-edge lands here). An
                      //   iterator opened by kValueJoin then jumps to its
                      //   plan's skip_pc, past the join comparison.
   kBindPos,          // a = iterator register, b = pos slot; bind the 1-based
-                     //   position ("at $p"). flag&1: mirror.
+                     //   position ("at $p"). flag&1: mirror, as kIterNext.
+  kFocusNext,        // a = iterator register, b = exit pc, c = last
+                     //   position to visit (-1: all). The focus loop's
+                     //   iter-next: the first call saves the enclosing
+                     //   focus; each call binds the next item as the focus
+                     //   (item, 1-based position, domain size); at the end
+                     //   restores the saved focus and jumps to b. Polls the
+                     //   governor like kIterNext.
+  kFocusKeep,        // Pop a predicate value; when the shared keep rule
+                     //   (PredicateKeeps: a singleton numeric tests the
+                     //   focus position, else EBV) holds, append the focus
+                     //   item to the innermost accumulator.
   kAccumNew,         // Open a result accumulator.
   kAccumAdd,         // Pop; append to the innermost accumulator.
   kAccumEnd,         // Close the innermost accumulator; push its contents.
@@ -62,9 +75,15 @@ enum class Op : uint8_t {
   kNavStep,          // a = path-plan index; pop the origin sequence, walk the
                      //   plan's axis/name-test over each node, push the step
                      //   output (doc-order sorted/deduped per the PathExpr's
-                     //   needs_sort/needs_dedup flags). Polls the governor per
-                     //   origin item; charges bytes only for blocking levels,
-                     //   mirroring the lazy PathIt.
+                     //   needs_sort/needs_dedup flags; a bare step, whose
+                     //   plan has no path, keeps axis order). Polls the
+                     //   governor per origin item; charges bytes only for
+                     //   blocking levels, mirroring the lazy PathIt.
+  kPathEnd,          // a = path-plan index. The tail of a general `A/E`
+                     //   focus loop: reject a result that mixes nodes and
+                     //   atomic values, then sort/dedup nodes per the
+                     //   PathExpr's flags (charging a blocking level's
+                     //   bytes, as kNavStep).
   kIndexProbe,       // a = path-plan index, b = join pc. Offer the chain to
                      //   the value-index/synopsis executor; when it answers,
                      //   push the result and jump to b, else fall through to
@@ -114,8 +133,6 @@ enum class Op : uint8_t {
                      //   by its typed keys (ascending/descending, empty
                      //   greatest/least) and push the concatenated results
                      //   in sorted tuple order.
-  kBailout,          // a = thunk index; run the referenced expression on the
-                     //   lazy engine and push its result.
   kPop,              // Pop and discard.
   kHalt,             // Pop the final result and stop.
 };
@@ -123,8 +140,8 @@ enum class Op : uint8_t {
 std::string_view OpName(Op op);
 
 /// One instruction. `flag` carries the sub-operation (ArithOp / CompOp /
-/// negate) or the dual-store bit; a/b/c are pool indexes, pc targets, and
-/// register numbers as documented per opcode.
+/// negate) or the value-join mirror bit; a/b/c are pool indexes, pc
+/// targets, and register numbers as documented per opcode.
 struct Insn {
   Op op;
   uint8_t flag = 0;
@@ -133,8 +150,8 @@ struct Insn {
   int32_t c = 0;
 };
 
-/// A compiled query body: flat code, the constant pool, and the bailout
-/// thunk table. Immutable after compilation and shared across concurrent
+/// A compiled query body: flat code, the constant pool and the plan
+/// tables. Immutable after compilation and shared across concurrent
 /// executions; all mutable run state lives in the Vm.
 struct Program {
   std::vector<Insn> code;
@@ -146,19 +163,20 @@ struct Program {
   /// the start of every run.
   uint64_t const_pool_bytes = 0;
 
-  /// An uncompiled subtree: executed on the lazy engine when its kBailout
-  /// is reached. `reason` names the construct that stopped compilation
-  /// (surfaced in EXPLAIN).
+  /// Empty for a compiled plan. A plan the compiler declined holds one
+  /// entry, the first subtree it could not lower and why (EXPLAIN shows
+  /// `[bailout: <reason>]` there), and no code: the engine runs the whole
+  /// plan on the lazy engine.
   struct Thunk {
     const Expr* expr = nullptr;
     std::string reason;
   };
   std::vector<Thunk> thunks;
 
-  /// A lowered path level referenced by kNavStep / kIndexProbe /
-  /// kAccessExec. `path` carries the ordering flags and (for the probe
-  /// ops) the chain handed to TryExecuteAccessPath; `step` is the axis +
-  /// name test kNavStep walks (null for probe-only entries).
+  /// A lowered path level referenced by kNavStep / kPathEnd / kIndexProbe
+  /// / kAccessExec. `path` carries the ordering flags and (for the probe
+  /// ops) the chain handed to TryExecuteAccessPath, null for a bare step;
+  /// `step` is the axis + name test kNavStep walks (null otherwise).
   struct PathPlan {
     const PathExpr* path = nullptr;
     const StepExpr* step = nullptr;
@@ -195,25 +213,12 @@ struct Program {
   };
   std::vector<JoinPlan> joins;
 
-  /// Expressions synthesized during lowering (e.g. the navigation twin of
-  /// an index-probed predicate chain, run as a thunk when the probe
-  /// declines). Thunk/PathPlan pointers may refer here; kept alive for the
-  /// Program's lifetime.
-  std::vector<std::unique_ptr<Expr>> owned_exprs;
-
-  /// Register-file sizing: module frame slots, FLWOR/quantifier iterator
-  /// registers (allocated by loop nesting depth), and operand stack cells.
+  /// Register-file sizing: module frame slots, FLWOR/quantifier/focus
+  /// iterator registers (allocated by loop nesting depth), and operand
+  /// stack cells.
   int num_slots = 0;
   int num_iters = 0;
   int max_stack = 0;
-
-  /// True when the plan root itself is uncompilable — the whole program is
-  /// one kBailout and the engine runs the lazy path directly instead.
-  bool trivial_bailout = false;
-
-  /// The compiled root (for the EXPLAIN [vm] marker), null when
-  /// trivial_bailout.
-  const Expr* root = nullptr;
 };
 
 constexpr int kConstFalse = 0;

@@ -39,11 +39,14 @@ std::string_view OpName(Op op) {
     case Op::kIterNew: return "iter-new";
     case Op::kIterNext: return "iter-next";
     case Op::kBindPos: return "bind-pos";
+    case Op::kFocusNext: return "focus-next";
+    case Op::kFocusKeep: return "focus-keep";
     case Op::kAccumNew: return "accum-new";
     case Op::kAccumAdd: return "accum-add";
     case Op::kAccumEnd: return "accum-end";
     case Op::kCallBuiltin: return "call-builtin";
     case Op::kNavStep: return "nav-step";
+    case Op::kPathEnd: return "path-end";
     case Op::kIndexProbe: return "index-probe";
     case Op::kAccessExec: return "access-exec";
     case Op::kValueJoin: return "value-join";
@@ -56,7 +59,6 @@ std::string_view OpName(Op op) {
     case Op::kSortKey: return "sort-key";
     case Op::kSortAdd: return "sort-add";
     case Op::kSortTuples: return "sort-tuples";
-    case Op::kBailout: return "bailout";
     case Op::kPop: return "pop";
     case Op::kHalt: return "halt";
   }
@@ -76,18 +78,16 @@ class Compiler {
     p_->const_pool.push_back(Sequence{Item(AtomicValue::Boolean(false))});
     p_->const_pool.push_back(Sequence{Item(AtomicValue::Boolean(true))});
 
-    const Expr* body = module_.body.get();
-    if (const char* reason = Uncompilable(*body)) {
-      // The whole plan is one bailout: the engine skips the VM and runs
-      // the lazy path directly (the thunk is kept for EXPLAIN).
-      p_->trivial_bailout = true;
-      p_->thunks.push_back({body, reason});
-    } else {
-      p_->root = body;
-      Compile(*body);
-      Emit(Op::kHalt);
-      PatchMirrors();
+    Compile(*module_.body);
+    if (!p_->thunks.empty()) {
+      // Declined: keep only the reason. The engine runs the whole plan on
+      // the lazy engine.
+      auto declined = std::make_shared<Program>();
+      declined->thunks = std::move(p_->thunks);
+      return declined;
     }
+    Emit(Op::kHalt);
+    PatchMirrors();
 
     p_->max_stack = std::max(max_depth_, 1);
     uint64_t bytes = 0;
@@ -134,13 +134,6 @@ class Compiler {
     Push();
   }
 
-  void EmitBailout(const Expr& e, const char* reason) {
-    int idx = static_cast<int>(p_->thunks.size());
-    p_->thunks.push_back({&e, reason});
-    Emit(Op::kBailout, 0, idx);
-    Push();
-  }
-
   /// Shared with the rewriter: pure literal arithmetic/comparison subtrees
   /// become pool constants even in unoptimized plans.
   bool TryFold(const Expr& e) {
@@ -150,58 +143,18 @@ class Compiler {
     return true;
   }
 
-  bool IsBound(int slot) const {
-    return std::find(bound_.begin(), bound_.end(), slot) != bound_.end();
-  }
-
   // ---- compilability ----
 
-  /// Null when `e` lowers to bytecode at this point (given the binders
-  /// compiled so far); otherwise the bailout reason shown in EXPLAIN.
-  const char* Uncompilable(const Expr& e) const {
+  /// Null when `e` itself lowers to bytecode; otherwise the reason the
+  /// plan is declined, shown in EXPLAIN. Every local a compiled plan reads
+  /// is bound by a compiled FLWOR or quantifier: the only other binders,
+  /// typeswitch and user functions, decline the plan.
+  static const char* Uncompilable(const Expr& e) {
     switch (e.kind()) {
-      case ExprKind::kLiteral:
-      case ExprKind::kContextItem:
-      case ExprKind::kSequence:
-      case ExprKind::kRange:
-      case ExprKind::kArithmetic:
-      case ExprKind::kUnary:
-      case ExprKind::kComparison:
-      case ExprKind::kLogical:
-      case ExprKind::kIf:
-      case ExprKind::kQuantified:
-        return nullptr;
-      case ExprKind::kVarRef: {
-        const auto& v = static_cast<const VarRefExpr&>(e);
-        if (v.is_global || IsBound(v.slot)) return nullptr;
-        // A local whose binder is not in the compiled region (e.g. bound
-        // inside an enclosing thunk); the lazy engine resolves it against
-        // ctx->slots, reproducing the exact runtime error when unbound.
-        return "free variable";
-      }
-      case ExprKind::kFlwor:
-      case ExprKind::kRoot:
-        return nullptr;
       case ExprKind::kFunctionCall:
         return static_cast<const FunctionCallExpr&>(e).builtin >= 0
                    ? nullptr
                    : "user function call";
-      case ExprKind::kPath: {
-        // A path lowers when the index planner can probe it (the runtime
-        // navigation twin becomes a cold fallback thunk) or when its step
-        // is a bare axis walk (kNavStep; the lhs compiles recursively,
-        // worst case as its own thunk). Everything else — filter or step
-        // combinators the ISA has no opcode for — still bails out whole.
-        const auto& p = static_cast<const PathExpr&>(e);
-        if (p.index_candidate) return nullptr;
-        if (p.NumChildren() == 2 &&
-            p.child(1)->kind() == ExprKind::kStep) {
-          return nullptr;
-        }
-        return "path";
-      }
-      case ExprKind::kStep: return "path step";
-      case ExprKind::kFilter: return "filter";
       case ExprKind::kTypeswitch: return "typeswitch";
       case ExprKind::kInstanceOf: return "instance of";
       case ExprKind::kTreatAs: return "treat as";
@@ -209,23 +162,19 @@ class Compiler {
       case ExprKind::kCastableAs: return "castable";
       case ExprKind::kUnion: return "union";
       case ExprKind::kIntersectExcept: return "intersect/except";
-      case ExprKind::kElementCtor:
-      case ExprKind::kAttributeCtor:
-      case ExprKind::kTextCtor:
-      case ExprKind::kCommentCtor:
-      case ExprKind::kPiCtor:
-      case ExprKind::kDocumentCtor:
-        return nullptr;
       case ExprKind::kTryCatch: return "try/catch";
+      default: return nullptr;
     }
-    return "unknown expression";
   }
 
   // ---- lowering ----
 
+  /// Lowers `e`; after the first uncompilable subtree it records that
+  /// subtree as the plan's one thunk and emits nothing more.
   void Compile(const Expr& e) {
+    if (!p_->thunks.empty()) return;
     if (const char* reason = Uncompilable(e)) {
-      EmitBailout(e, reason);
+      p_->thunks.push_back({&e, reason});
       return;
     }
     switch (e.kind()) {
@@ -304,6 +253,20 @@ class Compiler {
       case ExprKind::kPath:
         CompilePath(static_cast<const PathExpr&>(e));
         return;
+      case ExprKind::kStep:
+        // A bare context-relative step walks from the focus item.
+        Emit(Op::kPushContextItem);
+        Push();
+        Emit(Op::kNavStep, 0,
+             AddPathPlan(nullptr, static_cast<const StepExpr*>(&e)));
+        return;
+      case ExprKind::kFilter:
+        Compile(*e.child(0));
+        for (size_t i = 1; i < e.NumChildren(); ++i) {
+          CompileFocusLoop(*e.child(i), Op::kFocusKeep,
+                           PositionBound(*e.child(i)));
+        }
+        return;
       case ExprKind::kFlwor:
         CompileFlwor(static_cast<const FlworExpr&>(e));
         return;
@@ -328,9 +291,7 @@ class Compiler {
         CompileCtor(e);
         return;
       default:
-        // Unreachable: Uncompilable() covered everything else.
-        EmitBailout(e, "unknown expression");
-        return;
+        return;  // Unreachable: Uncompilable() covered everything else.
     }
   }
 
@@ -367,19 +328,15 @@ class Compiler {
   /// Path lowering. Layout for an index-marked chain:
   ///   index-probe/access-exec  --answered--> JOIN
   ///   <lhs>                (only reached when the probe declines)
-  ///   nav-step             (or a navigation thunk for filtered chains)
+  ///   nav-step             (A/step), or the focus loop and path-end (A/E)
   ///   JOIN:
   /// The probe jumps over the lhs entirely when the index answers, so —
   /// exactly like the lazy IndexPathIt — doc() is never evaluated on the
   /// indexed fast path. Each PathExpr level probes at most once per
-  /// execution: the navigation thunk is a Clone with the top-level
-  /// index_candidate cleared (inner levels keep their marks, matching the
-  /// lazy engine's per-level IndexPathIt nesting).
+  /// evaluation: the navigation behind the probe is this level's own
+  /// code, and inner levels carry their own probes, matching the lazy
+  /// engine's per-level IndexPathIt nesting.
   void CompilePath(const PathExpr& e) {
-    const StepExpr* step =
-        e.NumChildren() == 2 && e.child(1)->kind() == ExprKind::kStep
-            ? static_cast<const StepExpr*>(e.child(1))
-            : nullptr;
     int probe_pc = -1;
     if (e.index_candidate) {
       std::optional<IndexQuery> q = PlanIndexPath(e);
@@ -389,22 +346,55 @@ class Compiler {
       Push();  // The answered edge pushes the result and jumps to JOIN.
       Pop();   // The fall-through edge pushes nothing.
     }
-    if (step != nullptr) {
-      Compile(*e.child(0));
-      Emit(Op::kNavStep, 0, AddPathPlan(&e, step));
+    Compile(*e.child(0));
+    const Expr& rhs = *e.child(1);
+    if (rhs.kind() == ExprKind::kStep) {
       // Net stack effect 0: pops the origin, pushes the step output.
+      Emit(Op::kNavStep, 0,
+           AddPathPlan(&e, static_cast<const StepExpr*>(&rhs)));
     } else {
-      // Filtered chain: navigation falls back to the lazy path machinery,
-      // minus the probe this level already attempted.
-      auto clone = e.Clone();
-      static_cast<PathExpr*>(clone.get())->index_candidate = false;
-      int idx = static_cast<int>(p_->thunks.size());
-      p_->thunks.push_back({clone.get(), "path"});
-      p_->owned_exprs.push_back(std::move(clone));
-      Emit(Op::kBailout, 0, idx);
-      Push();
+      CompileFocusLoop(rhs, Op::kAccumAdd);
+      Emit(Op::kPathEnd, 0, AddPathPlan(&e, nullptr));
     }
     if (probe_pc >= 0) p_->code[size_t(probe_pc)].b = Here();
+  }
+
+  /// A numeric literal predicate `E[k]` can keep only position k, so its
+  /// loop stops there (the lazy FilterIt's constant-position early exit);
+  /// -1 for any other predicate.
+  static int32_t PositionBound(const Expr& pred) {
+    if (pred.kind() != ExprKind::kLiteral) return -1;
+    const AtomicValue& v = static_cast<const LiteralExpr&>(pred).value;
+    if (!v.IsNumeric()) return -1;
+    const double k = v.NumericAsDouble();
+    if (!(k >= 1)) return 0;  // NaN too: no position matches.
+    return k < double(INT32_MAX) ? static_cast<int32_t>(k) : -1;
+  }
+
+  /// The focus loop over the sequence on top of the stack, shared by
+  /// `E[p]` (tail focus-keep) and a general `A/E` (tail accum-add), with
+  /// `bound` the last position to visit (-1: all):
+  ///   iter-new I
+  ///   accum-new
+  ///   L: focus-next I -> END
+  ///     <body> <tail>
+  ///     jump L
+  ///   END: accum-end
+  void CompileFocusLoop(const Expr& body, Op tail, int32_t bound = -1) {
+    const int iter = iter_depth_++;
+    p_->num_iters = std::max(p_->num_iters, iter_depth_);
+    Emit(Op::kIterNew, 0, iter);
+    Pop();
+    Emit(Op::kAccumNew);
+    const int loop = Emit(Op::kFocusNext, 0, iter, 0, bound);
+    Compile(body);
+    Emit(tail);
+    Pop();
+    Emit(Op::kJump, 0, loop);
+    p_->code[size_t(loop)].b = Here();
+    Emit(Op::kAccumEnd);
+    Push();
+    --iter_depth_;
   }
 
   int AddCtorPlan(const Expr* e) {
@@ -495,7 +485,6 @@ class Compiler {
     } else {
       Emit(Op::kAccumNew);
     }
-    size_t bound_mark = bound_.size();
     int iters_entered = 0;
     int key_index = 0;
     std::vector<int> loop_pcs;    // kIterNext pcs, outermost first.
@@ -522,11 +511,7 @@ class Compiler {
           Emit(Op::kIterNew, 0, iter);
           Pop();
           loop_pcs.push_back(Emit(Op::kIterNext, 0, iter, 0, c.var_slot));
-          bound_.push_back(c.var_slot);
-          if (c.pos_slot >= 0) {
-            Emit(Op::kBindPos, 0, iter, c.pos_slot);
-            bound_.push_back(c.pos_slot);
-          }
+          if (c.pos_slot >= 0) Emit(Op::kBindPos, 0, iter, c.pos_slot);
           if (join >= 0) {
             // The where clause: the join comparison, then its rest.
             Program::JoinPlan& jp = p_->joins[size_t(join)];
@@ -549,7 +534,6 @@ class Compiler {
           Compile(*e.child(ci));
           Emit(Op::kStoreLocal, 0, c.var_slot);
           Pop();
-          bound_.push_back(c.var_slot);
           break;
         case FlworExpr::Clause::Type::kWhere: {
           Compile(*e.child(ci));
@@ -588,7 +572,6 @@ class Compiler {
     }
     Push();
     for (int j : end_patches) PatchTarget(j, end_pc);
-    bound_.resize(bound_mark);
     iter_depth_ -= iters_entered;
   }
 
@@ -603,7 +586,6 @@ class Compiler {
       Emit(Op::kEbv);
       return;
     }
-    size_t bound_mark = bound_.size();
     std::vector<int> loop_pcs;
     for (size_t bi = 0; bi < e.bindings.size(); ++bi) {
       Compile(*e.child(bi));
@@ -613,7 +595,6 @@ class Compiler {
       Pop();
       loop_pcs.push_back(
           Emit(Op::kIterNext, 0, iter, 0, e.bindings[bi].var_slot));
-      bound_.push_back(e.bindings[bi].var_slot);
     }
     Compile(satisfies);
     Emit(e.is_every ? Op::kJumpIfTrue : Op::kJumpIfFalse, 0,
@@ -628,34 +609,27 @@ class Compiler {
     p_->code[size_t(loop_pcs[0])].b = Here();
     EmitPushConst(e.is_every ? kConstTrue : kConstFalse);
     PatchTarget(j_end, Here());
-    bound_.resize(bound_mark);
     iter_depth_ -= static_cast<int>(e.bindings.size());
   }
 
-  // ---- dual-store patching ----
+  // ---- value-join mirrors ----
 
-  /// Compiled bindings live in VM registers only; slots that some bailout
-  /// thunk reads are additionally mirrored into ctx->slots at binding time
-  /// (flag bit 0 on kStoreLocal / kIterNext / kBindPos). Mirroring every
-  /// slot a thunk mentions — including ones the thunk rebinds internally —
-  /// is deliberate: slot reuse across disjoint scopes makes subtracting
-  /// thunk-internal binders unsafe, and over-mirroring is harmless.
+  /// Compiled bindings live in VM registers only. The value-join executor
+  /// evaluates its domain and key on the interpreter against ctx->slots,
+  /// so the slots they read are also mirrored there at binding time (flag
+  /// bit 0 on kStoreLocal / kIterNext / kBindPos).
   void PatchMirrors() {
-    std::vector<int> used;
-    for (const Program::Thunk& t : p_->thunks) {
-      CollectUsedSlots(t.expr, &used);
-    }
+    std::unordered_set<int> mirror;
     for (const Program::JoinPlan& jp : p_->joins) {
       // The executor binds $t itself while it evaluates the key.
-      std::vector<int> join_used;
-      CollectUsedSlots(jp.spec.domain, &join_used);
-      CollectUsedSlots(jp.spec.key, &join_used);
-      for (int slot : join_used) {
-        if (slot != jp.spec.var_slot) used.push_back(slot);
+      std::vector<int> used;
+      CollectUsedSlots(jp.spec.domain, &used);
+      CollectUsedSlots(jp.spec.key, &used);
+      for (int slot : used) {
+        if (slot != jp.spec.var_slot) mirror.insert(slot);
       }
     }
-    if (used.empty()) return;
-    std::unordered_set<int> mirror(used.begin(), used.end());
+    if (mirror.empty()) return;
     for (Insn& insn : p_->code) {
       switch (insn.op) {
         case Op::kStoreLocal:
@@ -675,7 +649,6 @@ class Compiler {
 
   const ParsedModule& module_;
   std::shared_ptr<Program> p_;
-  std::vector<int> bound_;  // Local slots bound by compiled binders.
   int iter_depth_ = 0;      // Live loop nesting; iter registers index by it.
   int depth_ = 0;           // Current operand-stack depth.
   int max_depth_ = 0;

@@ -11,8 +11,9 @@ namespace xqp {
 namespace vm {
 
 /// Lowers the (already optimized) main expression of `module` into a flat
-/// bytecode Program. Compilation is total: constructs outside the ISA
-/// become bailout thunks, never errors — the only failure mode is the
+/// bytecode Program, whole or not at all: a plan containing a construct
+/// outside the ISA comes back declined (one Program::thunks entry naming
+/// it, no code), never as an error — the only failure mode is the
 /// "vm.compile" fault-injection site. The returned Program borrows Expr
 /// pointers from `module` and must not outlive it; it is immutable and
 /// safe to share across concurrent executions.

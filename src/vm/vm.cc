@@ -16,7 +16,6 @@
 #include "exec/constructor.h"
 #include "exec/interpreter.h"
 #include "exec/item.h"
-#include "exec/iterators.h"
 #include "exec/order_by.h"
 #include "opt/access_path.h"
 
@@ -74,33 +73,11 @@ class Vm {
   Result<Sequence> Run();
 
   uint64_t retired() const { return retired_; }
-  uint64_t bailouts() const { return bailouts_; }
-  /// Per-thunk hit counts (empty when no thunk ever ran); indexes match
-  /// Program::thunks, so callers can attribute hits to bailout reasons.
-  const std::vector<uint64_t>& thunk_hits() const { return thunk_hits_; }
 
  private:
-  /// Runs bailout thunk `idx` on the lazy engine. Unprofiled runs compile
-  /// the thunk's iterator once and Reset+Drain per hit; profiled runs go
-  /// through ExecuteLazy so every hit lands in the profile decorators.
-  Result<Sequence> RunThunk(size_t idx) {
-    ++bailouts_;
-    if (thunk_hits_.empty()) thunk_hits_.resize(p_.thunks.size(), 0);
-    ++thunk_hits_[idx];
-    const Program::Thunk& t = p_.thunks[idx];
-    if (ctx_->profile != nullptr) return ExecuteLazy(t.expr, ctx_);
-    if (thunk_iters_.empty()) thunk_iters_.resize(p_.thunks.size());
-    if (thunk_iters_[idx] == nullptr) {
-      XQP_ASSIGN_OR_RETURN(thunk_iters_[idx],
-                           CompileIterator(t.expr, nullptr));
-    }
-    XQP_RETURN_NOT_OK(thunk_iters_[idx]->Reset(ctx_));
-    return lazy_internal::Drain(thunk_iters_[idx].get());
-  }
-
   /// The run-level focus, mirroring Interpreter::CurrentFocusInfo with an
-  /// empty focus stack. Compiled code never establishes a new focus
-  /// (paths and filters bail out), so this is constant for the whole run.
+  /// empty focus stack. Focus loops (kFocusNext) bind their own focus over
+  /// it and restore it when they end.
   Status InitFocus() {
     if (ctx_->initial_context == nullptr) return Status::OK();
     XQP_ASSIGN_OR_RETURN(const Item* item, ctx_->initial_context->Get(0));
@@ -116,6 +93,7 @@ class Vm {
     Sequence domain;
     size_t pos = 0;
     int resume = -1;  // kValueJoin matches: the pc after each binding.
+    FocusInfo saved;  // kFocusNext: the enclosing focus.
   };
 
   /// One open order-by buffer: the tuples gathered so far and the current
@@ -140,10 +118,7 @@ class Vm {
   std::vector<Sequence> args_;
   // Scratch for kConstructElem.
   std::vector<construct::DirectAttribute> direct_attrs_;
-  std::vector<std::unique_ptr<ItemIterator>> thunk_iters_;
-  std::vector<uint64_t> thunk_hits_;
   uint64_t retired_ = 0;
-  uint64_t bailouts_ = 0;
 };
 
 #if XQP_VM_COMPUTED_GOTO
@@ -178,7 +153,7 @@ class Vm {
 
 Result<Sequence> Vm::Run() {
   if (p_.code.empty()) {
-    return Status::Internal("vm: program has no code (trivial bailout?)");
+    return Status::Internal("vm: program has no code (declined plan?)");
   }
   stack_.resize(size_t(p_.max_stack));
   regs_.resize(size_t(p_.num_slots));
@@ -202,14 +177,15 @@ Result<Sequence> Vm::Run() {
       &&lbl_kUnary,       &&lbl_kValueCmp,    &&lbl_kGeneralCmp,
       &&lbl_kNodeCmp,     &&lbl_kEbv,         &&lbl_kJump,
       &&lbl_kJumpIfFalse, &&lbl_kJumpIfTrue,  &&lbl_kIterNew,
-      &&lbl_kIterNext,    &&lbl_kBindPos,     &&lbl_kAccumNew,
-      &&lbl_kAccumAdd,    &&lbl_kAccumEnd,    &&lbl_kCallBuiltin,
-      &&lbl_kNavStep,     &&lbl_kIndexProbe,  &&lbl_kAccessExec,
+      &&lbl_kIterNext,    &&lbl_kBindPos,     &&lbl_kFocusNext,
+      &&lbl_kFocusKeep,   &&lbl_kAccumNew,    &&lbl_kAccumAdd,
+      &&lbl_kAccumEnd,    &&lbl_kCallBuiltin, &&lbl_kNavStep,
+      &&lbl_kPathEnd,     &&lbl_kIndexProbe,  &&lbl_kAccessExec,
       &&lbl_kValueJoin,
       &&lbl_kConstructElem, &&lbl_kConstructAttr, &&lbl_kConstructText,
       &&lbl_kConstructNode, &&lbl_kPushRoot,  &&lbl_kSortOpen,
       &&lbl_kSortKey,     &&lbl_kSortAdd,     &&lbl_kSortTuples,
-      &&lbl_kBailout,     &&lbl_kPop,         &&lbl_kHalt,
+      &&lbl_kPop,         &&lbl_kHalt,
   };
 #endif
 
@@ -535,6 +511,33 @@ Result<Sequence> Vm::Run() {
     VM_NEXT();
   }
 
+  VM_CASE(kFocusNext) : {
+    if (gov_ != nullptr) XQP_RETURN_NOT_OK(gov_->Poll());
+    IterState& it = iters[size_t(ip->a)];
+    if (it.pos == 0) it.saved = focus_;
+    if (it.pos >= it.domain.size() || it.pos == size_t(ip->c)) {
+      focus_ = std::move(it.saved);
+      VM_GOTO(ip->b);
+    }
+    focus_.has_focus = true;
+    focus_.item = it.domain[it.pos++];
+    focus_.position = int64_t(it.pos);
+    focus_.size = int64_t(it.domain.size());
+    VM_NEXT();
+  }
+
+  VM_CASE(kFocusKeep) : {
+    bool keep = false;
+    {
+      // Scoped, as in kArith.
+      auto r = PredicateKeeps(stack[--sp], focus_.position);
+      if (!r.ok()) return r.status();
+      keep = r.value();
+    }
+    if (keep) accums_[asize_ - 1].push_back(focus_.item);
+    VM_NEXT();
+  }
+
   VM_CASE(kAccumNew) : {
     if (asize_ == accums_.size()) accums_.emplace_back();
     accums_[asize_].clear();
@@ -577,7 +580,8 @@ Result<Sequence> Vm::Run() {
     // streaming-elided levels never buffer in the lazy engine and charge
     // nothing, so budget trips stay deterministic across backends.
     const Program::PathPlan& plan = p_.paths[size_t(ip->a)];
-    const bool blocking = plan.path->needs_sort || plan.path->needs_dedup;
+    const bool blocking = plan.path != nullptr &&
+                          (plan.path->needs_sort || plan.path->needs_dedup);
     Sequence& in = stack[sp - 1];
     Sequence out;
     for (const Item& origin : in) {
@@ -593,15 +597,22 @@ Result<Sequence> Vm::Run() {
       }
     }
     if (gov_ != nullptr) XQP_RETURN_NOT_OK(gov_->Poll());
-    if (!out.empty()) {
-      if (plan.path->needs_sort) {
-        XQP_RETURN_NOT_OK(SortDocOrderDistinct(
-            &out, ctx_->parallel_threshold, ctx_->num_threads));
-      } else if (plan.path->needs_dedup) {
-        XQP_RETURN_NOT_OK(DedupNodesPreservingOrder(&out));
-      }
+    if (plan.path != nullptr) {
+      XQP_RETURN_NOT_OK(FinishPathResult(*plan.path, *ctx_, &out));
     }
     stack[sp - 1] = std::move(out);
+    VM_NEXT();
+  }
+
+  VM_CASE(kPathEnd) : {
+    // The concatenated rhs results, with the lazy PathIt's byte charge
+    // for a blocking level.
+    const PathExpr& path = *p_.paths[size_t(ip->a)].path;
+    Sequence& out = stack[sp - 1];
+    if (gov_ != nullptr && (path.needs_sort || path.needs_dedup)) {
+      XQP_RETURN_NOT_OK(gov_->ChargeBytes(out.size() * sizeof(Item)));
+    }
+    XQP_RETURN_NOT_OK(FinishPathResult(path, *ctx_, &out));
     VM_NEXT();
   }
 
@@ -787,13 +798,6 @@ Result<Sequence> Vm::Run() {
     VM_NEXT();
   }
 
-  VM_CASE(kBailout) : {
-    auto r = RunThunk(size_t(ip->a));
-    if (!r.ok()) return r.status();
-    stack[sp++] = std::move(r).value();
-    VM_NEXT();
-  }
-
   VM_CASE(kPop) : {
     --sp;
     VM_NEXT();
@@ -814,17 +818,6 @@ Result<Sequence> Vm::Run() {
 #undef VM_NEXT
 #undef VM_GOTO
 
-/// "vm.bailout.<reason>" with the EXPLAIN reason string kebab-cased
-/// ("user function call" -> "vm.bailout.user-function-call"); the reason
-/// set is exactly the set of [bailout: ...] annotations.
-std::string BailoutMetricName(const std::string& reason) {
-  std::string name = "vm.bailout.";
-  for (char c : reason) {
-    name.push_back((c == ' ' || c == '/') ? '-' : c);
-  }
-  return name;
-}
-
 }  // namespace
 
 Result<Sequence> RunProgram(const Program& program, DynamicContext* ctx) {
@@ -833,20 +826,7 @@ Result<Sequence> RunProgram(const Program& program, DynamicContext* ctx) {
   if (metrics::Enabled()) {
     static metrics::Counter* instructions =
         metrics::MetricsRegistry::Global().counter("vm.instructions");
-    static metrics::Counter* bailouts =
-        metrics::MetricsRegistry::Global().counter("vm.bailouts");
     if (vm.retired() != 0) instructions->Add(vm.retired());
-    if (vm.bailouts() != 0) {
-      bailouts->Add(vm.bailouts());
-      // Per-reason breakdown: thunk hit counts keyed by the thunk table.
-      const std::vector<uint64_t>& hits = vm.thunk_hits();
-      for (size_t i = 0; i < hits.size(); ++i) {
-        if (hits[i] == 0) continue;
-        metrics::MetricsRegistry::Global()
-            .counter(BailoutMetricName(program.thunks[i].reason))
-            ->Add(hits[i]);
-      }
-    }
   }
   return out;
 }

@@ -10,7 +10,7 @@ namespace vm {
 
 /// Executes `program` under `ctx` and returns the materialized result.
 /// The program is shared and immutable; all mutable run state (operand
-/// stack, registers, iterators, thunk iterators) is per-call, so one
+/// stack, registers, iterators, focus) is per-call, so one
 /// Program may run concurrently from many threads. The governor in
 /// `ctx` (if any) is polled at every loop back-edge. Callers charge the
 /// constant-pool bytes and the result items (the engine does both).

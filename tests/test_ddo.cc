@@ -125,10 +125,11 @@ class DdoSemanticsTest : public ::testing::TestWithParam<DdoCase> {};
 
 TEST_P(DdoSemanticsTest, OptimizedEqualsUnoptimized) {
   std::string query = GetParam().query;
-  std::string reference = RunQuery(query, kNested, false, false);
+  std::string reference =
+      RunQuery(query, kNested, ExecBackend::kEager, false);
   ASSERT_EQ(reference.find("ERROR"), std::string::npos) << reference;
-  EXPECT_EQ(RunQuery(query, kNested, false, true), reference);
-  EXPECT_EQ(RunQuery(query, kNested, true, true), reference);
+  EXPECT_EQ(RunQuery(query, kNested, ExecBackend::kEager, true), reference);
+  EXPECT_EQ(RunQuery(query, kNested, ExecBackend::kLazy, true), reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,8 @@
 // Randomized differential testing: generated path/FLWOR queries over random
-// documents must produce identical results on the eager interpreter and the
-// lazy streaming engine, optimized and not. The XMark suite below adds
-// ExecuteBatchParallel to the cross-check and asserts the profile
-// invariant (plan-root item count == result cardinality) on every
+// documents must produce identical results on the eager interpreter, the
+// lazy streaming engine and the vm, optimized and not. The XMark suite
+// below adds ExecuteBatchParallel to the cross-check and asserts the
+// profile invariant (plan-root item count == result cardinality) on every
 // generated query. The constructor tables at the end pin fixed
 // construction queries, errors included, across all three backends.
 
@@ -24,7 +24,7 @@ namespace xqp {
 namespace {
 
 using testing_util::RandomXml;
-using testing_util::RunQuery;
+using testing_util::RunAllWays;
 
 /// Generates a random query from a small grammar over tags a..d.
 std::string RandomQuery(SplitMix64* rng) {
@@ -32,7 +32,7 @@ std::string RandomQuery(SplitMix64* rng) {
     return std::string(1, static_cast<char>('a' + rng->Below(4)));
   };
   auto step = [&]() -> std::string {
-    switch (rng->Below(6)) {
+    switch (rng->Below(11)) {
       case 0:
         return "/" + tag();
       case 1:
@@ -43,6 +43,18 @@ std::string RandomQuery(SplitMix64* rng) {
         return "/" + tag() + "[" + tag() + "]";
       case 4:
         return "/*";
+      // Focus-sensitive predicates: last(), position(), reverse-axis
+      // positions, and a nested predicate whose focus must be restored.
+      case 5:
+        return "/" + tag() + "[last()]";
+      case 6:
+        return "/" + tag() + "[position() > 1]";
+      case 7:
+        return "/ancestor::*[1]";
+      case 8:
+        return "/preceding-sibling::*[last()]";
+      case 9:
+        return "/" + tag() + "[" + tag() + "[1]]";
       default:
         return "/" + tag() + "[@k]";
     }
@@ -98,13 +110,9 @@ TEST_P(DifferentialTest, EnginesAndOptimizerAgree) {
   std::string doc = RandomXml(GetParam() * 31 + 7, 250, 4);
   for (int i = 0; i < 20; ++i) {
     std::string query = RandomQuery(&rng);
-    std::string reference = RunQuery(query, doc, /*lazy=*/false,
-                                     /*optimize=*/false);
+    std::string reference = RunAllWays(query, doc);
     ASSERT_EQ(reference.find("COMPILE-ERROR"), std::string::npos)
         << query << " -> " << reference;
-    EXPECT_EQ(RunQuery(query, doc, true, false), reference) << query;
-    EXPECT_EQ(RunQuery(query, doc, false, true), reference) << query;
-    EXPECT_EQ(RunQuery(query, doc, true, true), reference) << query;
   }
 }
 

@@ -79,8 +79,8 @@ TEST(Lazy, EffectiveBooleanOfInfiniteNodeFirstSequence) {
 }
 
 TEST(Lazy, IfConditionPullsMinimum) {
-  EXPECT_EQ(RunQuery("if (1 to 100000000) then 'y' else 'n'", "", true,
-                     /*optimize=*/false),
+  EXPECT_EQ(RunQuery("if (1 to 100000000) then 'y' else 'n'", "",
+                     ExecBackend::kLazy, /*optimize=*/false),
             "ERROR: Type error: effective boolean value of a multi-item "
             "atomic sequence");
   EXPECT_EQ(RunQuery("if (exists(1 to 100000000)) then 'y' else 'n'"), "y");
@@ -110,7 +110,7 @@ TEST(Lazy, LetBindingSharedNotRecomputed) {
 TEST(Lazy, LetBindingUnusedNeverEvaluated) {
   // The let expression would raise if evaluated; laziness skips it.
   EXPECT_EQ(RunQuery("let $boom := error('never') return 42", "",
-                     /*lazy=*/true, /*optimize=*/false),
+                     ExecBackend::kLazy, /*optimize=*/false),
             "42");
 }
 

@@ -174,8 +174,8 @@ TEST(FlworUnnesting, PreservesSemantics) {
   std::string q =
       "for $x in (for $y in (1,2,3) where $y >= 2 return $y * 10) "
       "where $x < 25 return $x";
-  EXPECT_EQ(RunQuery(q, "", true, true), "20");
-  EXPECT_EQ(RunQuery(q, "", true, false), "20");
+  EXPECT_EQ(RunQuery(q, "", ExecBackend::kLazy, true), "20");
+  EXPECT_EQ(RunQuery(q, "", ExecBackend::kLazy, false), "20");
 }
 
 TEST(ForMinimization, ForReturnVarCollapses) {
@@ -222,11 +222,11 @@ TEST_P(AblationTest, SemanticsPreserved) {
   const char* doc =
       "<r><a><b>1</b><b>2</b></a><a><b>3</b></a><c><b>9</b></c></r>";
   std::string query = GetParam().query;
-  std::string reference = RunQuery(query, doc, /*lazy=*/false,
-                                   /*optimize=*/false);
+  std::string reference =
+      RunQuery(query, doc, ExecBackend::kEager, /*optimize=*/false);
   ASSERT_EQ(reference.find("ERROR"), std::string::npos) << reference;
-  EXPECT_EQ(RunQuery(query, doc, false, true), reference);
-  EXPECT_EQ(RunQuery(query, doc, true, true), reference);
+  EXPECT_EQ(RunQuery(query, doc, ExecBackend::kEager, true), reference);
+  EXPECT_EQ(RunQuery(query, doc, ExecBackend::kLazy, true), reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(

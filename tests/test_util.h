@@ -27,10 +27,11 @@ namespace testing_util {
   lhs = std::move(XQP_CONCAT(_r_, __LINE__)).value();
 
 /// Runs `query` against an engine pre-loaded with `docs` (uri -> xml) and
-/// returns the serialized result, using the requested engine.
+/// returns the serialized result, using the requested backend.
 inline std::string RunQuery(const std::string& query,
                             const std::string& doc_xml = "",
-                            bool use_lazy = true, bool optimize = true) {
+                            ExecBackend backend = ExecBackend::kLazy,
+                            bool optimize = true) {
   XQueryEngine engine;
   if (!doc_xml.empty()) {
     auto doc = engine.ParseAndRegister("doc.xml", doc_xml);
@@ -41,20 +42,27 @@ inline std::string RunQuery(const std::string& query,
   auto compiled = engine.Compile(query, copts);
   if (!compiled.ok()) return "COMPILE-ERROR: " + compiled.status().ToString();
   CompiledQuery::ExecOptions eopts;
-  eopts.backend = use_lazy ? ExecBackend::kLazy : ExecBackend::kEager;
+  eopts.backend = backend;
   auto result = (*compiled)->ExecuteToXml(eopts);
   if (!result.ok()) return "ERROR: " + result.status().ToString();
   return *result;
 }
 
-/// Runs on all four engine/optimizer combinations and asserts they agree;
-/// returns the common serialization.
+/// Runs on every backend (lazy, eager, vm), unoptimized and optimized, and
+/// asserts they all agree with the unoptimized eager run; returns its
+/// serialization.
 inline std::string RunAllWays(const std::string& query,
                               const std::string& doc_xml = "") {
-  std::string base = RunQuery(query, doc_xml, /*lazy=*/false, /*opt=*/false);
-  EXPECT_EQ(base, RunQuery(query, doc_xml, true, false)) << query;
-  EXPECT_EQ(base, RunQuery(query, doc_xml, false, true)) << query;
-  EXPECT_EQ(base, RunQuery(query, doc_xml, true, true)) << query;
+  std::string base = RunQuery(query, doc_xml, ExecBackend::kEager, false);
+  for (bool optimize : {false, true}) {
+    for (ExecBackend backend :
+         {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+      if (backend == ExecBackend::kEager && !optimize) continue;
+      EXPECT_EQ(base, RunQuery(query, doc_xml, backend, optimize))
+          << query << " [" << ExecBackendName(backend)
+          << (optimize ? ", optimized]" : ", unoptimized]");
+    }
+  }
   return base;
 }
 

@@ -1,10 +1,11 @@
 // Bytecode VM backend: opcode-level semantics, the path opcodes
 // (kNavStep/kIndexProbe/kAccessExec across axes, name tests, and forced
-// access-path strategies), the bailout matrix (every uncompilable
-// construct must fall back to the lazy engine with identical results),
-// governor trips at loop back-edges, fault-injected compiles, metrics,
-// the XQP_BACKEND knob, and concurrent execution of one shared Program
-// (the tsan lane re-runs this binary under ThreadSanitizer).
+// access-path strategies), focus loops (filters, general paths and bare
+// steps), declined plans (a plan with any construct outside the ISA runs
+// whole on the lazy engine with identical results), governor trips at
+// loop back-edges, fault-injected compiles, metrics, the XQP_BACKEND
+// knob, and concurrent execution of one shared Program (the tsan lane
+// re-runs this binary under ThreadSanitizer).
 
 #include <chrono>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "base/fault.h"
+#include "base/metrics.h"
 #include "engine.h"
 #include "opt/access_path.h"
 #include "tests/test_util.h"
@@ -171,86 +173,101 @@ TEST(VmOpcodes, ExternalVariablesUseGlobalSlots) {
   EXPECT_EQ(got, "10 20 30");
 }
 
-// --- Bailout matrix --------------------------------------------------------
+// --- Declined plans --------------------------------------------------------
 
-// Every construct outside the ISA must compile to a bailout thunk and run
-// on the lazy engine with bit-identical results. Each query keeps a
-// compilable shell (arithmetic / FLWOR / builtin call) around the
-// uncompilable subtree so the program is not a trivial whole-plan bailout.
-TEST(VmBailouts, UncompilableConstructsFallBackCleanly) {
+/// Runs `compiled` once on the vm backend with the metrics registry on and
+/// returns how often the run fell back to the lazy engine (vm.fallbacks).
+uint64_t VmFallbacks(const CompiledQuery& compiled) {
+  auto& registry = metrics::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  metrics::Counter* fallbacks = registry.counter("vm.fallbacks");
+  const uint64_t before = fallbacks->Value();
+  (void)compiled.Execute(VmExec());
+  registry.set_enabled(was_enabled);
+  return fallbacks->Value() - before;
+}
+
+// A plan holding any construct outside the ISA is declined whole: the
+// program carries one thunk naming the construct and no code, the run
+// falls back to the lazy engine once (with lazy's exact output or error),
+// and EXPLAIN marks that subtree and shows no [vm] root.
+TEST(VmDeclines, UncompilableConstructsRunWholeOnLazy) {
   const std::string doc = "<r><a>1</a><a>2</a><b>3</b></r>";
-  const char* queries[] = {
-      // Filtered path chains (the ISA has no filter opcode) and filters
-      // on non-path sequences. Bare doc()-anchored chains compile now —
-      // they are covered by the VmPaths suite below.
-      "1 + count(doc('doc.xml')//a[1])",
-      "for $n in doc('doc.xml')//a[. = '2'][1] return 1",
-      "count((1,2,3)[. > 1]) + 0",
-      // Typeswitch / type operators.
-      "(1, typeswitch (42) case xs:string return 's' default return 'd')",
-      "(42 instance of xs:integer) and (1 = 1)",
-      "(5 treat as xs:integer) + 1",
-      "xs:integer('42') + 1",
-      "('42' castable as xs:integer) or false()",
-      // Set operations.
-      "count(doc('doc.xml')//a union doc('doc.xml')//b) * 1",
-      "count(doc('doc.xml')//* intersect doc('doc.xml')//a) * 1",
-      // Try/catch.
-      "(1, try { 1 idiv 0 } catch { 'saved' })",
-      // Recursive user function (never inlined).
-      "declare function local:fact($n as xs:integer) as xs:integer { "
-      "if ($n le 1) then 1 else $n * local:fact($n - 1) }; "
-      "local:fact(5) + 0",
+  struct Case {
+    const char* query;
+    const char* reason;
   };
-  for (const char* q : queries) {
-    RunBoth(q, doc);
+  const Case cases[] = {
+      {"(1, typeswitch (42) case xs:string return 's' default return 'd')",
+       "typeswitch"},
+      {"for $i in (1, 'a') return $i instance of xs:integer", "instance of"},
+      {"for $i in (5, 6) return ($i treat as xs:integer) + 1", "treat as"},
+      {"(1,2) treat as xs:integer", "treat as"},
+      {"for $s in ('42', '7') return xs:integer($s) + 1", "cast"},
+      {"for $s in ('42', 'x') return $s castable as xs:integer", "castable"},
+      {"count(doc('doc.xml')//a union doc('doc.xml')//b) * 1", "union"},
+      {"count(doc('doc.xml')//a/(b | c))", "union"},
+      {"count(doc('doc.xml')//* intersect doc('doc.xml')//a) * 1",
+       "intersect/except"},
+      {"doc('doc.xml')//a except doc('doc.xml')//a[1]", "intersect/except"},
+      {"(1, try { 1 idiv 0 } catch { 'saved' })", "try/catch"},
+      // Recursive user functions are never inlined.
+      {"declare function local:fact($n as xs:integer) as xs:integer { "
+       "if ($n le 1) then 1 else $n * local:fact($n - 1) }; "
+       "local:fact(5) + 0",
+       "user function call"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    RunBoth(c.query, doc);
+    XQueryEngine engine;
+    XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", doc).status());
+    auto compiled = engine.Compile(c.query);
+    XQP_ASSERT_OK(compiled.status());
+    XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<const vm::Program> program,
+                             vm::CompileProgram(compiled.value()->module()));
+    ASSERT_EQ(program->thunks.size(), 1u);
+    EXPECT_EQ(program->thunks[0].reason, c.reason);
+    EXPECT_TRUE(program->code.empty());
+    EXPECT_EQ(VmFallbacks(*compiled.value()), 1u);
+    std::string tree = compiled.value()->ExplainTree(VmExec());
+    EXPECT_NE(tree.find(std::string(" [bailout: ") + c.reason + "]"),
+              std::string::npos)
+        << tree;
+    EXPECT_EQ(tree.find(" [vm]"), std::string::npos) << tree;
   }
 }
 
-TEST(VmBailouts, ExplainMarksThunksAndCompiledRoot) {
+TEST(VmDeclines, ExplainMarksCompiledRoot) {
   XQueryEngine engine;
   XQP_ASSERT_OK(
       engine.ParseAndRegister("doc.xml", "<r><a/></r>").status());
-  auto compiled =
-      engine.Compile("1 + count(for $i in 1 to 2 return $i treat as item())");
-  XQP_ASSERT_OK(compiled.status());
-  std::string tree = compiled.value()->ExplainTree(VmExec());
-  EXPECT_NE(tree.find(" [vm]"), std::string::npos) << tree;
-  EXPECT_NE(tree.find(" [bailout: treat as]"), std::string::npos) << tree;
-  // The default rendering is unannotated (golden stability).
-  std::string plain = compiled.value()->ExplainTree();
-  EXPECT_EQ(plain.find(" [vm]"), std::string::npos) << plain;
-
-  // doc()-anchored chains, constructors, and order-by lower to their own
+  // Paths, filters, constructors, and order-by lower to their own
   // opcodes: the plan carries the [vm] root marker and no bailout
   // annotation anywhere.
   for (const char* q : {"doc('doc.xml')//a", "1 + count(doc('doc.xml')//a)",
                         "1 + count(for $i in 1 to 2 return <a/>)",
-                        "for $x in (2,1) order by $x return <v>{$x}</v>"}) {
-    auto path = engine.Compile(q);
-    XQP_ASSERT_OK(path.status());
-    std::string path_tree = path.value()->ExplainTree(VmExec());
-    EXPECT_NE(path_tree.find(" [vm]"), std::string::npos) << path_tree;
-    EXPECT_EQ(path_tree.find(" [bailout: "), std::string::npos) << path_tree;
+                        "for $x in (2,1) order by $x return <v>{$x}</v>",
+                        "count((1,2,3)[. > 1]) + 0",
+                        "for $n in doc('doc.xml')//a[. = '2'][1] return 1"}) {
+    auto compiled = engine.Compile(q);
+    XQP_ASSERT_OK(compiled.status());
+    std::string tree = compiled.value()->ExplainTree(VmExec());
+    EXPECT_NE(tree.find(" [vm]"), std::string::npos) << tree;
+    EXPECT_EQ(tree.find(" [bailout: "), std::string::npos) << tree;
+    // The default rendering is unannotated (golden stability).
+    std::string plain = compiled.value()->ExplainTree();
+    EXPECT_EQ(plain.find(" [vm]"), std::string::npos) << plain;
   }
-}
-
-TEST(VmBailouts, ThunksSeeLoopVariables) {
-  // The bailout thunk (a filter, which still has no opcode) references the
-  // FLWOR binding, so the dual-store mirror must publish every iteration's
-  // value to the lazy context.
-  EXPECT_EQ(RunBoth("for $i in 1 to 3 return (10,20,30)[$i]"), "10 20 30");
-  EXPECT_EQ(RunBoth("for $i at $p in ('a','b') return ('x','y','z')[$p]"),
-            "x y");
-  EXPECT_EQ(RunBoth("let $x := 2 return ((5,6,7)[$x], $x)"), "6 2");
 }
 
 // --- Path opcodes (kNavStep / kIndexProbe / kAccessExec) -------------------
 
 /// Compiles `query`, runs it on the vm backend under Profile, asserts the
-/// run retired ZERO bailouts (the chain lowered to path opcodes, not
-/// thunks), and asserts the result is bit-identical to the lazy engine.
-/// Returns the common serialization.
+/// plan ran as compiled code (zero vm.fallbacks), and asserts the result
+/// is bit-identical to the lazy and eager engines. Returns the common
+/// serialization.
 std::string RunCompiledPath(XQueryEngine& engine, const std::string& query) {
   auto compiled = engine.Compile(query);
   EXPECT_TRUE(compiled.ok()) << query << ": " << compiled.status().ToString();
@@ -259,13 +276,18 @@ std::string RunCompiledPath(XQueryEngine& engine, const std::string& query) {
   EXPECT_TRUE(report.ok()) << query << ": " << report.status().ToString();
   if (!report.ok()) return "RUN-ERROR";
   EXPECT_EQ(report.value().backend, ExecBackend::kVm) << query;
-  EXPECT_EQ(report.value().engine_metrics.counters["vm.bailouts"], 0u)
+  EXPECT_EQ(report.value().engine_metrics.counters["vm.fallbacks"], 0u)
       << query;
   std::string vm_xml = SerializeSequence(report.value().result).ValueOrDie();
-  auto lazy = compiled.value()->ExecuteToXml();
-  EXPECT_TRUE(lazy.ok()) << query << ": " << lazy.status().ToString();
-  if (lazy.ok()) {
-    EXPECT_EQ(vm_xml, lazy.value()) << query;
+  for (ExecBackend backend : {ExecBackend::kLazy, ExecBackend::kEager}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    auto other = compiled.value()->ExecuteToXml(exec);
+    EXPECT_TRUE(other.ok()) << query << ": " << other.status().ToString();
+    if (other.ok()) {
+      EXPECT_EQ(vm_xml, other.value())
+          << query << " vs " << ExecBackendName(backend);
+    }
   }
   return vm_xml;
 }
@@ -279,7 +301,7 @@ TEST(VmPaths, AxisAndNameTestMatrix) {
   XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", kPathDoc).status());
   // Forward axes with name tests, wildcards, and kind tests; reverse
   // axes (needs_sort paths); attribute steps. Every query must lower to
-  // kNavStep / probe opcodes — zero bailouts — and match lazy exactly.
+  // kNavStep / probe opcodes — zero fallbacks — and match lazy exactly.
   EXPECT_EQ(RunCompiledPath(engine, "doc('doc.xml')/r/a"),
             "<a id=\"1\"><b>x</b><b>y</b></a><a id=\"2\"><c>z</c></a>");
   EXPECT_EQ(RunCompiledPath(engine, "count(doc('doc.xml')/r/*)"), "3");
@@ -311,7 +333,7 @@ TEST(VmPaths, AxisAndNameTestMatrix) {
 
 TEST(VmPaths, ForcedStrategiesAreBitIdentical) {
   // Every access-path force must execute through the vm's probe/exec
-  // opcodes with zero bailouts and stay bit-identical to lazy.
+  // opcodes with zero fallbacks and stay bit-identical to lazy.
   for (AccessPath force : {AccessPath::kAuto, AccessPath::kNav,
                            AccessPath::kSJoin, AccessPath::kTwig,
                            AccessPath::kIndex}) {
@@ -348,36 +370,118 @@ TEST(VmPaths, PredicateChainCompilesToIndexProbe) {
     }
   }
   EXPECT_TRUE(has_probe);
-  EXPECT_FALSE(program->trivial_bailout);
+  EXPECT_TRUE(program->thunks.empty());
 }
 
 TEST(VmPaths, FilteredChainStillCompiles) {
-  // Positional filters have no dedicated opcode, but a marked chain's
-  // probe dispatches into the access-path executor — the same call the
-  // lazy IndexPathIt makes — which answers filtered chains via its
-  // navigation strategy. Zero bailouts, identical results.
-  XQueryEngine engine;
-  XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", kPathDoc).status());
-  EXPECT_EQ(RunCompiledPath(engine, "doc('doc.xml')//a[1]/b"),
-            "<b>x</b><b>y</b>");
+  // A marked filtered chain keeps its probe, with the compiled focus loop
+  // behind it for when the probe declines. Zero fallbacks, identical
+  // results, under every forced access path.
+  for (AccessPath force : {AccessPath::kAuto, AccessPath::kNav,
+                           AccessPath::kSJoin, AccessPath::kTwig,
+                           AccessPath::kIndex}) {
+    SCOPED_TRACE(AccessPathName(force));
+    EngineOptions options;
+    options.force_access_path = force;
+    XQueryEngine engine(options);
+    XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", kPathDoc).status());
+    EXPECT_EQ(RunCompiledPath(engine, "doc('doc.xml')//a[1]/b"),
+              "<b>x</b><b>y</b>");
+    EXPECT_EQ(RunCompiledPath(engine, "doc('doc.xml')//a[c]/@id"),
+              "id=\"2\"");
+  }
 }
 
-TEST(VmPaths, UnplannableChainFallsBackWithParity) {
-  // A step combinator the ISA has no opcode for (a union rhs) keeps the
-  // whole chain on the lazy engine as a thunk: bailouts retire under the
-  // per-reason "path" counter and the result stays identical.
+// --- Focus loops (filters, general paths, bare steps) ----------------------
+
+TEST(VmFocus, PredicatesSeeLoopVariables) {
+  // Filters compile, so the predicate reads the FLWOR binding straight
+  // from its register.
+  XQueryEngine engine;
+  EXPECT_EQ(RunCompiledPath(engine, "for $i in 1 to 3 return (10,20,30)[$i]"),
+            "10 20 30");
+  EXPECT_EQ(RunCompiledPath(
+                engine, "for $i at $p in ('a','b') return ('x','y','z')[$p]"),
+            "x y");
+  EXPECT_EQ(RunCompiledPath(engine, "let $x := 2 return ((5,6,7)[$x], $x)"),
+            "6 2");
+}
+
+TEST(VmFocus, PositionLastAndNestedFocus) {
   XQueryEngine engine;
   XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", kPathDoc).status());
-  auto compiled = engine.Compile("count(doc('doc.xml')//a/(b | c))");
+  // The inner b[1] loop ends by restoring the outer focus (the a), so the
+  // @id test and the path tail read the a again.
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "for $d in doc('doc.xml') "
+                            "return $d//a[b[1] and @id = '1']/@id"),
+            "id=\"1\"");
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "for $d in doc('doc.xml') return $d//a[b[1]]"),
+            "<a id=\"1\"><b>x</b><b>y</b></a>");
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "for $d in doc('doc.xml') return $d//b[last()]"),
+            "<b>y</b><b>top</b>");
+  EXPECT_EQ(RunCompiledPath(
+                engine,
+                "for $d in doc('doc.xml') return name($d//c/ancestor::*[1])"),
+            "a");
+  EXPECT_EQ(RunCompiledPath(engine, "(1,2,3)[position() = last()]"), "3");
+  // A numeric literal predicate stops its loop at that position.
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "for $n in (3) return ((1 to $n)[2], "
+                            "(1 to $n)[0], (1 to $n)[1.5], (1 to $n)[4], "
+                            "(1 to $n)[3.0], (1 to $n)[-1])"),
+            "2 3");
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "for $d in doc('doc.xml') return "
+                            "count($d//*[position() > 1])"),
+            "3");
+}
+
+TEST(VmFocus, GeneralPathsAndBareSteps) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", kPathDoc).status());
+  // A/E with an atomic rhs keeps origin order; a bare step walks from the
+  // focus item.
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "for $x in doc('doc.xml')//b return $x/string(.)"),
+            "x y top");
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "string-join(doc('doc.xml')//a/string(@id), '|')"),
+            "1|2");
+  EXPECT_EQ(RunCompiledPath(engine,
+                            "for $a in doc('doc.xml')//a return "
+                            "count($a/(b, c))"),
+            "2 1");
+}
+
+TEST(VmFocus, ErrorsMatchLazy) {
+  EXPECT_EQ(RunBoth("(<a/>, 1)/."),
+            "ERROR: path result mixes nodes and atomic values");
+  EXPECT_EQ(RunBoth("(1,2)[('a','b')]"),
+            "ERROR: effective boolean value of a multi-item atomic sequence");
+  EXPECT_EQ(RunBoth("for $i in (1, 2) return $i/a"),
+            "ERROR: axis step requires a node context item");
+}
+
+TEST(VmFocus, CancelTripsInsidePredicateLoop) {
+  // The predicate loop's focus-next is the first governor poll the
+  // program reaches.
+  XQueryEngine engine;
+  auto compiled = engine.Compile("count((1,2,3)[. > 1])");
   XQP_ASSERT_OK(compiled.status());
-  XQP_ASSERT_OK_AND_ASSIGN(ProfileReport report,
-                           compiled.value()->Profile(VmExec()));
-  EXPECT_GE(report.engine_metrics.counters["vm.bailouts"], 1u);
-  EXPECT_GE(report.engine_metrics.counters["vm.bailout.path"], 1u);
-  EXPECT_EQ(SerializeSequence(report.result).ValueOrDie(), "3");
-  XQP_ASSERT_OK_AND_ASSIGN(std::string lazy,
-                           compiled.value()->ExecuteToXml());
-  EXPECT_EQ(lazy, "3");
+  for (ExecBackend backend :
+       {ExecBackend::kVm, ExecBackend::kLazy, ExecBackend::kEager}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    exec.limits.cancel = std::make_shared<CancelToken>();
+    exec.limits.cancel->Cancel();
+    auto result = compiled.value()->Execute(exec);
+    ASSERT_FALSE(result.ok()) << ExecBackendName(backend);
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << ExecBackendName(backend);
+  }
 }
 
 TEST(VmPaths, ResultCapParity) {
@@ -497,43 +601,26 @@ TEST(VmConstruct, MemoryBudgetTripsIdentically) {
   EXPECT_EQ(vm_r.status().code(), StatusCode::kResourceExhausted);
 }
 
-/// RunCompiledPath (vm == lazy, zero bailouts) with the eager interpreter
-/// as a third opinion: lazy sorts its own tuple stream, so the order-by
-/// tables check all three backends.
-std::string RunOrderBy(XQueryEngine& engine, const std::string& query) {
-  std::string vm_xml = RunCompiledPath(engine, query);
-  CompiledQuery::ExecOptions eager;
-  eager.backend = ExecBackend::kEager;
-  auto compiled = engine.Compile(query);
-  if (!compiled.ok()) return "COMPILE-ERROR";
-  auto eager_xml = compiled.value()->ExecuteToXml(eager);
-  EXPECT_TRUE(eager_xml.ok()) << query << ": " << eager_xml.status().ToString();
-  if (eager_xml.ok()) {
-    EXPECT_EQ(eager_xml.value(), vm_xml) << query;
-  }
-  return vm_xml;
-}
-
 TEST(VmOrderBy, SingleAndMultiKeySortsCompile) {
   XQueryEngine engine;
-  EXPECT_EQ(RunOrderBy(engine, "for $x in (3,1,2) order by $x return $x"),
+  EXPECT_EQ(RunCompiledPath(engine, "for $x in (3,1,2) order by $x return $x"),
             "1 2 3");
-  EXPECT_EQ(RunOrderBy(
+  EXPECT_EQ(RunCompiledPath(
                 engine, "for $x in (3,1,2) order by $x descending return $x"),
             "3 2 1");
   // Multi-key: primary descending, secondary ascending breaks ties; the
   // sort is stable for fully-equal keys.
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $x in (1,2,3,4,5,6) order by $x mod 2 "
                        "descending, $x idiv 3 return $x"),
             "1 3 5 2 4 6");
   // Nested order-by FLWORs stack sort buffers.
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $a in (2,1) order by $a return "
                        "(for $b in (20,10) order by $b return $a + $b)"),
             "11 21 12 22");
   // Where gates run at clause position; filtered tuples never buffer.
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $x in (5,3,4,1,2) where $x mod 2 = 1 "
                        "order by $x descending return $x"),
             "5 3 1");
@@ -542,16 +629,16 @@ TEST(VmOrderBy, SingleAndMultiKeySortsCompile) {
 TEST(VmOrderBy, EmptyAndUntypedKeyRules) {
   XQueryEngine engine;
   // empty least (default) vs. empty greatest.
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $x in (2, 0, 1) order by "
                        "(if ($x = 0) then () else $x) return $x"),
             "0 1 2");
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $x in (2, 0, 1) order by "
                        "(if ($x = 0) then () else $x) empty greatest "
                        "return $x"),
             "1 2 0");
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $x in (2, 0, 1) order by "
                        "(if ($x = 0) then () else $x) descending "
                        "empty least return $x"),
@@ -561,12 +648,12 @@ TEST(VmOrderBy, EmptyAndUntypedKeyRules) {
                     .ParseAndRegister("nums.xml",
                                       "<r><n>9</n><n>10</n><n>2</n></r>")
                     .status());
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $n in doc('nums.xml')//n order by "
                        "string($n) return string($n)"),
             "10 2 9");
   // number() keys compare numerically instead.
-  EXPECT_EQ(RunOrderBy(engine,
+  EXPECT_EQ(RunCompiledPath(engine,
                        "for $n in doc('nums.xml')//n order by "
                        "number($n) return string($n)"),
             "2 9 10");
@@ -626,7 +713,7 @@ TEST(VmRootStep, RootAnchoredPathsCompile) {
   XQP_ASSERT_OK(compiled.status());
   XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<const vm::Program> program,
                            vm::CompileProgram(compiled.value()->module()));
-  EXPECT_FALSE(program->trivial_bailout);
+  EXPECT_TRUE(program->thunks.empty());
   bool has_root = false;
   for (const vm::Insn& insn : program->code) {
     if (insn.op == vm::Op::kPushRoot) has_root = true;
@@ -748,44 +835,23 @@ TEST(VmMetrics, CountersAdvance) {
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->items, report.result.size());
 
-  // A query with an uncompiled subtree retires bailouts, attributed to
-  // the thunk's reason as a per-reason counter (satellite of EXPLAIN's
-  // [bailout: reason] annotations). Constructors compile now, so the
-  // uncompiled island here is the filter inside the return clause.
-  auto mixed =
-      engine.Compile("1 + count(for $i in 1 to 3 return ($i to 5)[2])");
-  XQP_ASSERT_OK(mixed.status());
-  XQP_ASSERT_OK_AND_ASSIGN(ProfileReport mixed_report,
-                           mixed.value()->Profile(exec));
-  EXPECT_GE(mixed_report.engine_metrics.counters["vm.bailouts"], 1u);
-  EXPECT_GE(mixed_report.engine_metrics.counters["vm.bailout.filter"], 1u);
-  EXPECT_EQ(SerializeSequence(mixed_report.result).ValueOrDie(), "4");
-
-  // Constructor-heavy and order-by loops retire zero bailouts.
-  auto ctor = engine.Compile(
-      "for $i in (3,1,2) order by $i descending return <v>{$i}</v>");
-  XQP_ASSERT_OK(ctor.status());
-  XQP_ASSERT_OK_AND_ASSIGN(ProfileReport ctor_report,
-                           ctor.value()->Profile(exec));
-  EXPECT_EQ(ctor_report.engine_metrics.counters["vm.bailouts"], 0u);
-  EXPECT_EQ(SerializeSequence(ctor_report.result).ValueOrDie(),
-            "<v>3</v><v>2</v><v>1</v>");
-
-  // Compiled paths retire zero bailouts.
-  XQP_ASSERT_OK(
-      engine.ParseAndRegister("doc.xml", "<r><a/><a/></r>").status());
-  auto path = engine.Compile("1 + count(doc('doc.xml')//a)");
-  XQP_ASSERT_OK(path.status());
-  XQP_ASSERT_OK_AND_ASSIGN(ProfileReport path_report,
-                           path.value()->Profile(exec));
-  EXPECT_EQ(path_report.engine_metrics.counters["vm.bailouts"], 0u);
-  EXPECT_EQ(SerializeSequence(path_report.result).ValueOrDie(), "3");
+  // Filters, constructors, order-by and paths all run as compiled code:
+  // zero fallbacks to the lazy engine.
+  for (const char* q :
+       {"1 + count(for $i in 1 to 3 return ($i to 5)[2])",
+        "for $i in (3,1,2) order by $i descending return <v>{$i}</v>"}) {
+    auto other = engine.Compile(q);
+    XQP_ASSERT_OK(other.status());
+    XQP_ASSERT_OK_AND_ASSIGN(ProfileReport other_report,
+                             other.value()->Profile(exec));
+    EXPECT_EQ(other_report.engine_metrics.counters["vm.fallbacks"], 0u) << q;
+    EXPECT_GT(other_report.engine_metrics.counters["vm.instructions"], 0u)
+        << q;
+  }
 }
 
-TEST(VmMetrics, PerReasonBailoutCountersKebabCaseTheReason) {
+TEST(VmMetrics, DeclinedPlanCountsOneFallbackAndNoInstructions) {
   XQueryEngine engine;
-  // "user function call" => vm.bailout.user-function-call (recursive
-  // functions are never inlined, so the call survives to the compiler).
   auto compiled = engine.Compile(
       "declare function local:f($n as xs:integer) as xs:integer { "
       "if ($n le 1) then 1 else $n * local:f($n - 1) }; "
@@ -793,9 +859,13 @@ TEST(VmMetrics, PerReasonBailoutCountersKebabCaseTheReason) {
   XQP_ASSERT_OK(compiled.status());
   XQP_ASSERT_OK_AND_ASSIGN(ProfileReport report,
                            compiled.value()->Profile(VmExec()));
-  EXPECT_GE(
-      report.engine_metrics.counters["vm.bailout.user-function-call"], 1u);
+  EXPECT_EQ(report.engine_metrics.counters["vm.fallbacks"], 1u);
+  EXPECT_EQ(report.engine_metrics.counters["vm.instructions"], 0u);
   EXPECT_EQ(SerializeSequence(report.result).ValueOrDie(), "24");
+  // The lazy engine ran the plan, so its operators are profiled.
+  const OpStats* root = report.RootStats();
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->items, 1u);
 }
 
 // --- Backend selection -----------------------------------------------------
@@ -838,7 +908,6 @@ TEST(VmCompiler, ProgramShape) {
   XQP_ASSERT_OK(compiled.status());
   XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<const vm::Program> program,
                            vm::CompileProgram(compiled.value()->module()));
-  EXPECT_FALSE(program->trivial_bailout);
   EXPECT_TRUE(program->thunks.empty());
   EXPECT_GT(program->code.size(), 5u);
   EXPECT_EQ(program->code.back().op, vm::Op::kHalt);

@@ -119,6 +119,21 @@ INSTANTIATE_TEST_SUITE_P(
         QueryCase{"except",
                   "string(doc('doc.xml')//b except doc('doc.xml')//a//b)",
                   "top"},
+        // Duplicate nodes in both operands: every set operation answers in
+        // document order without duplicates.
+        QueryCase{"union_duplicates",
+                  "string-join((doc('doc.xml')//c/b, doc('doc.xml')//b) union "
+                  "(doc('doc.xml')//b, doc('doc.xml')//c/b), '|')",
+                  "x|y|z|top"},
+        QueryCase{"intersect_duplicates",
+                  "string-join((doc('doc.xml')//b, doc('doc.xml')//b) "
+                  "intersect (doc('doc.xml')//a//b, doc('doc.xml')//a//b), "
+                  "'|')",
+                  "x|y|z"},
+        QueryCase{"except_duplicates",
+                  "string-join((doc('doc.xml')//b, doc('doc.xml')//b) except "
+                  "(doc('doc.xml')//a//b, doc('doc.xml')//a//b), '|')",
+                  "top"},
         QueryCase{"parent_dedup",
                   "count(doc('doc.xml')/site/a[1]/b/..)", "1"},
         QueryCase{"double_slash_then_child",

@@ -201,6 +201,18 @@ TEST(XQueryErrors, TreatFailureIsTypeError) {
   EXPECT_NE(r.find("Type error"), std::string::npos) << r;
 }
 
+TEST(XQueryErrors, TreatMessagesMatchOnEveryBackend) {
+  // One shared check raises these on the eager, lazy and vm backends.
+  EXPECT_EQ(RunAllWays("(1,2) treat as xs:integer", kBib),
+            "ERROR: Type error: treat as xs:integer: more than one item");
+  EXPECT_EQ(RunAllWays("doc('doc.xml')//none treat as xs:integer", kBib),
+            "ERROR: Type error: treat as xs:integer: empty sequence");
+  EXPECT_EQ(RunAllWays("('a', 1) treat as xs:integer+", kBib),
+            "ERROR: Type error: treat as xs:integer+: item type mismatch");
+  EXPECT_EQ(RunAllWays("(1, 2)[. > 1] treat as empty-sequence()", kBib),
+            "ERROR: Type error: treat as empty-sequence(): non-empty input");
+}
+
 TEST(XQueryErrors, DivisionByZero) {
   std::string r = RunQuery("1 idiv 0", kBib);
   EXPECT_NE(r.find("Dynamic error"), std::string::npos) << r;

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# CI gate: the canonical XMark path, constructor, order-by, and value-join
-# (Q08-Q12) shapes must lower entirely to the VM's opcodes — any `[bailout:` annotation in
-# the vm EXPLAIN tree is a regression in the bytecode compiler's lowering.
+# CI gate: the canonical XMark path, filter, constructor, order-by, and
+# value-join (Q02-Q04, Q06-Q12) shapes and the message-broker routes and
+# transforms must lower entirely to the VM's opcodes. The vm EXPLAIN tree
+# must show the compiled root ` [vm]` and no `[bailout:` annotation: a plan
+# the compiler declines runs whole on the lazy engine, a regression in the
+# bytecode compiler's lowering.
 #
 # Usage: tools/check_vm_explain.sh <path-to-xqp>
 set -euo pipefail
 
 XQP="${1:?usage: check_vm_explain.sh <path-to-xqp>}"
 
-QUERY_IDS=(Q06 Q07 Q08 Q09 Q10 Q11 Q12)
+QUERY_IDS=(Q02 Q03 Q04 Q06 Q07 Q08 Q09 Q10 Q11 Q12)
 TEXT_SHAPES=(
   "doc('xmark.xml')/site/people/person[@id = 'person0']/name"
   "doc('xmark.xml')/site/people/person/name"
@@ -20,6 +23,11 @@ TEXT_SHAPES=(
   "for \$p in doc('xmark.xml')/site/people/person return <hit id=\"{\$p/@id}\">{string(\$p/name)}</hit>"
   "for \$i in doc('xmark.xml')//item return element {name(\$i)} {attribute n {count(\$i/*)}, text {string(\$i/name)}}"
   "for \$p in doc('xmark.xml')/site/people/person order by string(\$p/name) descending, string(\$p/@id) return string(\$p/@id)"
+  "exists(/order[customer/@region = 'EU'])"
+  "exists(//alert[@severity = ('high', 'critical')])"
+  "exists(/*[namespace-uri(.) = 'urn:rosettanet'])"
+  "string(/*/*[local-name(.) = 'action'])"
+  "for \$t in /wlc/trading-partner/transport return string(\$t/endpoint[1]/@uri)"
 )
 
 fail=0
@@ -27,9 +35,9 @@ check() {
   local label="$1"; shift
   local out
   out="$("$XQP" "$@" --xmark 0.01 --backend vm --explain)"
-  if grep -q '\[bailout:' <<<"$out"; then
-    echo "FAIL: vm bailout in compiled path plan for ${label}:" >&2
-    grep '\[bailout:' <<<"$out" >&2
+  if grep -q '\[bailout:' <<<"$out" || ! grep -q ' \[vm\]' <<<"$out"; then
+    echo "FAIL: vm declined the plan for ${label}:" >&2
+    grep '\[bailout:' <<<"$out" >&2 || true
     fail=1
   else
     echo "ok: ${label}"
