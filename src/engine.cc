@@ -630,15 +630,28 @@ Result<bool> NextGoverned(ItemIterator* it, ResourceGovernor* gov, Item* out) {
   return got;
 }
 
-/// Opens and drains the lazy plan under governor control; on top of each
-/// governed pull the drain charges the materialized item's bytes.
-Result<Sequence> DrainGoverned(const Expr* body, DynamicContext* ctx) {
-  XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it, OpenLazy(body, ctx));
+/// Runs the lazy plan `body` and drains it under governor control; on top
+/// of each governed pull the drain charges the materialized item's bytes.
+/// An unprofiled run leases a tree from `pool`. A profiled run builds its
+/// own decorated tree, so pooled trees stay undecorated and profiling costs
+/// nothing when off. Both trees are locals, so they are closed or destroyed
+/// while `ctx` is still alive, on success, on error and on early stop.
+Result<Sequence> DrainGoverned(const Expr* body, PlanPool* pool,
+                               DynamicContext* ctx) {
+  std::unique_ptr<ItemIterator> profiled;
+  PlanPool::Lease lease(pool);
+  ItemIterator* it;
+  if (ctx->profile != nullptr) {
+    XQP_ASSIGN_OR_RETURN(profiled, OpenLazy(body, ctx));
+    it = profiled.get();
+  } else {
+    XQP_RETURN_NOT_OK(lease.Open(body, ctx));
+    it = lease.get();
+  }
   Sequence out;
   Item item;
   while (true) {
-    XQP_ASSIGN_OR_RETURN(bool got,
-                         NextGoverned(it.get(), ctx->governor, &item));
+    XQP_ASSIGN_OR_RETURN(bool got, NextGoverned(it, ctx->governor, &item));
     if (!got) break;
     XQP_RETURN_NOT_OK(ctx->governor->ChargeBytes(kResultItemCost));
     out.push_back(std::move(item));
@@ -770,7 +783,7 @@ Result<Sequence> CompiledQuery::RunPlan(const ExecOptions& options,
   const Expr* body = module_->body.get();
   switch (ResolvedBackend(options)) {
     case ExecBackend::kLazy:
-      return DrainGoverned(body, &ctx);
+      return DrainGoverned(body, &lazy_plans_, &ctx);
     case ExecBackend::kEager: {
       XQP_ASSIGN_OR_RETURN(Sequence result, EvalExpr(body, &ctx));
       XQP_RETURN_NOT_OK(governor.ChargeResultItems(result.size()));
@@ -806,7 +819,7 @@ Result<Sequence> CompiledQuery::RunPlan(const ExecOptions& options,
             metrics::MetricsRegistry::Global().counter("vm.fallbacks");
         fallbacks->Add(1);
       }
-      return DrainGoverned(body, &ctx);
+      return DrainGoverned(body, &lazy_plans_, &ctx);
     }
   }
   return Status::Internal("unknown execution backend");

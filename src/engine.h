@@ -464,6 +464,11 @@ class CompiledQuery {
   XQueryEngine* engine_ = nullptr;
   RewriteStats rewrite_stats_;
 
+  /// Idle lazy iterator trees for module_->body, reused by every
+  /// unprofiled lazy run. Declared after module_, so the trees, which
+  /// point into the plan, die first.
+  mutable PlanPool lazy_plans_;
+
   mutable std::once_flag vm_once_;
   mutable std::shared_ptr<const vm::Program> vm_program_;
   mutable Status vm_status_ = Status::OK();

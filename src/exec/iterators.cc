@@ -1,8 +1,10 @@
 #include "exec/iterators.h"
 
 #include <chrono>
+#include <mutex>
 #include <vector>
 
+#include "base/metrics.h"
 #include "exec/arithmetic.h"
 #include "exec/axes.h"
 #include "exec/builtins.h"
@@ -31,6 +33,20 @@ struct ProfileWrapScope {
   bool saved_;
 };
 
+/// Builds the whole iterator tree for a plan root or a user-function body,
+/// with no focus (counted as lazy.plans.built). `profiled` wraps every
+/// operator in a ProfileIt.
+Result<std::unique_ptr<ItemIterator>> CompilePlan(const Expr* e,
+                                                  bool profiled) {
+  if (metrics::Enabled()) {
+    static metrics::Counter* built =
+        metrics::MetricsRegistry::Global().counter("lazy.plans.built");
+    built->Increment();
+  }
+  ProfileWrapScope wrap(profiled);
+  return CompileIterator(e, nullptr);
+}
+
 }  // namespace
 
 namespace lazy_internal {
@@ -48,6 +64,7 @@ Result<Sequence> Drain(ItemIterator* it) {
 
 }  // namespace lazy_internal
 
+using lazy_internal::CloseAll;
 using lazy_internal::Drain;
 
 Result<bool> StreamingEbv(ItemIterator* it) {
@@ -116,6 +133,7 @@ class VarRefIt : public ItemIterator {
     *out = *item;
     return true;
   }
+  void Close() override { seq_.reset(); }
 
  private:
   const VarRefExpr* var_;
@@ -165,6 +183,7 @@ class RootIt : public ItemIterator {
     XQP_ASSIGN_OR_RETURN(*out, SlashRoot(item));
     return true;
   }
+  void Close() override { inner_.Close(); }
 
  private:
   ContextItemIt inner_;
@@ -194,6 +213,7 @@ class SequenceIt : public ItemIterator {
     }
     return false;
   }
+  void Close() override { CloseAll(children_); }
 
  private:
   std::vector<std::unique_ptr<ItemIterator>> children_;
@@ -235,6 +255,10 @@ class RangeIt : public ItemIterator {
     *out = Item(AtomicValue::Integer(next_++));
     return true;
   }
+  void Close() override {
+    lo_->Close();
+    hi_->Close();
+  }
 
  private:
   std::unique_ptr<ItemIterator> lo_, hi_;
@@ -266,9 +290,14 @@ class ComputeOnceIt : public ItemIterator {
     *out = result_[pos_++];
     return true;
   }
+  void Close() override {
+    result_.clear();
+    CloseChildren();
+  }
 
  protected:
   virtual Status ResetChildren(DynamicContext* ctx) = 0;
+  virtual void CloseChildren() = 0;
   virtual Result<Sequence> Compute() = 0;
   DynamicContext* ctx_ = nullptr;
 
@@ -288,6 +317,10 @@ class ArithmeticIt : public ComputeOnceIt {
   Status ResetChildren(DynamicContext* ctx) override {
     XQP_RETURN_NOT_OK(lhs_->Reset(ctx));
     return rhs_->Reset(ctx);
+  }
+  void CloseChildren() override {
+    lhs_->Close();
+    rhs_->Close();
   }
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence lhs, Drain(lhs_.get()));
@@ -309,6 +342,7 @@ class UnaryIt : public ComputeOnceIt {
   Status ResetChildren(DynamicContext* ctx) override {
     return operand_->Reset(ctx);
   }
+  void CloseChildren() override { operand_->Close(); }
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence v, Drain(operand_.get()));
     return EvalUnary(negate_, Atomize(v));
@@ -329,6 +363,10 @@ class ComparisonIt : public ComputeOnceIt {
   Status ResetChildren(DynamicContext* ctx) override {
     XQP_RETURN_NOT_OK(lhs_->Reset(ctx));
     return rhs_->Reset(ctx);
+  }
+  void CloseChildren() override {
+    lhs_->Close();
+    rhs_->Close();
   }
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence lhs, Drain(lhs_.get()));
@@ -355,10 +393,9 @@ class LogicalIt : public ItemIterator {
             std::unique_ptr<ItemIterator> rhs)
       : is_and_(is_and), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
   Status Reset(DynamicContext* ctx) override {
-    XQP_RETURN_NOT_OK(lhs_->Reset(ctx));
-    XQP_RETURN_NOT_OK(rhs_->Reset(ctx));
+    ctx_ = ctx;
     done_ = false;
-    return Status::OK();
+    return lhs_->Reset(ctx);
   }
   Result<bool> Next(Item* out) override {
     if (done_) return false;
@@ -366,19 +403,26 @@ class LogicalIt : public ItemIterator {
     XQP_ASSIGN_OR_RETURN(bool lv, StreamingEbv(lhs_.get()));
     bool value;
     if (is_and_ && !lv) {
-      value = false;  // Short-circuit: rhs never evaluated (lazy).
+      value = false;  // Short-circuit: rhs never reset nor evaluated.
     } else if (!is_and_ && lv) {
       value = true;
     } else {
+      // Reset only now: an index-backed rhs probes in its Reset.
+      XQP_RETURN_NOT_OK(rhs_->Reset(ctx_));
       XQP_ASSIGN_OR_RETURN(value, StreamingEbv(rhs_.get()));
     }
     *out = Item(AtomicValue::Boolean(value));
     return true;
   }
+  void Close() override {
+    lhs_->Close();
+    rhs_->Close();
+  }
 
  private:
   bool is_and_;
   std::unique_ptr<ItemIterator> lhs_, rhs_;
+  DynamicContext* ctx_ = nullptr;
   bool done_ = false;
 };
 
@@ -403,6 +447,11 @@ class IfIt : public ItemIterator {
     }
     return chosen_->Next(out);
   }
+  void Close() override {
+    cond_->Close();
+    then_->Close();
+    else_->Close();
+  }
 
  private:
   std::unique_ptr<ItemIterator> cond_, then_, else_;
@@ -419,6 +468,7 @@ class CastIt : public ComputeOnceIt {
   Status ResetChildren(DynamicContext* ctx) override {
     return operand_->Reset(ctx);
   }
+  void CloseChildren() override { operand_->Close(); }
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence v, Drain(operand_.get()));
     Sequence atomized = Atomize(v);
@@ -448,6 +498,7 @@ class CastableIt : public ComputeOnceIt {
   Status ResetChildren(DynamicContext* ctx) override {
     return operand_->Reset(ctx);
   }
+  void CloseChildren() override { operand_->Close(); }
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence v, Drain(operand_.get()));
     Sequence atomized = Atomize(v);
@@ -476,6 +527,7 @@ class InstanceOfIt : public ComputeOnceIt {
   Status ResetChildren(DynamicContext* ctx) override {
     return operand_->Reset(ctx);
   }
+  void CloseChildren() override { operand_->Close(); }
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence v, Drain(operand_.get()));
     return Sequence{Item(AtomicValue::Boolean(MatchesSequenceType(v, e_->type)))};
@@ -501,6 +553,7 @@ class TreatIt : public ItemIterator {
     XQP_RETURN_NOT_OK(CheckTreat(e_->type, got ? out : nullptr, count_));
     return got;
   }
+  void Close() override { operand_->Close(); }
 
  private:
   const TreatExpr* e_;
@@ -518,6 +571,10 @@ class UnionIt : public ComputeOnceIt {
   Status ResetChildren(DynamicContext* ctx) override {
     XQP_RETURN_NOT_OK(lhs_->Reset(ctx));
     return rhs_->Reset(ctx);
+  }
+  void CloseChildren() override {
+    lhs_->Close();
+    rhs_->Close();
   }
   Result<Sequence> Compute() override {
     XQP_ASSIGN_OR_RETURN(Sequence lhs, Drain(lhs_.get()));
@@ -560,6 +617,7 @@ class TypeswitchIt : public ItemIterator {
     }
     return chosen_->Next(out);
   }
+  void Close() override { CloseAll(children_); }
 
  private:
   const TypeswitchExpr* e_;
@@ -586,7 +644,6 @@ class FunctionCallIt : public ItemIterator {
     state_ = State::kInit;
     pos_ = 0;
     result_.clear();
-    body_.reset();
     for (auto& a : args_) {
       XQP_RETURN_NOT_OK(a->Reset(ctx));
     }
@@ -608,6 +665,16 @@ class FunctionCallIt : public ItemIterator {
     if (pos_ >= result_.size()) return false;
     *out = result_[pos_++];
     return true;
+  }
+
+  /// Releases the recursion-depth slot through the still-live context and
+  /// drops the frame; the compiled body stays for the next call.
+  void Close() override {
+    ReleaseDepth();
+    result_.clear();
+    frame_.clear();
+    CloseAll(args_);
+    if (body_ != nullptr) body_->Close();
   }
 
  private:
@@ -703,12 +770,13 @@ class FunctionCallIt : public ItemIterator {
       }
       frame_[fn.param_slots[i]] = LazySeq::FromVector(std::move(arg));
     }
-    // Compile the body once per call site, on demand, with no focus. The
-    // recursion-depth slot stays held while the body streams. Runtime
-    // compilation happens outside OpenLazy's wrap scope, so re-derive the
-    // profiling gate from the active context.
-    ProfileWrapScope wrap(ctx_->profile != nullptr);
-    XQP_ASSIGN_OR_RETURN(body_, CompileIterator(fn.body.get(), nullptr));
+    // Compile the body once per call-site iterator, on its first call, with
+    // no focus; later calls and later runs of a pooled tree reset it. The
+    // recursion-depth slot stays held while the body streams.
+    if (body_ == nullptr) {
+      const bool profiled = ctx_->profile != nullptr;
+      XQP_ASSIGN_OR_RETURN(body_, CompilePlan(fn.body.get(), profiled));
+    }
     ++ctx_->call_depth;
     depth_held_ = true;
     std::swap(ctx_->slots, frame_);
@@ -762,6 +830,7 @@ class CtorIt : public ComputeOnceIt {
     }
     return Status::OK();
   }
+  void CloseChildren() override { CloseAll(children_); }
 
   Result<Sequence> Compute() override {
     std::vector<Sequence> parts;
@@ -883,6 +952,12 @@ class TryCatchIt : public ItemIterator {
     return true;
   }
 
+  void Close() override {
+    buffer_.clear();
+    try_->Close();
+    catch_->Close();
+  }
+
  private:
   enum class State { kInit, kBuffered, kCatching };
   std::unique_ptr<ItemIterator> try_, catch_;
@@ -928,6 +1003,8 @@ class ProfileIt : public ItemIterator {
     if (got.ok() && got.value()) ++stats_->items;
     return got;
   }
+
+  void Close() override { inner_->Close(); }
 
  private:
   const Expr* e_;
@@ -1091,11 +1168,31 @@ Result<std::unique_ptr<ItemIterator>> CompileIterator(const Expr* e,
 
 Result<std::unique_ptr<ItemIterator>> OpenLazy(const Expr* e,
                                                DynamicContext* ctx) {
-  ProfileWrapScope wrap(ctx->profile != nullptr);
   XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it,
-                       CompileIterator(e, nullptr));
+                       CompilePlan(e, ctx->profile != nullptr));
   XQP_RETURN_NOT_OK(it->Reset(ctx));
   return it;
+}
+
+PlanPool::Lease::~Lease() {
+  if (tree_ == nullptr) return;
+  tree_->Close();
+  std::lock_guard<std::mutex> lock(pool_->mu_);
+  pool_->idle_.push_back(std::move(tree_));
+}
+
+Status PlanPool::Lease::Open(const Expr* root, DynamicContext* ctx) {
+  {
+    std::lock_guard<std::mutex> lock(pool_->mu_);
+    if (!pool_->idle_.empty()) {
+      tree_ = std::move(pool_->idle_.back());
+      pool_->idle_.pop_back();
+    }
+  }
+  if (tree_ == nullptr) {
+    XQP_ASSIGN_OR_RETURN(tree_, CompilePlan(root, false));
+  }
+  return tree_->Reset(ctx);
 }
 
 }  // namespace xqp

@@ -2,6 +2,7 @@
 #define XQP_EXEC_ITERATORS_H_
 
 #include <memory>
+#include <vector>
 
 #include "exec/dynamic_context.h"
 #include "exec/lazy_seq.h"
@@ -30,7 +31,8 @@ Result<std::unique_ptr<ItemIterator>> CompileIterator(const Expr* e,
                                                       const LazyFocus* focus);
 
 /// Compiles and resets `e`, returning the iterator for incremental
-/// consumption (time-to-first-item measurements, experiment E1).
+/// consumption (time-to-first-item measurements, experiment E1). Decorated
+/// for profiling when `ctx->profile` is set.
 Result<std::unique_ptr<ItemIterator>> OpenLazy(const Expr* e,
                                                DynamicContext* ctx);
 
@@ -52,6 +54,11 @@ Result<std::unique_ptr<ItemIterator>> CompileQuantified(
 
 /// Drains `it` into a vector.
 Result<Sequence> Drain(ItemIterator* it);
+
+/// Closes every iterator in `its`.
+inline void CloseAll(const std::vector<std::unique_ptr<ItemIterator>>& its) {
+  for (const auto& it : its) it->Close();
+}
 
 }  // namespace lazy_internal
 

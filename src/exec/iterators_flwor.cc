@@ -94,6 +94,18 @@ class FlworIt : public ItemIterator {
     }
   }
 
+  void Close() override {
+    sorted_.clear();
+    CloseAll(children_);
+    for (const auto& js : joins_) {
+      if (js == nullptr) continue;
+      js->matches.clear();
+      js->key->Close();
+      js->outer->Close();
+      if (js->rest != nullptr) js->rest->Close();
+    }
+  }
+
  private:
   /// A planned for clause's executor inputs and, while `active`, the
   /// matches its current domain pass iterates instead of the domain.
@@ -339,6 +351,8 @@ class QuantifiedIt : public ItemIterator {
     *out = Item(AtomicValue::Boolean(value));
     return true;
   }
+
+  void Close() override { CloseAll(children_); }
 
  private:
   Result<bool> Run(size_t bi) {

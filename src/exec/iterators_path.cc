@@ -50,6 +50,8 @@ class StepIt : public ItemIterator {
     return true;
   }
 
+  void Close() override { cursor_.reset(); }
+
  private:
   const StepExpr* e_;
   const LazyFocus* focus_;
@@ -126,6 +128,14 @@ class PathIt : public ItemIterator {
       XQP_RETURN_NOT_OK(rhs_->Reset(ctx_));
       rhs_active_ = true;
     }
+  }
+
+  void Close() override {
+    focus_ = LazyFocus{};
+    buffer_.clear();
+    lhs_buffer_.clear();
+    lhs_->Close();
+    rhs_->Close();
   }
 
  private:
@@ -276,6 +286,14 @@ class FilterIt : public ItemIterator {
     }
   }
 
+  void Close() override {
+    focus_ = LazyFocus{};
+    base_buffer_.clear();
+    pred_head_.clear();
+    base_->Close();
+    pred_->Close();
+  }
+
  private:
   Result<bool> PullBase(Item* out) {
     if (uses_last_) {
@@ -359,6 +377,11 @@ class IndexPathIt : public ItemIterator {
     if (pos_ >= buffer_->size()) return false;
     *out = (*buffer_)[pos_++];
     return true;
+  }
+
+  void Close() override {
+    buffer_.reset();
+    inner_->Close();
   }
 
  private:

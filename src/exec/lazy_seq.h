@@ -2,16 +2,23 @@
 #define XQP_EXEC_LAZY_SEQ_H_
 
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "exec/item.h"
 
 namespace xqp {
 
 class DynamicContext;
+class Expr;
 
 /// Pull-based item iterator: the paper's iterator execution model at item
 /// granularity. Reset() (re)starts evaluation under the current dynamic
-/// context; Next() produces one item at a time, on demand (lazy evaluation).
+/// context; Next() produces one item at a time, on demand (lazy evaluation);
+/// Close() ends the run: it drops every item, document reference and frame
+/// the run left behind and releases what it holds in the context, which
+/// must still be alive. A closed iterator may be Reset for another run
+/// under another context; buffers keep their capacity.
 class ItemIterator {
  public:
   virtual ~ItemIterator() = default;
@@ -19,6 +26,42 @@ class ItemIterator {
   virtual Status Reset(DynamicContext* ctx) = 0;
   /// Produces the next item. Returns false at end of sequence.
   virtual Result<bool> Next(Item* out) = 0;
+  /// Composites close their children; leaves that hold nothing from the
+  /// run keep this default.
+  virtual void Close() {}
+};
+
+/// Idle, undecorated iterator trees of one plan root, so that repeated
+/// runs reuse a tree instead of building one each: the paper's
+/// open/next/close on a plan compiled once. A run leases a tree (building
+/// one when none is idle); the lease closes it and puts it back. The pool
+/// holds at most as many trees as runs were ever in flight at once.
+/// Implemented beside the lazy compiler (exec/iterators.cc).
+class PlanPool {
+ public:
+  /// One run's hold on a tree. Destroy it before the run's context: its
+  /// destructor Close()s the tree, which releases depth slots through the
+  /// context and drops the run's items, then returns the tree to the pool.
+  class Lease {
+   public:
+    explicit Lease(PlanPool* pool) : pool_(pool) {}
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    /// Takes an idle tree for `root` from the pool, or builds one, and
+    /// resets it against `ctx`.
+    Status Open(const Expr* root, DynamicContext* ctx);
+    ItemIterator* get() const { return tree_.get(); }
+
+   private:
+    PlanPool* pool_;
+    std::unique_ptr<ItemIterator> tree_;
+  };
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<ItemIterator>> idle_;
 };
 
 /// A sequence whose items are computed on demand and cached as they are

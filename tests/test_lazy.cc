@@ -159,5 +159,175 @@ TEST(Lazy, SubsequenceSkipsLazily) {
             "5,6,7");
 }
 
+// ---------------------------------------------------------------------------
+// Plan lifecycle: one CompiledQuery reuses its lazy iterator tree across
+// executions (reset per run, closed after it). Each case runs on eager too,
+// as the reference.
+// ---------------------------------------------------------------------------
+
+/// One execution, serialized; an error as its status text.
+std::string RunOnce(const CompiledQuery& q, CompiledQuery::ExecOptions exec,
+                    ExecBackend backend) {
+  exec.backend = backend;
+  auto result = q.ExecuteToXml(exec);
+  return result.ok() ? result.value() : "ERROR: " + result.status().ToString();
+}
+
+CompiledQuery::ExecOptions WithContext(std::shared_ptr<const Document> doc) {
+  CompiledQuery::ExecOptions exec;
+  exec.has_context_item = true;
+  exec.context_item = Item(Node(std::move(doc), 0));
+  return exec;
+}
+
+constexpr char kDocA[] =
+    "<r><a id='1'><b/></a><a id='2'/><a id='3'><b/><b/></a></r>";
+constexpr char kDocB[] =
+    "<r><a id='9'><b/><b/><b/></a><c/><a id='8'><b/></a><a id='7'/></r>";
+
+TEST(LazyLifecycle, AlternatingContextDocumentsMatchFreshCompile) {
+  const std::string query =
+      "for $a in //a[b] order by $a/@id descending return "
+      "<x n='{count($a/b)}'>{string($a/@id), (//a)[last()]/@id/string(), "
+      "let $s := $a/b return count($s[position() < last()])}</x>";
+  std::shared_ptr<const Document> docs[] = {
+      Document::Parse(kDocA).ValueOrDie(), Document::Parse(kDocB).ValueOrDie()};
+  XQueryEngine engine;
+  auto once = engine.Compile(query);
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  for (int run = 0; run < 6; ++run) {
+    CompiledQuery::ExecOptions exec = WithContext(docs[run % 2]);
+    auto fresh = engine.Compile(query);
+    ASSERT_TRUE(fresh.ok());
+    const std::string expected =
+        RunOnce(*fresh.value(), exec, ExecBackend::kEager);
+    EXPECT_EQ(expected.find("ERROR"), std::string::npos) << expected;
+    for (ExecBackend backend : {ExecBackend::kLazy, ExecBackend::kEager}) {
+      EXPECT_EQ(RunOnce(*once.value(), exec, backend), expected)
+          << "run " << run << " " << ExecBackendName(backend);
+      EXPECT_EQ(RunOnce(*fresh.value(), exec, backend), expected)
+          << "run " << run << " " << ExecBackendName(backend);
+    }
+  }
+}
+
+TEST(LazyLifecycle, RunAfterMidStreamFailureIsCorrect) {
+  XQueryEngine engine;
+  ASSERT_TRUE(engine.ParseAndRegister("d.xml", kDocB).ok());
+  // The second tuple fails after the first tuple's items were pulled.
+  auto q = engine.Compile(
+      "declare variable $k external; "
+      "for $a at $i in doc('d.xml')//a return "
+      "(string($a/@id), if ($i = 2) then $a/@id * $k else (), "
+      "count($a/b))");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  CompiledQuery::ExecOptions good, bad;
+  good.variables["k"] = {Item(AtomicValue::Integer(2))};
+  bad.variables["k"] = {Item(AtomicValue::String("x"))};
+  const std::string expected = RunOnce(*q.value(), good, ExecBackend::kEager);
+  EXPECT_EQ(expected, "9 3 8 16 1 7 0");
+  const std::string failure = RunOnce(*q.value(), bad, ExecBackend::kEager);
+  EXPECT_NE(failure.find("ERROR"), std::string::npos);
+  for (ExecBackend backend : {ExecBackend::kLazy, ExecBackend::kEager}) {
+    for (int round = 0; round < 3; ++round) {
+      CompiledQuery::ExecOptions exec = bad;
+      exec.backend = backend;
+      auto r = q.value()->Execute(exec);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
+      EXPECT_EQ("ERROR: " + r.status().ToString(), failure);
+      EXPECT_EQ(RunOnce(*q.value(), good, backend), expected)
+          << ExecBackendName(backend) << " round " << round;
+    }
+  }
+}
+
+TEST(LazyLifecycle, ExistsStoppingInsideRecursionRunsTwice) {
+  // exists() and head() stop the recursive function's stream after its
+  // first item, with a call-depth slot held. 5000 such calls in one run
+  // exceed the depth limit unless every stopped call gives its slot back.
+  XQueryEngine engine;
+  auto q = engine.Compile(
+      "declare function local:down($n as xs:integer) { "
+      "if ($n le 0) then () else ($n, local:down($n - 1)) }; "
+      "(exists(local:down(50)), head(local:down(7)), "
+      "count(for $i in 1 to 5000 return exists(local:down($i mod 9))), "
+      "count(local:down(40)))");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  for (ExecBackend backend : {ExecBackend::kLazy, ExecBackend::kEager}) {
+    for (int run = 0; run < 2; ++run) {
+      EXPECT_EQ(RunOnce(*q.value(), {}, backend), "true 7 5000 40")
+          << ExecBackendName(backend) << " run " << run;
+    }
+  }
+}
+
+TEST(LazyLifecycle, ExecuteReleasesTheRunsDocuments) {
+  // Each query leaves items in an operator's buffers or a function frame
+  // when its run ends; each holds a construct the VM declines, so the vm
+  // backend runs it whole on the lazy engine.
+  const char* queries[] = {
+      "count((//a | //c)[@id])",
+      "string-join(for $a in (//a | //c)[b] order by $a/@id "
+      "return string(($a/b)[last()]/../@id), ',')",
+      "declare function local:ids($s) { if (empty($s)) then () else "
+      "(string($s[1]/@id), local:ids(subsequence($s, 2))) }; "
+      "exists(local:ids(//a))",
+      "let $w := <w>{//a}</w> return count($w/a[b] | $w/c)",
+  };
+  XQueryEngine engine;
+  for (const char* query : queries) {
+    auto q = engine.Compile(query);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    CompiledQuery::ExecOptions vm;
+    vm.backend = ExecBackend::kVm;
+    EXPECT_NE(q.value()->ExplainTree(vm).find("[bailout:"), std::string::npos)
+        << query;
+    std::string expected;
+    for (ExecBackend backend :
+         {ExecBackend::kEager, ExecBackend::kLazy, ExecBackend::kVm}) {
+      for (int run = 0; run < 2; ++run) {
+        std::weak_ptr<const Document> weak;
+        {
+          std::shared_ptr<const Document> doc =
+              Document::Parse(kDocB).ValueOrDie();
+          weak = doc;
+          const std::string got =
+              RunOnce(*q.value(), WithContext(std::move(doc)), backend);
+          if (expected.empty()) expected = got;
+          EXPECT_EQ(got, expected) << query << " " << ExecBackendName(backend);
+        }
+        EXPECT_TRUE(weak.expired())
+            << query << " " << ExecBackendName(backend) << " run " << run;
+      }
+    }
+  }
+}
+
+TEST(LazyLifecycle, DroppedConstructedResultFreesItsArena) {
+  // The construction arena belongs to the run's result: once the caller
+  // drops the result, no pooled tree keeps the arena's document.
+  XQueryEngine engine;
+  ASSERT_TRUE(engine.ParseAndRegister("d.xml", kDocA).ok());
+  auto q = engine.Compile("<r>{doc('d.xml')//a[b] | doc('d.xml')//c}</r>");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  for (ExecBackend backend : {ExecBackend::kLazy, ExecBackend::kVm}) {
+    for (int run = 0; run < 2; ++run) {
+      CompiledQuery::ExecOptions exec;
+      exec.backend = backend;
+      std::weak_ptr<const Document> arena;
+      {
+        auto result = q.value()->Execute(exec);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_EQ(result.value().size(), 1u);
+        arena = result.value()[0].AsNode().doc_ptr();
+        EXPECT_EQ(SerializeSequence(result.value()).value(),
+                  "<r><a id=\"1\"><b/></a><a id=\"3\"><b/><b/></a></r>");
+      }
+      EXPECT_TRUE(arena.expired()) << ExecBackendName(backend);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xqp

@@ -5,6 +5,7 @@
 // root's item count equals the query's result cardinality on both engines.
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -499,6 +500,125 @@ TEST(ConstructMetrics, OneArenaPerExecution) {
           << c.query << " " << ExecBackendName(backend);
       EXPECT_EQ(counters["construct.nodes"], c.nodes)
           << c.query << " " << ExecBackendName(backend);
+    }
+  }
+}
+
+/// Turns the global registry on for one test and returns counter deltas
+/// since construction (or the last Take).
+class CounterWindow {
+ public:
+  CounterWindow() : was_enabled_(MetricsRegistry::Global().enabled()) {
+    MetricsRegistry::Global().set_enabled(true);
+    before_ = MetricsRegistry::Global().Snapshot();
+  }
+  ~CounterWindow() { MetricsRegistry::Global().set_enabled(was_enabled_); }
+
+  std::map<std::string, uint64_t> Take() {
+    MetricsSnapshot now = MetricsRegistry::Global().Snapshot();
+    std::map<std::string, uint64_t> delta;
+    for (const auto& [name, value] : now.Delta(before_).counters) {
+      if (value != 0) delta[name] = value;
+    }
+    before_ = std::move(now);
+    return delta;
+  }
+
+ private:
+  bool was_enabled_;
+  MetricsSnapshot before_;
+};
+
+/// lazy.plans.built counts iterator trees: one per CompiledQuery for its
+/// unprofiled runs, reused from run to run.
+TEST(LazyPlans, BuiltOncePerCompiledQuery) {
+  XQueryEngine engine;
+  ASSERT_TRUE(engine.ParseAndRegister("d.xml", "<r><a id='1'/><a/></r>").ok());
+  auto compiled = engine.Compile(
+      "for $a in doc('d.xml')/r/a where $a/@id return string($a/@id)");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  CounterWindow window;
+  for (int i = 0; i < 100; ++i) {
+    auto result = compiled.value()->Execute();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.value().size(), 1u);
+  }
+  EXPECT_EQ(window.Take()["lazy.plans.built"], 1u);
+}
+
+TEST(LazyPlans, RecursiveBodiesBuiltInTheFirstRunOnly) {
+  // Each recursion level's call site builds its body on its first call:
+  // local:f(3) reaches four levels, so the first run builds the root tree
+  // and four bodies however many tuples call it.
+  XQueryEngine engine;
+  auto compiled = engine.Compile(
+      "declare function local:f($n as xs:integer) as xs:integer { "
+      "if ($n le 0) then 0 else 1 + local:f($n - 1) }; "
+      "for $i in 1 to 20 return local:f($i mod 4)");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  CounterWindow window;
+  ASSERT_TRUE(compiled.value()->Execute().ok());
+  EXPECT_EQ(window.Take()["lazy.plans.built"], 5u);
+  auto second = compiled.value()->Execute();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(SerializeSequence(second.value()).value(),
+            "1 2 3 0 1 2 3 0 1 2 3 0 1 2 3 0 1 2 3 0");
+  EXPECT_EQ(window.Take()["lazy.plans.built"], 0u);
+}
+
+TEST(LazyPlans, ProfiledRunBuildsItsOwnTree) {
+  XQueryEngine engine;
+  auto compiled = engine.Compile("for $i in 1 to 3 return $i * 2");
+  ASSERT_TRUE(compiled.ok());
+  CounterWindow window;
+  ASSERT_TRUE(compiled.value()->Execute().ok());
+  EXPECT_EQ(window.Take()["lazy.plans.built"], 1u);
+  auto report = compiled.value()->Profile();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().engine_metrics.counters["lazy.plans.built"], 1u);
+  EXPECT_EQ(window.Take()["lazy.plans.built"], 1u);
+  ASSERT_TRUE(compiled.value()->Execute().ok());
+  EXPECT_EQ(window.Take()["lazy.plans.built"], 0u);
+}
+
+/// An `and`/`or` whose left operand decides it never touches its right
+/// operand: no access-path choice, no index probe, on any backend.
+TEST(LazyPlans, ShortCircuitSkipsRightOperandProbes) {
+  XQueryEngine engine;
+  ASSERT_TRUE(engine
+                  .ParseAndRegister("d.xml",
+                                    "<r><a id='1'/><a id='2'/><b/></r>")
+                  .ok());
+  const char* queries[] = {
+      "exists(doc('d.xml')/r/a) or exists(doc('d.xml')//a[@id = '1'])",
+      "for $i in 1 to 3 return "
+      "($i > 0 or exists(doc('missing.xml')//a[@id = '1']))",
+  };
+  auto planner_and_index = [](const std::map<std::string, uint64_t>& all) {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, value] : all) {
+      if (name.rfind("planner.", 0) == 0 || name.rfind("index.", 0) == 0) {
+        out[name] = value;
+      }
+    }
+    return out;
+  };
+  for (const char* query : queries) {
+    auto compiled = engine.Compile(query);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    CounterWindow window;
+    std::map<std::string, uint64_t> reference;
+    for (ExecBackend backend :
+         {ExecBackend::kEager, ExecBackend::kLazy, ExecBackend::kVm}) {
+      CompiledQuery::ExecOptions exec;
+      exec.backend = backend;
+      ASSERT_TRUE(compiled.value()->Execute(exec).ok());  // Warm the indexes.
+      window.Take();
+      auto result = compiled.value()->Execute(exec);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::map<std::string, uint64_t> delta = planner_and_index(window.Take());
+      if (backend == ExecBackend::kEager) reference = delta;
+      EXPECT_EQ(delta, reference) << query << " " << ExecBackendName(backend);
     }
   }
 }

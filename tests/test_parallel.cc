@@ -372,6 +372,59 @@ TEST(EngineConcurrency, OneConstructingQueryFromManyThreads) {
   }
 }
 
+// One lazy CompiledQuery from many threads, each interleaving Execute
+// (pooled trees), Profile (its own decorated tree) and Open plus a drain
+// (the stream's own tree): every result must equal the serial run's.
+TEST(EngineConcurrency, OneLazyQueryExecuteProfileOpenFromManyThreads) {
+  XQueryEngine engine;
+  ASSERT_TRUE(engine.ParseAndRegister("bib.xml", kXml).ok());
+  auto compiled = engine.Compile(
+      "declare function local:down($n as xs:integer) { "
+      "if ($n le 0) then () else ($n, local:down($n - 1)) }; "
+      "(for $b in doc('bib.xml')//book order by $b/@year descending "
+      "return <e y=\"{$b/@year}\">{$b/title/text()}</e>, "
+      "exists(local:down(30)), count(local:down(12)), "
+      "doc('bib.xml')//book[title = 'B']/@year/string())");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const CompiledQuery& q = *compiled.value();
+  CompiledQuery::ExecOptions exec;
+  exec.backend = ExecBackend::kLazy;
+  const std::string expected = q.ExecuteToXml(exec).ValueOrDie();
+  auto run = [&](int kind) -> Result<std::string> {
+    Sequence items;
+    if (kind == 0) {
+      XQP_ASSIGN_OR_RETURN(items, q.Execute(exec));
+    } else if (kind == 1) {
+      XQP_ASSIGN_OR_RETURN(ProfileReport report, q.Profile(exec));
+      items = std::move(report.result);
+    } else {
+      XQP_ASSIGN_OR_RETURN(std::unique_ptr<ResultStream> stream, q.Open(exec));
+      Item item;
+      while (true) {
+        XQP_ASSIGN_OR_RETURN(bool got, stream->Next(&item));
+        if (!got) break;
+        items.push_back(item);
+      }
+    }
+    return SerializeSequence(items);
+  };
+  constexpr int kThreads = 8;
+  constexpr int kIters = 24;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        Result<std::string> got = run((t + i) % 3);
+        if (!got.ok() || got.value() != expected) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(EngineConcurrency, ConcurrentTagIndexAndRegistration) {
   XQueryEngine engine;
   ASSERT_TRUE(engine.ParseAndRegister("d.xml", "<r><a/><b/></r>").ok());

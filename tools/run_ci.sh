@@ -67,19 +67,22 @@ echo "=== ASan+UBSan build + robustness and fuzz-smoke tests ==="
 # and differential tests cover the row-block subtree copy (index
 # arithmetic on node tables, in-arena copies that read the table they
 # grow) and the uninitialized string-pool chunk tails; the axis tests
-# cover the tree-bounded following/preceding scans.
+# cover the tree-bounded following/preceding scans. The lazy tests reuse
+# one pooled iterator tree across runs that fail, stop early inside
+# recursive functions and drop their documents, so ASan checks that
+# closing a tree touches only the live context and frees the run's items.
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DXQP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" \
   --target test_robustness test_ingest test_index test_vm test_planner \
   test_storage test_value_join test_xmark test_document test_string_pool \
-  test_differential test_axes fuzz_pull_parser fuzz_query_parser \
-  fuzz_snapshot -j"$(nproc)"
+  test_differential test_axes test_lazy fuzz_pull_parser \
+  fuzz_query_parser fuzz_snapshot -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|tool_fuzz_smoke'
+  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|test_lazy|tool_fuzz_smoke'
 
 echo "CI run clean."
