@@ -1,5 +1,8 @@
 #include "query/parser.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "query/normalize.h"
@@ -202,6 +205,207 @@ TEST(QueryParser, MutualRecursionDetection) {
   ASSERT_TRUE(NormalizeModule(module->get()).ok());
   EXPECT_TRUE((*module)->functions[0].recursive);
   EXPECT_TRUE((*module)->functions[1].recursive);
+}
+
+/// The parsed body's s-expression dump, before normalization (so unbound
+/// variables and unknown functions still parse), or the parse error.
+std::string RawDump(const std::string& query) {
+  auto module = ParseQuery(query);
+  if (!module.ok()) return "PARSE-ERROR: " + module.status().ToString();
+  return (*module)->body->ToString();
+}
+
+/// One operator of the expression grammar's 13 precedence levels, loosest
+/// (1, `or`) to tightest (13, unary sign). Binary operators are written
+/// between two operands, postfix type operators after one.
+struct PrecOp {
+  int level;
+  enum Form { kLeft, kNonAssoc, kPostfix } form;
+  const char* text;  // Binary: the operator; postfix: the whole suffix.
+  const char* tag;   // Binary: the dump's head; postfix: the dump's tail.
+  const char* head;  // Postfix: the dump's head.
+};
+
+const std::vector<PrecOp>& PrecOps() {
+  static const std::vector<PrecOp> ops = {
+      {1, PrecOp::kLeft, "or", "or", ""},
+      {2, PrecOp::kLeft, "and", "and", ""},
+      {3, PrecOp::kNonAssoc, "=", "=", ""},
+      {3, PrecOp::kNonAssoc, "!=", "!=", ""},
+      {3, PrecOp::kNonAssoc, "<", "<", ""},
+      {3, PrecOp::kNonAssoc, "<=", "<=", ""},
+      {3, PrecOp::kNonAssoc, ">", ">", ""},
+      {3, PrecOp::kNonAssoc, ">=", ">=", ""},
+      {3, PrecOp::kNonAssoc, "<<", "<<", ""},
+      {3, PrecOp::kNonAssoc, ">>", ">>", ""},
+      {3, PrecOp::kNonAssoc, "eq", "eq", ""},
+      {3, PrecOp::kNonAssoc, "ne", "ne", ""},
+      {3, PrecOp::kNonAssoc, "lt", "lt", ""},
+      {3, PrecOp::kNonAssoc, "le", "le", ""},
+      {3, PrecOp::kNonAssoc, "gt", "gt", ""},
+      {3, PrecOp::kNonAssoc, "ge", "ge", ""},
+      {3, PrecOp::kNonAssoc, "is", "is", ""},
+      {3, PrecOp::kNonAssoc, "isnot", "isnot", ""},
+      {4, PrecOp::kNonAssoc, "to", "to", ""},
+      {5, PrecOp::kLeft, "+", "+", ""},
+      {5, PrecOp::kLeft, "-", "-", ""},
+      {6, PrecOp::kLeft, "*", "*", ""},
+      {6, PrecOp::kLeft, "div", "div", ""},
+      {6, PrecOp::kLeft, "idiv", "idiv", ""},
+      {6, PrecOp::kLeft, "mod", "mod", ""},
+      {7, PrecOp::kLeft, "union", "union", ""},
+      {7, PrecOp::kLeft, "|", "union", ""},
+      {8, PrecOp::kLeft, "intersect", "intersect", ""},
+      {8, PrecOp::kLeft, "except", "except", ""},
+      {9, PrecOp::kPostfix, "instance of xs:integer", "xs:integer",
+       "instance-of"},
+      {10, PrecOp::kPostfix, "treat as xs:integer", "xs:integer", "treat-as"},
+      {11, PrecOp::kPostfix, "castable as xs:integer", "xs:integer",
+       "castable-as"},
+      {12, PrecOp::kPostfix, "cast as xs:integer", "xs:integer", "cast-as"},
+  };
+  return ops;
+}
+
+std::string Bin(const PrecOp& op, const std::string& l, const std::string& r) {
+  return std::string("(") + op.tag + " " + l + " " + r + ")";
+}
+
+std::string Post(const PrecOp& op, const std::string& e) {
+  return std::string("(") + op.head + " " + e + " " + op.tag + ")";
+}
+
+bool IsErrorWith(const std::string& dump, const std::string& message) {
+  return dump.rfind("PARSE-ERROR: ", 0) == 0 &&
+         dump.find(message) != std::string::npos;
+}
+
+TEST(QueryParser, EveryPairOfPrecedenceLevelsInBothOrders) {
+  const std::string trailing = "unexpected trailing content after query";
+  int checked = 0;
+  for (const PrecOp& a : PrecOps()) {
+    for (const PrecOp& b : PrecOps()) {
+      std::string q;
+      std::string want;
+      const bool a_post = a.form == PrecOp::kPostfix;
+      const bool b_post = b.form == PrecOp::kPostfix;
+      if (!a_post && !b_post) {
+        q = std::string("1 ") + a.text + " 2 " + b.text + " 3";
+        if (a.level > b.level ||
+            (a.level == b.level && a.form == PrecOp::kLeft)) {
+          want = Bin(b, Bin(a, "1", "2"), "3");
+        } else if (a.level < b.level) {
+          want = Bin(a, "1", Bin(b, "2", "3"));
+        }
+      } else if (!a_post && b_post) {
+        q = std::string("1 ") + a.text + " 2 " + b.text;
+        want = Bin(a, "1", Post(b, "2"));
+      } else if (a_post && !b_post) {
+        q = std::string("1 ") + a.text + " " + b.text + " 2";
+        // A sequence type (instance of, treat as) reads a following `+` or
+        // `*` as its occurrence indicator, leaving "2" unparsed.
+        bool occurrence = a.level <= 10 && (std::string(b.text) == "+" ||
+                                            std::string(b.text) == "*");
+        if (!occurrence) want = Bin(b, Post(a, "1"), "2");
+      } else {
+        q = std::string("1 ") + a.text + " " + b.text;
+        // Each type operator applies at most once, tighter ones first.
+        if (a.level > b.level) want = Post(b, Post(a, "1"));
+      }
+      std::string got = RawDump(q);
+      if (want.empty()) {
+        EXPECT_TRUE(IsErrorWith(got, trailing)) << q << " => " << got;
+      } else {
+        EXPECT_EQ(got, want) << q;
+      }
+      ++checked;
+    }
+    // The unary sign (level 13) binds tighter than every other level.
+    std::string neg = a.form == PrecOp::kPostfix
+                          ? Post(a, "(neg 1)")
+                          : Bin(a, "(neg 1)", "2");
+    std::string q = a.form == PrecOp::kPostfix
+                        ? std::string("- 1 ") + a.text
+                        : std::string("- 1 ") + a.text + " 2";
+    EXPECT_EQ(RawDump(q), neg) << q;
+    if (a.form != PrecOp::kPostfix) {
+      q = std::string("1 ") + a.text + " - 2";
+      EXPECT_EQ(RawDump(q), Bin(a, "1", "(neg 2)")) << q;
+    }
+  }
+  EXPECT_EQ(checked, 33 * 33);
+}
+
+TEST(QueryParser, LeftAssociativeLevels) {
+  EXPECT_EQ(RawDump("1 or 2 or 3 or 4"), "(or (or (or 1 2) 3) 4)");
+  EXPECT_EQ(RawDump("1 and 2 and 3"), "(and (and 1 2) 3)");
+  EXPECT_EQ(RawDump("1 - 2 + 3 - 4"), "(- (+ (- 1 2) 3) 4)");
+  EXPECT_EQ(RawDump("1 div 2 * 3 idiv 4 mod 5"),
+            "(mod (idiv (* (div 1 2) 3) 4) 5)");
+  EXPECT_EQ(RawDump("$a union $b | $c"), "(union (union $a $b) $c)");
+  EXPECT_EQ(RawDump("$a intersect $b except $c intersect $d"),
+            "(intersect (except (intersect $a $b) $c) $d)");
+}
+
+TEST(QueryParser, NonAssociativeLevelsAndDanglingOperators) {
+  EXPECT_EQ(RawDump("1 = 2 = 3"),
+            "PARSE-ERROR: Static error: 1:8: unexpected trailing content "
+            "after query");
+  EXPECT_EQ(RawDump("1 to 2 to 3"),
+            "PARSE-ERROR: Static error: 1:10: unexpected trailing content "
+            "after query");
+  EXPECT_EQ(RawDump("1 +"),
+            "PARSE-ERROR: Static error: 1:4: unexpected token in expression");
+  EXPECT_EQ(RawDump("1 = "),
+            "PARSE-ERROR: Static error: 1:5: unexpected token in expression");
+  EXPECT_EQ(RawDump("1 or"),
+            "PARSE-ERROR: Static error: 1:5: unexpected token in expression");
+  EXPECT_EQ(RawDump("1 cast as"),
+            "PARSE-ERROR: Static error: 1:10: expected a name");
+  EXPECT_EQ(RawDump("1 instance of xs:integer instance of xs:integer"),
+            "PARSE-ERROR: Static error: 1:34: unexpected trailing content "
+            "after query");
+  EXPECT_EQ(RawDump("1 instance xs:integer"),
+            "PARSE-ERROR: Static error: 1:14: unexpected trailing content "
+            "after query");
+}
+
+TEST(QueryParser, KeywordsUsedAsNames) {
+  EXPECT_EQ(RawDump("/div/mod"),
+            "(path/sort/dedup (path/sort/dedup (root) child::div) "
+            "child::mod)");
+  EXPECT_EQ(RawDump("div div div"), "(div child::div child::div)");
+  EXPECT_EQ(RawDump("mod mod mod"), "(mod child::mod child::mod)");
+  EXPECT_EQ(RawDump("$to to $to"), "(to $to $to)");
+  EXPECT_EQ(RawDump("for $to in 1 to 2 return $to"),
+            "(flwor for $to in (to 1 2) return $to)");
+  EXPECT_EQ(RawDump("for/let/eq"),
+            "(path/sort/dedup (path/sort/dedup child::for child::let) "
+            "child::eq)");
+  EXPECT_EQ(RawDump("$x/for/let/eq"),
+            "(path/sort/dedup (path/sort/dedup (path/sort/dedup $x "
+            "child::for) child::let) child::eq)");
+  EXPECT_EQ(RawDump("eq eq eq"), "(eq child::eq child::eq)");
+  EXPECT_EQ(RawDump("instance instance of element()"),
+            "(instance-of child::instance element())");
+  EXPECT_EQ(RawDump("cast cast as xs:string"),
+            "(cast-as child::cast xs:string)");
+}
+
+TEST(QueryParser, StackedUnarySigns) {
+  EXPECT_EQ(RawDump("- - + 1"), "(pos 1)");
+  EXPECT_EQ(RawDump("- + - - 1"), "(neg 1)");
+  EXPECT_EQ(RawDump("+1"), "(pos 1)");
+  EXPECT_EQ(RawDump("1 - -2"), "(- 1 (neg 2))");
+}
+
+TEST(QueryParser, TreatThenInstanceOf) {
+  EXPECT_EQ(RawDump("1 treat as xs:integer instance of xs:integer"),
+            "(instance-of (treat-as 1 xs:integer) xs:integer)");
+  EXPECT_EQ(RawDump("$x cast as xs:string castable as xs:integer treat as "
+                    "xs:boolean instance of item()*"),
+            "(instance-of (treat-as (castable-as (cast-as $x xs:string) "
+            "xs:integer) xs:boolean) item()*)");
 }
 
 struct BadQuery {
