@@ -17,10 +17,12 @@ std::string FlagSuffix(const PathExpr& p) {
   // Access-path annotation (kAuto means "not decided": cold index cache or
   // not a candidate) — kept as a separate bracket so the "[index]" marker
   // above stays stable for plans compiled with indexes enabled.
-  if (p.access_path != AccessPath::kAuto) {
+  const AccessPath access = p.access_path.load(std::memory_order_relaxed);
+  if (access != AccessPath::kAuto) {
     out += " [access: ";
-    out += AccessPathName(p.access_path);
-    out += ", est=" + std::to_string(p.access_est) + "]";
+    out += AccessPathName(access);
+    out += ", est=" +
+           std::to_string(p.access_est.load(std::memory_order_relaxed)) + "]";
   }
   return out;
 }

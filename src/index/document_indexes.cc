@@ -73,6 +73,7 @@ Result<std::shared_ptr<const DocumentIndexes>> DocumentIndexes::Build(
     syn_of[i] = it->second;
   }
 
+  idx->ComputeTotals();
   if (value_kinds == 0) return std::shared_ptr<const DocumentIndexes>(idx);
 
   // --- Pass 2: typed values per synopsis path. --------------------------
@@ -142,6 +143,29 @@ Result<std::shared_ptr<const DocumentIndexes>> DocumentIndexes::Build(
   return std::shared_ptr<const DocumentIndexes>(idx);
 }
 
+void DocumentIndexes::ComputeTotals() {
+  // Children always carry larger ids than their parent (paths are
+  // discovered top-down), so a reverse scan accumulates bottom-up.
+  const size_t n = nodes_.size();
+  subtree_postings_.assign(n, 0);
+  uint32_t max_name = 0;
+  for (size_t s = n; s-- > 0;) {
+    subtree_postings_[s] += postings_[s].size();
+    if (nodes_[s].parent >= 0) {
+      subtree_postings_[nodes_[s].parent] += subtree_postings_[s];
+    }
+    if (nodes_[s].kind == NodeKind::kElement) {
+      max_name = std::max(max_name, nodes_[s].name_id + 1);
+    }
+  }
+  element_totals_.assign(max_name, 0);
+  for (size_t s = 0; s < n; ++s) {
+    if (nodes_[s].kind == NodeKind::kElement) {
+      element_totals_[nodes_[s].name_id] += postings_[s].size();
+    }
+  }
+}
+
 int32_t DocumentIndexes::FindChild(int32_t s, NodeKind kind,
                                    uint32_t name_id) const {
   for (int32_t c : nodes_[s].children) {
@@ -164,7 +188,9 @@ void DocumentIndexes::FindDescendants(int32_t s, NodeKind kind,
 size_t DocumentIndexes::MemoryUsage() const {
   size_t total = nodes_.capacity() * sizeof(SynopsisNode) +
                  postings_.capacity() * sizeof(std::vector<NodeIndex>) +
-                 values_.capacity() * sizeof(ValuePostings);
+                 values_.capacity() * sizeof(ValuePostings) +
+                 subtree_postings_.capacity() * sizeof(uint64_t) +
+                 element_totals_.capacity() * sizeof(uint64_t);
   for (const auto& n : nodes_) total += n.children.capacity() * sizeof(int32_t);
   for (const auto& p : postings_) total += p.capacity() * sizeof(NodeIndex);
   for (const auto& v : values_) {

@@ -87,6 +87,17 @@ class DocumentIndexes {
     return postings_[s];
   }
 
+  /// Postings on synopsis path `s` and on every path below it: the exact
+  /// node population of the subtree (the root's is the document total).
+  uint64_t subtree_postings(int32_t s) const { return subtree_postings_[s]; }
+
+  /// Elements named `name_id` on any synopsis path: the size of the full
+  /// per-tag posting list a structural join consumes (0 for kNoName or a
+  /// name no element carries).
+  uint64_t element_total(uint32_t name_id) const {
+    return name_id < element_totals_.size() ? element_totals_[name_id] : 0;
+  }
+
   /// Value postings for synopsis path `s`, or nullptr when the value index
   /// was not built (value_kinds == 0).
   const ValuePostings* values(int32_t s) const {
@@ -110,11 +121,18 @@ class DocumentIndexes {
 
   DocumentIndexes() = default;
 
+  /// Derives subtree_postings_ and element_totals_ from the synopsis and
+  /// its postings. Build() and the snapshot loader call it once; the totals
+  /// are not stored in snapshots.
+  void ComputeTotals();
+
   std::shared_ptr<const Document> doc_;
   uint32_t value_kinds_ = 0;
   std::vector<SynopsisNode> nodes_;
   std::vector<std::vector<NodeIndex>> postings_;
   std::vector<ValuePostings> values_;  // Empty when value_kinds == 0.
+  std::vector<uint64_t> subtree_postings_;  // Per synopsis node.
+  std::vector<uint64_t> element_totals_;    // Per element name id.
 };
 
 }  // namespace xqp

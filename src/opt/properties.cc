@@ -53,8 +53,8 @@ bool AllChildren(const Expr* e, bool ExprProps::*flag) {
   return true;
 }
 
-void Analyze(Expr* e, const ParsedModule* module) {
-  AnalyzeChildren(e, module);
+/// Computes e->props from its children's (already computed) props.
+void AnalyzeOne(Expr* e, const ParsedModule* module) {
   ExprProps& p = e->props;
   p = ExprProps{};
   p.analyzed = true;
@@ -348,9 +348,16 @@ void Analyze(Expr* e, const ParsedModule* module) {
   }
 }
 
+void Analyze(Expr* e, const ParsedModule* module) {
+  AnalyzeChildren(e, module);
+  AnalyzeOne(e, module);
+}
+
 }  // namespace
 
 void AnalyzeExpr(Expr* e, const ParsedModule* module) { Analyze(e, module); }
+
+void AnalyzeNode(Expr* e, const ParsedModule* module) { AnalyzeOne(e, module); }
 
 const StepExpr* UnderlyingStep(const Expr* e) {
   if (e->kind() == ExprKind::kStep) {

@@ -14,6 +14,10 @@ namespace xqp {
 /// Must be re-run after structural rewrites (the rewriter does).
 void AnalyzeExpr(Expr* e, const ParsedModule* module);
 
+/// Recomputes the properties of `e` alone from its children's, which must
+/// be fresh: the incremental step for a rewrite that changed one node.
+void AnalyzeNode(Expr* e, const ParsedModule* module);
+
 /// Counts references to frame slot `slot` within `e` (locals only).
 /// `in_loop` is set when any use sits under a for-loop/quantifier/path-step
 /// body relative to `e` (the paper's "used as part of a loop" test).

@@ -131,51 +131,102 @@ bool NodeTest::Matches(const Document& doc, NodeIndex i,
   return true;
 }
 
+namespace {
+
+/// The ToString() sink: appends every piece to one string.
+class StringPrinter : public ExprPrinter {
+ public:
+  explicit StringPrinter(std::string* out) : out_(out) {}
+  void Text(std::string_view text) override { out_->append(text); }
+  void Child(const Expr& child) override { child.Print(*this); }
+
+ private:
+  std::string* out_;
+};
+
+/// QName::Lexical() without building the string.
+void PrintLexical(const QName& name, ExprPrinter& out) {
+  if (!name.prefix.empty()) {
+    out.Text(name.prefix);
+    out.Text(":");
+  }
+  out.Text(name.local);
+}
+
+}  // namespace
+
 std::string NodeTest::ToString() const {
+  std::string s;
+  StringPrinter printer(&s);
+  Print(printer);
+  return s;
+}
+
+void NodeTest::Print(ExprPrinter& out) const {
   switch (kind) {
     case Kind::kAnyKind:
-      return "node()";
+      out.Text("node()");
+      return;
     case Kind::kText:
-      return "text()";
+      out.Text("text()");
+      return;
     case Kind::kComment:
-      return "comment()";
+      out.Text("comment()");
+      return;
     case Kind::kPi:
-      return pi_target.empty()
-                 ? "processing-instruction()"
-                 : "processing-instruction(" + pi_target + ")";
+      out.Text("processing-instruction(");
+      out.Text(pi_target);
+      out.Text(")");
+      return;
     case Kind::kDocument:
-      return "document-node()";
+      out.Text("document-node()");
+      return;
     case Kind::kElement:
-      return wildcard_local ? "element()" : "element(" + local + ")";
     case Kind::kAttribute:
-      return wildcard_local ? "attribute()" : "attribute(" + local + ")";
-    case Kind::kName: {
-      std::string s;
-      if (wildcard_uri && wildcard_local) return "*";
-      if (wildcard_uri) return "*:" + local;
-      if (!uri.empty()) s = "{" + uri + "}";
-      if (wildcard_local) return s + "*";
-      return s + local;
-    }
+      out.Text(kind == Kind::kElement ? "element(" : "attribute(");
+      if (!wildcard_local) out.Text(local);
+      out.Text(")");
+      return;
+    case Kind::kName:
+      if (wildcard_uri) {
+        out.Text(wildcard_local ? "*" : "*:");
+        if (!wildcard_local) out.Text(local);
+        return;
+      }
+      if (!uri.empty()) {
+        out.Text("{");
+        out.Text(uri);
+        out.Text("}");
+      }
+      out.Text(wildcard_local ? std::string_view("*") : local);
+      return;
   }
-  return "?";
+  out.Text("?");
 }
 
 void Expr::CloneChildrenInto(Expr* dst) const {
   for (const auto& c : children_) dst->AddChild(c->Clone());
 }
 
-std::string Expr::ChildrenToString() const {
-  std::string s;
+void Expr::PrintChildren(ExprPrinter& out) const {
   for (const auto& c : children_) {
-    s += " ";
-    s += c->ToString();
+    out.Text(" ");
+    out.Child(*c);
   }
-  return s;
 }
 
 std::string Expr::ToString() const {
-  return "(" + std::string(ExprKindName(kind_)) + ChildrenToString() + ")";
+  std::string s;
+  StringPrinter printer(&s);
+  Print(printer);
+  return s;
+}
+
+void Expr::Print(ExprPrinter& out) const {
+  out.Text("(");
+  out.Text(ExprKindName(kind_));
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::string_view ArithOpName(ArithOp op) {
@@ -227,11 +278,14 @@ std::unique_ptr<Expr> LiteralExpr::Clone() const {
   return e;
 }
 
-std::string LiteralExpr::ToString() const {
+void LiteralExpr::Print(ExprPrinter& out) const {
   if (value.type() == XsType::kString || value.type() == XsType::kUntypedAtomic) {
-    return "\"" + value.Lexical() + "\"";
+    out.Text("\"");
+    out.Text(value.AsString());
+    out.Text("\"");
+    return;
   }
-  return value.Lexical();
+  out.Text(value.Lexical());
 }
 
 std::unique_ptr<Expr> VarRefExpr::Clone() const {
@@ -241,7 +295,10 @@ std::unique_ptr<Expr> VarRefExpr::Clone() const {
   return e;
 }
 
-std::string VarRefExpr::ToString() const { return "$" + name.Lexical(); }
+void VarRefExpr::Print(ExprPrinter& out) const {
+  out.Text("$");
+  PrintLexical(name, out);
+}
 
 std::unique_ptr<Expr> ContextItemExpr::Clone() const {
   return std::make_unique<ContextItemExpr>();
@@ -255,8 +312,10 @@ std::unique_ptr<Expr> StepExpr::Clone() const {
   return std::make_unique<StepExpr>(axis, test);
 }
 
-std::string StepExpr::ToString() const {
-  return std::string(AxisName(axis)) + "::" + test.ToString();
+void StepExpr::Print(ExprPrinter& out) const {
+  out.Text(AxisName(axis));
+  out.Text("::");
+  test.Print(out);
 }
 
 std::unique_ptr<Expr> SequenceExpr::Clone() const {
@@ -265,16 +324,20 @@ std::unique_ptr<Expr> SequenceExpr::Clone() const {
   return e;
 }
 
-std::string SequenceExpr::ToString() const {
-  return "(seq" + ChildrenToString() + ")";
+void SequenceExpr::Print(ExprPrinter& out) const {
+  out.Text("(seq");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> RangeExpr::Clone() const {
   return std::make_unique<RangeExpr>(child(0)->Clone(), child(1)->Clone());
 }
 
-std::string RangeExpr::ToString() const {
-  return "(to" + ChildrenToString() + ")";
+void RangeExpr::Print(ExprPrinter& out) const {
+  out.Text("(to");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> ArithmeticExpr::Clone() const {
@@ -282,16 +345,21 @@ std::unique_ptr<Expr> ArithmeticExpr::Clone() const {
                                           child(1)->Clone());
 }
 
-std::string ArithmeticExpr::ToString() const {
-  return "(" + std::string(ArithOpName(op)) + ChildrenToString() + ")";
+void ArithmeticExpr::Print(ExprPrinter& out) const {
+  out.Text("(");
+  out.Text(ArithOpName(op));
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> UnaryExpr::Clone() const {
   return std::make_unique<UnaryExpr>(negate, child(0)->Clone());
 }
 
-std::string UnaryExpr::ToString() const {
-  return std::string(negate ? "(neg" : "(pos") + ChildrenToString() + ")";
+void UnaryExpr::Print(ExprPrinter& out) const {
+  out.Text(negate ? "(neg" : "(pos");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> ComparisonExpr::Clone() const {
@@ -299,8 +367,11 @@ std::unique_ptr<Expr> ComparisonExpr::Clone() const {
                                           child(1)->Clone());
 }
 
-std::string ComparisonExpr::ToString() const {
-  return "(" + std::string(CompOpName(op)) + ChildrenToString() + ")";
+void ComparisonExpr::Print(ExprPrinter& out) const {
+  out.Text("(");
+  out.Text(CompOpName(op));
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> LogicalExpr::Clone() const {
@@ -308,8 +379,10 @@ std::unique_ptr<Expr> LogicalExpr::Clone() const {
                                        child(1)->Clone());
 }
 
-std::string LogicalExpr::ToString() const {
-  return std::string(is_and ? "(and" : "(or") + ChildrenToString() + ")";
+void LogicalExpr::Print(ExprPrinter& out) const {
+  out.Text(is_and ? "(and" : "(or");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 const char* AccessPathName(AccessPath p) {
@@ -337,16 +410,19 @@ std::unique_ptr<Expr> PathExpr::Clone() const {
   e->needs_sort = needs_sort;
   e->needs_dedup = needs_dedup;
   e->index_candidate = index_candidate;
-  e->access_path = access_path;
-  e->access_est = access_est;
+  e->access_path.store(access_path.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+  e->access_est.store(access_est.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
   return e;
 }
 
-std::string PathExpr::ToString() const {
-  std::string tag = "(path";
-  if (needs_sort) tag += "/sort";
-  if (needs_dedup) tag += "/dedup";
-  return tag + ChildrenToString() + ")";
+void PathExpr::Print(ExprPrinter& out) const {
+  out.Text("(path");
+  if (needs_sort) out.Text("/sort");
+  if (needs_dedup) out.Text("/dedup");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> FilterExpr::Clone() const {
@@ -355,8 +431,10 @@ std::unique_ptr<Expr> FilterExpr::Clone() const {
   return e;
 }
 
-std::string FilterExpr::ToString() const {
-  return "(filter" + ChildrenToString() + ")";
+void FilterExpr::Print(ExprPrinter& out) const {
+  out.Text("(filter");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> FlworExpr::Clone() const {
@@ -366,30 +444,41 @@ std::unique_ptr<Expr> FlworExpr::Clone() const {
   return e;
 }
 
-std::string FlworExpr::ToString() const {
-  std::string s = "(flwor";
+void FlworExpr::Print(ExprPrinter& out) const {
+  out.Text("(flwor");
   for (size_t i = 0; i < clauses.size(); ++i) {
     const Clause& c = clauses[i];
     switch (c.type) {
       case Clause::Type::kFor:
-        s += " for $" + c.var.Lexical();
-        if (c.has_pos_var()) s += " at $" + c.pos_var.Lexical();
-        s += " in " + child(i)->ToString();
+        out.Text(" for $");
+        PrintLexical(c.var, out);
+        if (c.has_pos_var()) {
+          out.Text(" at $");
+          PrintLexical(c.pos_var, out);
+        }
+        out.Text(" in ");
+        out.Child(*child(i));
         break;
       case Clause::Type::kLet:
-        s += " let $" + c.var.Lexical() + " := " + child(i)->ToString();
+        out.Text(" let $");
+        PrintLexical(c.var, out);
+        out.Text(" := ");
+        out.Child(*child(i));
         break;
       case Clause::Type::kWhere:
-        s += " where " + child(i)->ToString();
+        out.Text(" where ");
+        out.Child(*child(i));
         break;
       case Clause::Type::kOrderSpec:
-        s += " order-by " + child(i)->ToString() +
-             (c.descending ? " descending" : "");
+        out.Text(" order-by ");
+        out.Child(*child(i));
+        if (c.descending) out.Text(" descending");
         break;
     }
   }
-  s += " return " + return_expr()->ToString() + ")";
-  return s;
+  out.Text(" return ");
+  out.Child(*return_expr());
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> QuantifiedExpr::Clone() const {
@@ -399,13 +488,17 @@ std::unique_ptr<Expr> QuantifiedExpr::Clone() const {
   return e;
 }
 
-std::string QuantifiedExpr::ToString() const {
-  std::string s = is_every ? "(every" : "(some";
+void QuantifiedExpr::Print(ExprPrinter& out) const {
+  out.Text(is_every ? "(every" : "(some");
   for (size_t i = 0; i < bindings.size(); ++i) {
-    s += " $" + bindings[i].var.Lexical() + " in " + child(i)->ToString();
+    out.Text(" $");
+    PrintLexical(bindings[i].var, out);
+    out.Text(" in ");
+    out.Child(*child(i));
   }
-  s += " satisfies " + child(NumChildren() - 1)->ToString() + ")";
-  return s;
+  out.Text(" satisfies ");
+  out.Child(*child(NumChildren() - 1));
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> IfExpr::Clone() const {
@@ -413,8 +506,10 @@ std::unique_ptr<Expr> IfExpr::Clone() const {
                                   child(2)->Clone());
 }
 
-std::string IfExpr::ToString() const {
-  return "(if" + ChildrenToString() + ")";
+void IfExpr::Print(ExprPrinter& out) const {
+  out.Text("(if");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> TypeswitchExpr::Clone() const {
@@ -426,56 +521,76 @@ std::unique_ptr<Expr> TypeswitchExpr::Clone() const {
   return e;
 }
 
-std::string TypeswitchExpr::ToString() const {
-  std::string s = "(typeswitch " + child(0)->ToString();
+void TypeswitchExpr::Print(ExprPrinter& out) const {
+  out.Text("(typeswitch ");
+  out.Child(*child(0));
   for (size_t i = 0; i < cases.size(); ++i) {
-    s += " case " + cases[i].type.ToString() + " return " +
-         child(i + 1)->ToString();
+    out.Text(" case ");
+    out.Text(cases[i].type.ToString());
+    out.Text(" return ");
+    out.Child(*child(i + 1));
   }
-  s += " default " + child(NumChildren() - 1)->ToString() + ")";
-  return s;
+  out.Text(" default ");
+  out.Child(*child(NumChildren() - 1));
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> InstanceOfExpr::Clone() const {
   return std::make_unique<InstanceOfExpr>(child(0)->Clone(), type);
 }
 
-std::string InstanceOfExpr::ToString() const {
-  return "(instance-of " + child(0)->ToString() + " " + type.ToString() + ")";
+void InstanceOfExpr::Print(ExprPrinter& out) const {
+  out.Text("(instance-of ");
+  out.Child(*child(0));
+  out.Text(" ");
+  out.Text(type.ToString());
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> TreatExpr::Clone() const {
   return std::make_unique<TreatExpr>(child(0)->Clone(), type);
 }
 
-std::string TreatExpr::ToString() const {
-  return "(treat-as " + child(0)->ToString() + " " + type.ToString() + ")";
+void TreatExpr::Print(ExprPrinter& out) const {
+  out.Text("(treat-as ");
+  out.Child(*child(0));
+  out.Text(" ");
+  out.Text(type.ToString());
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> CastExpr::Clone() const {
   return std::make_unique<CastExpr>(child(0)->Clone(), target, optional);
 }
 
-std::string CastExpr::ToString() const {
-  return "(cast-as " + child(0)->ToString() + " " +
-         std::string(XsTypeName(target)) + (optional ? "?" : "") + ")";
+void CastExpr::Print(ExprPrinter& out) const {
+  out.Text("(cast-as ");
+  out.Child(*child(0));
+  out.Text(" ");
+  out.Text(XsTypeName(target));
+  out.Text(optional ? "?)" : ")");
 }
 
 std::unique_ptr<Expr> CastableExpr::Clone() const {
   return std::make_unique<CastableExpr>(child(0)->Clone(), target, optional);
 }
 
-std::string CastableExpr::ToString() const {
-  return "(castable-as " + child(0)->ToString() + " " +
-         std::string(XsTypeName(target)) + (optional ? "?" : "") + ")";
+void CastableExpr::Print(ExprPrinter& out) const {
+  out.Text("(castable-as ");
+  out.Child(*child(0));
+  out.Text(" ");
+  out.Text(XsTypeName(target));
+  out.Text(optional ? "?)" : ")");
 }
 
 std::unique_ptr<Expr> UnionExpr::Clone() const {
   return std::make_unique<UnionExpr>(child(0)->Clone(), child(1)->Clone());
 }
 
-std::string UnionExpr::ToString() const {
-  return "(union" + ChildrenToString() + ")";
+void UnionExpr::Print(ExprPrinter& out) const {
+  out.Text("(union");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> IntersectExceptExpr::Clone() const {
@@ -483,9 +598,10 @@ std::unique_ptr<Expr> IntersectExceptExpr::Clone() const {
                                                child(1)->Clone());
 }
 
-std::string IntersectExceptExpr::ToString() const {
-  return std::string(is_except ? "(except" : "(intersect") +
-         ChildrenToString() + ")";
+void IntersectExceptExpr::Print(ExprPrinter& out) const {
+  out.Text(is_except ? "(except" : "(intersect");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> FunctionCallExpr::Clone() const {
@@ -496,8 +612,11 @@ std::unique_ptr<Expr> FunctionCallExpr::Clone() const {
   return e;
 }
 
-std::string FunctionCallExpr::ToString() const {
-  return "(" + name.Lexical() + ChildrenToString() + ")";
+void FunctionCallExpr::Print(ExprPrinter& out) const {
+  out.Text("(");
+  PrintLexical(name, out);
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> ElementCtorExpr::Clone() const {
@@ -509,11 +628,15 @@ std::unique_ptr<Expr> ElementCtorExpr::Clone() const {
   return e;
 }
 
-std::string ElementCtorExpr::ToString() const {
-  std::string s = "(element ";
-  s += computed_name ? "<computed>" : name.Lexical();
-  s += ChildrenToString() + ")";
-  return s;
+void ElementCtorExpr::Print(ExprPrinter& out) const {
+  out.Text("(element ");
+  if (computed_name) {
+    out.Text("<computed>");
+  } else {
+    PrintLexical(name, out);
+  }
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> AttributeCtorExpr::Clone() const {
@@ -524,27 +647,35 @@ std::unique_ptr<Expr> AttributeCtorExpr::Clone() const {
   return e;
 }
 
-std::string AttributeCtorExpr::ToString() const {
-  std::string s = "(attribute ";
-  s += computed_name ? "<computed>" : name.Lexical();
-  s += ChildrenToString() + ")";
-  return s;
+void AttributeCtorExpr::Print(ExprPrinter& out) const {
+  out.Text("(attribute ");
+  if (computed_name) {
+    out.Text("<computed>");
+  } else {
+    PrintLexical(name, out);
+  }
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> TextCtorExpr::Clone() const {
   return std::make_unique<TextCtorExpr>(child(0)->Clone());
 }
 
-std::string TextCtorExpr::ToString() const {
-  return "(text" + ChildrenToString() + ")";
+void TextCtorExpr::Print(ExprPrinter& out) const {
+  out.Text("(text");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> CommentCtorExpr::Clone() const {
   return std::make_unique<CommentCtorExpr>(child(0)->Clone());
 }
 
-std::string CommentCtorExpr::ToString() const {
-  return "(comment-ctor" + ChildrenToString() + ")";
+void CommentCtorExpr::Print(ExprPrinter& out) const {
+  out.Text("(comment-ctor");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> PiCtorExpr::Clone() const {
@@ -554,24 +685,31 @@ std::unique_ptr<Expr> PiCtorExpr::Clone() const {
   return e;
 }
 
-std::string PiCtorExpr::ToString() const {
-  return "(pi " + target + ChildrenToString() + ")";
+void PiCtorExpr::Print(ExprPrinter& out) const {
+  out.Text("(pi ");
+  out.Text(target);
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> TryCatchExpr::Clone() const {
   return std::make_unique<TryCatchExpr>(child(0)->Clone(), child(1)->Clone());
 }
 
-std::string TryCatchExpr::ToString() const {
-  return "(try" + ChildrenToString() + ")";
+void TryCatchExpr::Print(ExprPrinter& out) const {
+  out.Text("(try");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 std::unique_ptr<Expr> DocumentCtorExpr::Clone() const {
   return std::make_unique<DocumentCtorExpr>(child(0)->Clone());
 }
 
-std::string DocumentCtorExpr::ToString() const {
-  return "(document" + ChildrenToString() + ")";
+void DocumentCtorExpr::Print(ExprPrinter& out) const {
+  out.Text("(document");
+  PrintChildren(out);
+  out.Text(")");
 }
 
 }  // namespace xqp

@@ -12,11 +12,155 @@ namespace {
 
 /// Kind-test keywords that introduce a node test rather than a function
 /// call when followed by "(".
-bool IsKindTestName(std::string_view name) {
-  return name == "node" || name == "text" || name == "comment" ||
-         name == "processing-instruction" || name == "element" ||
-         name == "attribute" || name == "document-node" || name == "item" ||
-         name == "empty-sequence";
+bool IsKindTestName(Kw kw) {
+  switch (kw) {
+    case Kw::kNode:
+    case Kw::kText:
+    case Kw::kComment:
+    case Kw::kProcessingInstruction:
+    case Kw::kElement:
+    case Kw::kAttribute:
+    case Kw::kDocumentNode:
+    case Kw::kItem:
+    case Kw::kEmptySequence:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Operator precedence table
+// ---------------------------------------------------------------------------
+
+/// How an operator combines with its operands. Left-associative operators
+/// chain (`1 - 2 - 3` is `(1 - 2) - 3`); a non-associative one takes one
+/// operand of its own level on neither side (`1 = 2 = 3` is an error); a
+/// postfix type operator applies once to the operand before it and takes a
+/// type, not an expression, after it.
+enum class Fixity : uint8_t { kLeft, kNonAssoc, kPostfix };
+
+using BinaryBuilder = ExprPtr (*)(uint8_t code, ExprPtr lhs, ExprPtr rhs);
+
+ExprPtr BuildLogical(uint8_t is_and, ExprPtr lhs, ExprPtr rhs) {
+  return std::make_unique<LogicalExpr>(is_and != 0, std::move(lhs),
+                                       std::move(rhs));
+}
+ExprPtr BuildComparison(uint8_t op, ExprPtr lhs, ExprPtr rhs) {
+  return std::make_unique<ComparisonExpr>(static_cast<CompOp>(op),
+                                          std::move(lhs), std::move(rhs));
+}
+ExprPtr BuildRange(uint8_t, ExprPtr lhs, ExprPtr rhs) {
+  return std::make_unique<RangeExpr>(std::move(lhs), std::move(rhs));
+}
+ExprPtr BuildArithmetic(uint8_t op, ExprPtr lhs, ExprPtr rhs) {
+  return std::make_unique<ArithmeticExpr>(static_cast<ArithOp>(op),
+                                          std::move(lhs), std::move(rhs));
+}
+ExprPtr BuildUnion(uint8_t, ExprPtr lhs, ExprPtr rhs) {
+  return std::make_unique<UnionExpr>(std::move(lhs), std::move(rhs));
+}
+ExprPtr BuildIntersectExcept(uint8_t is_except, ExprPtr lhs, ExprPtr rhs) {
+  return std::make_unique<IntersectExceptExpr>(is_except != 0, std::move(lhs),
+                                               std::move(rhs));
+}
+
+/// The postfix type operators, which the parser builds itself because their
+/// right-hand side is a type.
+enum class TypeOp : uint8_t { kInstanceOf, kTreatAs, kCastableAs, kCastAs };
+
+/// One row of the precedence table. Levels run from 1 (`or`, loosest) to
+/// 12 (`cast as`); 13 is the prefix sign, which ParseUnary handles. Level 0
+/// means the token is no operator.
+struct Operator {
+  uint8_t level = 0;
+  Fixity fixity = Fixity::kLeft;
+  BinaryBuilder build = nullptr;  // Infix operators.
+  uint8_t code = 0;               // CompOp / ArithOp / flag for `build`.
+  TypeOp type_op = TypeOp::kInstanceOf;  // Postfix operators.
+  Kw second = Kw::kNone;  // Postfix: the keyword after the first (of/as).
+};
+
+constexpr uint8_t kMaxOperatorLevel = 12;
+
+constexpr Operator Infix(uint8_t level, Fixity fixity, BinaryBuilder build,
+                         uint8_t code = 0) {
+  Operator op;
+  op.level = level;
+  op.fixity = fixity;
+  op.build = build;
+  op.code = code;
+  return op;
+}
+
+constexpr Operator Postfix(uint8_t level, TypeOp type_op, Kw second) {
+  Operator op;
+  op.level = level;
+  op.fixity = Fixity::kPostfix;
+  op.type_op = type_op;
+  op.second = second;
+  return op;
+}
+
+template <typename E>
+constexpr uint8_t Code(E e) {
+  return static_cast<uint8_t>(e);
+}
+
+/// Symbol and keyword operators, indexed by Sym and Kw code.
+struct OperatorTable {
+  Operator by_sym[static_cast<size_t>(Sym::kCount)];
+  Operator by_kw[static_cast<size_t>(Kw::kCount)];
+
+  constexpr OperatorTable() : by_sym(), by_kw() {
+    constexpr Fixity L = Fixity::kLeft;
+    constexpr Fixity N = Fixity::kNonAssoc;
+    ForKw(Kw::kOr) = Infix(1, L, BuildLogical, 0);
+    ForKw(Kw::kAnd) = Infix(2, L, BuildLogical, 1);
+    ForSym(Sym::kEq) = Infix(3, N, BuildComparison, Code(CompOp::kGenEq));
+    ForSym(Sym::kNe) = Infix(3, N, BuildComparison, Code(CompOp::kGenNe));
+    ForSym(Sym::kLt) = Infix(3, N, BuildComparison, Code(CompOp::kGenLt));
+    ForSym(Sym::kLe) = Infix(3, N, BuildComparison, Code(CompOp::kGenLe));
+    ForSym(Sym::kGt) = Infix(3, N, BuildComparison, Code(CompOp::kGenGt));
+    ForSym(Sym::kGe) = Infix(3, N, BuildComparison, Code(CompOp::kGenGe));
+    ForSym(Sym::kLtLt) = Infix(3, N, BuildComparison, Code(CompOp::kBefore));
+    ForSym(Sym::kGtGt) = Infix(3, N, BuildComparison, Code(CompOp::kAfter));
+    ForKw(Kw::kEq) = Infix(3, N, BuildComparison, Code(CompOp::kValueEq));
+    ForKw(Kw::kNe) = Infix(3, N, BuildComparison, Code(CompOp::kValueNe));
+    ForKw(Kw::kLt) = Infix(3, N, BuildComparison, Code(CompOp::kValueLt));
+    ForKw(Kw::kLe) = Infix(3, N, BuildComparison, Code(CompOp::kValueLe));
+    ForKw(Kw::kGt) = Infix(3, N, BuildComparison, Code(CompOp::kValueGt));
+    ForKw(Kw::kGe) = Infix(3, N, BuildComparison, Code(CompOp::kValueGe));
+    ForKw(Kw::kIs) = Infix(3, N, BuildComparison, Code(CompOp::kIs));
+    ForKw(Kw::kIsnot) = Infix(3, N, BuildComparison, Code(CompOp::kIsNot));
+    ForKw(Kw::kTo) = Infix(4, N, BuildRange);
+    ForSym(Sym::kPlus) = Infix(5, L, BuildArithmetic, Code(ArithOp::kAdd));
+    ForSym(Sym::kMinus) = Infix(5, L, BuildArithmetic, Code(ArithOp::kSub));
+    ForSym(Sym::kStar) = Infix(6, L, BuildArithmetic, Code(ArithOp::kMul));
+    ForKw(Kw::kDiv) = Infix(6, L, BuildArithmetic, Code(ArithOp::kDiv));
+    ForKw(Kw::kIdiv) = Infix(6, L, BuildArithmetic, Code(ArithOp::kIDiv));
+    ForKw(Kw::kMod) = Infix(6, L, BuildArithmetic, Code(ArithOp::kMod));
+    ForSym(Sym::kPipe) = Infix(7, L, BuildUnion);
+    ForKw(Kw::kUnion) = Infix(7, L, BuildUnion);
+    ForKw(Kw::kIntersect) = Infix(8, L, BuildIntersectExcept, 0);
+    ForKw(Kw::kExcept) = Infix(8, L, BuildIntersectExcept, 1);
+    ForKw(Kw::kInstance) = Postfix(9, TypeOp::kInstanceOf, Kw::kOf);
+    ForKw(Kw::kTreat) = Postfix(10, TypeOp::kTreatAs, Kw::kAs);
+    ForKw(Kw::kCastable) = Postfix(11, TypeOp::kCastableAs, Kw::kAs);
+    ForKw(Kw::kCast) = Postfix(kMaxOperatorLevel, TypeOp::kCastAs, Kw::kAs);
+  }
+  constexpr Operator& ForSym(Sym s) { return by_sym[static_cast<size_t>(s)]; }
+  constexpr Operator& ForKw(Kw k) { return by_kw[static_cast<size_t>(k)]; }
+};
+
+constexpr OperatorTable kOperators;
+
+/// The operator a token would be in operator position (level 0: none).
+const Operator& OperatorOf(const Tok& t) {
+  if (t.type == TokType::kSymbol) {
+    return kOperators.by_sym[static_cast<size_t>(t.sym)];
+  }
+  return kOperators.by_kw[static_cast<size_t>(t.kw)];
 }
 
 class Parser {
@@ -35,18 +179,18 @@ class Parser {
     XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek(ahead));
     return t->IsSym(s);
   }
-  Result<bool> PeekName(std::string_view name, size_t ahead = 0) {
+  Result<bool> PeekKw(Kw kw, size_t ahead = 0) {
     XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek(ahead));
-    return t->IsName(name);
+    return t->IsKw(kw);
   }
   Result<bool> AcceptSym(Sym s) {
     XQP_ASSIGN_OR_RETURN(bool ok, PeekSym(s));
-    if (ok) XQP_RETURN_NOT_OK(lex_.Take().status());
+    if (ok) XQP_RETURN_NOT_OK(lex_.Skip());
     return ok;
   }
-  Result<bool> AcceptName(std::string_view name) {
-    XQP_ASSIGN_OR_RETURN(bool ok, PeekName(name));
-    if (ok) XQP_RETURN_NOT_OK(lex_.Take().status());
+  Result<bool> AcceptKw(Kw kw) {
+    XQP_ASSIGN_OR_RETURN(bool ok, PeekKw(kw));
+    if (ok) XQP_RETURN_NOT_OK(lex_.Skip());
     return ok;
   }
   Status ExpectSym(Sym s, const char* what) {
@@ -54,10 +198,11 @@ class Parser {
     if (!ok) return lex_.Error(std::string("expected ") + what);
     return Status::OK();
   }
-  Status ExpectName(std::string_view name) {
-    XQP_ASSIGN_OR_RETURN(bool ok, AcceptName(name));
+  Status ExpectKw(Kw kw) {
+    XQP_ASSIGN_OR_RETURN(bool ok, AcceptKw(kw));
     if (!ok) {
-      return lex_.Error("expected keyword '" + std::string(name) + "'");
+      return lex_.Error("expected keyword '" + std::string(KeywordText(kw)) +
+                        "'");
     }
     return Status::OK();
   }
@@ -72,7 +217,7 @@ class Parser {
     if (colon->IsSym(Sym::kColon) && colon->pos == first.end) {
       XQP_ASSIGN_OR_RETURN(const Tok* local, lex_.Peek(1));
       if (local->type == TokType::kNCName && local->pos == colon->end) {
-        XQP_RETURN_NOT_OK(lex_.Take().status());  // colon
+        XQP_RETURN_NOT_OK(lex_.Skip());  // colon
         XQP_ASSIGN_OR_RETURN(Tok local_tok, lex_.Take());
         return std::make_pair(first.text, local_tok.text);
       }
@@ -129,18 +274,10 @@ class Parser {
   Result<ExprPtr> ParseQuantified();
   Result<ExprPtr> ParseTypeswitch();
   Result<ExprPtr> ParseIf();
-  Result<ExprPtr> ParseOr();
-  Result<ExprPtr> ParseAnd();
-  Result<ExprPtr> ParseComparison();
-  Result<ExprPtr> ParseRange();
-  Result<ExprPtr> ParseAdditive();
-  Result<ExprPtr> ParseMultiplicative();
-  Result<ExprPtr> ParseUnion();
-  Result<ExprPtr> ParseIntersectExcept();
-  Result<ExprPtr> ParseInstanceOf();
-  Result<ExprPtr> ParseTreat();
-  Result<ExprPtr> ParseCastable();
-  Result<ExprPtr> ParseCast();
+  /// Precedence climbing over the operator table: parses an operand and
+  /// every following operator of level >= `min_level`.
+  Result<ExprPtr> ParseOperators(uint8_t min_level);
+  Result<ExprPtr> ParseTypeOperator(TypeOp op, ExprPtr operand);
   Result<ExprPtr> ParseUnary();
   Result<ExprPtr> ParsePath();
   Result<ExprPtr> ParseRelativePath(ExprPtr first);
@@ -152,7 +289,7 @@ class Parser {
   Result<ExprPtr> ParseDirectConstructor();
   Result<ExprPtr> ParseEnclosedExpr();
   Result<NodeTest> ParseNodeTest(Axis axis);
-  Result<NodeTest> ParseKindTest(const std::string& keyword);
+  Result<NodeTest> ParseKindTest(Kw keyword);
 
   /// True when the upcoming tokens begin a computed constructor
   /// ("element {", "element name {", ...).
@@ -173,19 +310,19 @@ class Parser {
 
 Status Parser::ParseProlog() {
   while (true) {
-    XQP_ASSIGN_OR_RETURN(bool is_declare, PeekName("declare"));
-    XQP_ASSIGN_OR_RETURN(bool is_define, PeekName("define"));
-    XQP_ASSIGN_OR_RETURN(bool is_import, PeekName("import"));
+    XQP_ASSIGN_OR_RETURN(bool is_declare, PeekKw(Kw::kDeclare));
+    XQP_ASSIGN_OR_RETURN(bool is_define, PeekKw(Kw::kDefine));
+    XQP_ASSIGN_OR_RETURN(bool is_import, PeekKw(Kw::kImport));
     if (!is_declare && !is_define && !is_import) return Status::OK();
     if (is_import) {
       return lex_.Error(
           "module/schema import is not supported (optional XQuery feature)");
     }
-    XQP_RETURN_NOT_OK(lex_.Take().status());  // declare / define
+    XQP_RETURN_NOT_OK(lex_.Skip());  // declare / define
 
     XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
-    if (t->IsName("namespace")) {
-      XQP_RETURN_NOT_OK(lex_.Take().status());
+    if (t->IsKw(Kw::kNamespace)) {
+      XQP_RETURN_NOT_OK(lex_.Skip());
       XQP_ASSIGN_OR_RETURN(Tok prefix, lex_.Take());
       if (prefix.type != TokType::kNCName) {
         return lex_.Error("expected namespace prefix");
@@ -196,14 +333,14 @@ Status Parser::ParseProlog() {
         return lex_.Error("expected namespace URI string");
       }
       XQP_RETURN_NOT_OK(module_->sctx.DeclareNamespace(prefix.text, uri.text));
-    } else if (t->IsName("default")) {
-      XQP_RETURN_NOT_OK(lex_.Take().status());
-      XQP_ASSIGN_OR_RETURN(bool elem, AcceptName("element"));
-      XQP_ASSIGN_OR_RETURN(bool fun, AcceptName("function"));
+    } else if (t->IsKw(Kw::kDefault)) {
+      XQP_RETURN_NOT_OK(lex_.Skip());
+      XQP_ASSIGN_OR_RETURN(bool elem, AcceptKw(Kw::kElement));
+      XQP_ASSIGN_OR_RETURN(bool fun, AcceptKw(Kw::kFunction));
       if (!elem && !fun) {
         return lex_.Error("expected 'element' or 'function'");
       }
-      XQP_RETURN_NOT_OK(ExpectName("namespace"));
+      XQP_RETURN_NOT_OK(ExpectKw(Kw::kNamespace));
       XQP_ASSIGN_OR_RETURN(Tok uri, lex_.Take());
       if (uri.type != TokType::kString) {
         return lex_.Error("expected namespace URI string");
@@ -213,16 +350,16 @@ Status Parser::ParseProlog() {
       } else {
         module_->sctx.set_default_function_ns(uri.text);
       }
-    } else if (t->IsName("boundary-space")) {
-      XQP_RETURN_NOT_OK(lex_.Take().status());
-      XQP_ASSIGN_OR_RETURN(bool preserve, AcceptName("preserve"));
-      if (!preserve) XQP_RETURN_NOT_OK(ExpectName("strip"));
+    } else if (t->IsKw(Kw::kBoundarySpace)) {
+      XQP_RETURN_NOT_OK(lex_.Skip());
+      XQP_ASSIGN_OR_RETURN(bool preserve, AcceptKw(Kw::kPreserve));
+      if (!preserve) XQP_RETURN_NOT_OK(ExpectKw(Kw::kStrip));
       module_->sctx.set_boundary_space_preserve(preserve);
-    } else if (t->IsName("variable")) {
-      XQP_RETURN_NOT_OK(lex_.Take().status());
+    } else if (t->IsKw(Kw::kVariable)) {
+      XQP_RETURN_NOT_OK(lex_.Skip());
       XQP_RETURN_NOT_OK(ParseVariableDecl());
-    } else if (t->IsName("function")) {
-      XQP_RETURN_NOT_OK(lex_.Take().status());
+    } else if (t->IsKw(Kw::kFunction)) {
+      XQP_RETURN_NOT_OK(lex_.Skip());
       XQP_RETURN_NOT_OK(ParseFunctionDecl());
     } else {
       return lex_.Error("unsupported prolog declaration: " + t->text);
@@ -235,12 +372,12 @@ Status Parser::ParseVariableDecl() {
   XQP_RETURN_NOT_OK(ExpectSym(Sym::kDollar, "'$'"));
   GlobalVariable var;
   XQP_ASSIGN_OR_RETURN(var.name, ReadQName(false));
-  XQP_ASSIGN_OR_RETURN(bool as, AcceptName("as"));
+  XQP_ASSIGN_OR_RETURN(bool as, AcceptKw(Kw::kAs));
   if (as) {
     XQP_ASSIGN_OR_RETURN(var.type, ParseSequenceType());
     var.has_type = true;
   }
-  XQP_ASSIGN_OR_RETURN(bool external, AcceptName("external"));
+  XQP_ASSIGN_OR_RETURN(bool external, AcceptKw(Kw::kExternal));
   if (!external) {
     // Either ":= Expr" or "{ Expr }" (older draft syntax used in the paper).
     XQP_ASSIGN_OR_RETURN(bool assign, AcceptSym(Sym::kAssign));
@@ -275,7 +412,7 @@ Status Parser::ParseFunctionDecl() {
       XQP_RETURN_NOT_OK(ExpectSym(Sym::kDollar, "'$'"));
       XQP_ASSIGN_OR_RETURN(QName pname, ReadQName(false));
       fn.params.push_back(std::move(pname));
-      XQP_ASSIGN_OR_RETURN(bool as, AcceptName("as"));
+      XQP_ASSIGN_OR_RETURN(bool as, AcceptKw(Kw::kAs));
       if (as) {
         XQP_ASSIGN_OR_RETURN(SequenceType t, ParseSequenceType());
         fn.param_types.push_back(std::move(t));
@@ -287,11 +424,11 @@ Status Parser::ParseFunctionDecl() {
     }
     XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')'"));
   }
-  XQP_ASSIGN_OR_RETURN(bool as, AcceptName("as"));
+  XQP_ASSIGN_OR_RETURN(bool as, AcceptKw(Kw::kAs));
   if (as) {
     XQP_ASSIGN_OR_RETURN(fn.return_type, ParseSequenceType());
   }
-  XQP_ASSIGN_OR_RETURN(bool external, AcceptName("external"));
+  XQP_ASSIGN_OR_RETURN(bool external, AcceptKw(Kw::kExternal));
   if (!external) {
     XQP_ASSIGN_OR_RETURN(fn.body, ParseEnclosedExpr());
   }
@@ -310,34 +447,33 @@ Result<ItemTypeTest> Parser::ParseItemType() {
   }
   XQP_ASSIGN_OR_RETURN(const Tok* paren, lex_.Peek(1));
   ItemTypeTest test;
-  if (paren->IsSym(Sym::kLParen) && IsKindTestName(t->text)) {
-    std::string kw = t->text;
-    XQP_RETURN_NOT_OK(lex_.Take().status());
-    XQP_RETURN_NOT_OK(lex_.Take().status());  // '('
-    if (kw == "item") {
+  if (paren->IsSym(Sym::kLParen) && IsKindTestName(t->kw)) {
+    const Kw kw = t->kw;
+    XQP_RETURN_NOT_OK(lex_.Skip());
+    XQP_RETURN_NOT_OK(lex_.Skip());  // '('
+    if (kw == Kw::kItem) {
       test.kind = ItemTypeTest::Kind::kItem;
       XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')'"));
       return test;
     }
-    if (kw == "node") {
+    if (kw == Kw::kNode) {
       test.kind = ItemTypeTest::Kind::kNode;
-    } else if (kw == "text") {
+    } else if (kw == Kw::kText) {
       test.kind = ItemTypeTest::Kind::kText;
-    } else if (kw == "comment") {
+    } else if (kw == Kw::kComment) {
       test.kind = ItemTypeTest::Kind::kComment;
-    } else if (kw == "processing-instruction") {
+    } else if (kw == Kw::kProcessingInstruction) {
       test.kind = ItemTypeTest::Kind::kPi;
-    } else if (kw == "document-node") {
+    } else if (kw == Kw::kDocumentNode) {
       test.kind = ItemTypeTest::Kind::kDocument;
-    } else if (kw == "element" || kw == "attribute") {
-      test.kind = kw == "element" ? ItemTypeTest::Kind::kElement
-                                  : ItemTypeTest::Kind::kAttribute;
+    } else if (kw == Kw::kElement || kw == Kw::kAttribute) {
+      test.kind = kw == Kw::kElement ? ItemTypeTest::Kind::kElement
+                                     : ItemTypeTest::Kind::kAttribute;
       XQP_ASSIGN_OR_RETURN(bool star, AcceptSym(Sym::kStar));
       if (!star) {
         XQP_ASSIGN_OR_RETURN(bool close, PeekSym(Sym::kRParen));
         if (!close) {
-          XQP_ASSIGN_OR_RETURN(test.name,
-                               ReadQName(kw == "element"));
+          XQP_ASSIGN_OR_RETURN(test.name, ReadQName(kw == Kw::kElement));
           test.wildcard_name = false;
           // Optional ", TypeName" — accepted and ignored (untyped model).
           XQP_ASSIGN_OR_RETURN(bool comma, AcceptSym(Sym::kComma));
@@ -347,7 +483,8 @@ Result<ItemTypeTest> Parser::ParseItemType() {
         }
       }
     } else {
-      return lex_.Error("unsupported kind test: " + kw);
+      return lex_.Error("unsupported kind test: " +
+                        std::string(KeywordText(kw)));
     }
     XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')'"));
     return test;
@@ -366,17 +503,17 @@ Result<SequenceType> Parser::ParseSequenceType() {
   XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
   XQP_ASSIGN_OR_RETURN(const Tok* paren, lex_.Peek(1));
   SequenceType st;
-  if (t->IsName("empty-sequence") && paren->IsSym(Sym::kLParen)) {
-    XQP_RETURN_NOT_OK(lex_.Take().status());
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+  if (t->IsKw(Kw::kEmptySequence) && paren->IsSym(Sym::kLParen)) {
+    XQP_RETURN_NOT_OK(lex_.Skip());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')'"));
     st.empty_sequence = true;
     return st;
   }
   // Older "empty()" spelling from the paper era.
-  if (t->IsName("empty") && paren->IsSym(Sym::kLParen)) {
-    XQP_RETURN_NOT_OK(lex_.Take().status());
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+  if (t->IsKw(Kw::kEmpty) && paren->IsSym(Sym::kLParen)) {
+    XQP_RETURN_NOT_OK(lex_.Skip());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')'"));
     st.empty_sequence = true;
     return st;
@@ -448,24 +585,24 @@ Result<ExprPtr> Parser::ParseExprSingleGuarded() {
   XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
   if (t->type == TokType::kNCName) {
     XQP_ASSIGN_OR_RETURN(const Tok* next, lex_.Peek(1));
-    if ((t->IsName("for") || t->IsName("let")) && next->IsSym(Sym::kDollar)) {
+    if ((t->IsKw(Kw::kFor) || t->IsKw(Kw::kLet)) && next->IsSym(Sym::kDollar)) {
       return ParseFlwor();
     }
-    if ((t->IsName("some") || t->IsName("every")) &&
+    if ((t->IsKw(Kw::kSome) || t->IsKw(Kw::kEvery)) &&
         next->IsSym(Sym::kDollar)) {
       return ParseQuantified();
     }
-    if (t->IsName("typeswitch") && next->IsSym(Sym::kLParen)) {
+    if (t->IsKw(Kw::kTypeswitch) && next->IsSym(Sym::kLParen)) {
       return ParseTypeswitch();
     }
-    if (t->IsName("if") && next->IsSym(Sym::kLParen)) {
+    if (t->IsKw(Kw::kIf) && next->IsSym(Sym::kLParen)) {
       return ParseIf();
     }
-    if (t->IsName("try") && next->IsSym(Sym::kLBrace)) {
+    if (t->IsKw(Kw::kTry) && next->IsSym(Sym::kLBrace)) {
       // Extension syntax: try { Expr } catch [*] { Expr }.
-      XQP_RETURN_NOT_OK(lex_.Take().status());
+      XQP_RETURN_NOT_OK(lex_.Skip());
       XQP_ASSIGN_OR_RETURN(ExprPtr try_expr, ParseEnclosedExpr());
-      XQP_RETURN_NOT_OK(ExpectName("catch"));
+      XQP_RETURN_NOT_OK(ExpectKw(Kw::kCatch));
       XQP_ASSIGN_OR_RETURN(bool star, AcceptSym(Sym::kStar));
       (void)star;
       XQP_ASSIGN_OR_RETURN(ExprPtr catch_expr, ParseEnclosedExpr());
@@ -473,7 +610,7 @@ Result<ExprPtr> Parser::ParseExprSingleGuarded() {
                                                     std::move(catch_expr)));
     }
   }
-  return ParseOr();
+  return ParseOperators(1);
 }
 
 Result<ExprPtr> Parser::ParseFlwor() {
@@ -482,10 +619,10 @@ Result<ExprPtr> Parser::ParseFlwor() {
   while (true) {
     XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
     XQP_ASSIGN_OR_RETURN(const Tok* next, lex_.Peek(1));
-    bool is_for = t->IsName("for") && next->IsSym(Sym::kDollar);
-    bool is_let = t->IsName("let") && next->IsSym(Sym::kDollar);
+    bool is_for = t->IsKw(Kw::kFor) && next->IsSym(Sym::kDollar);
+    bool is_let = t->IsKw(Kw::kLet) && next->IsSym(Sym::kDollar);
     if (!is_for && !is_let) break;
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     while (true) {
       XQP_RETURN_NOT_OK(ExpectSym(Sym::kDollar, "'$'"));
       FlworExpr::Clause clause;
@@ -493,17 +630,17 @@ Result<ExprPtr> Parser::ParseFlwor() {
                            : FlworExpr::Clause::Type::kLet;
       XQP_ASSIGN_OR_RETURN(clause.var, ReadQName(false));
       // Optional type declaration (accepted, dynamic checking only).
-      XQP_ASSIGN_OR_RETURN(bool as, AcceptName("as"));
+      XQP_ASSIGN_OR_RETURN(bool as, AcceptKw(Kw::kAs));
       if (as) {
         XQP_RETURN_NOT_OK(ParseSequenceType().status());
       }
       if (is_for) {
-        XQP_ASSIGN_OR_RETURN(bool at, AcceptName("at"));
+        XQP_ASSIGN_OR_RETURN(bool at, AcceptKw(Kw::kAt));
         if (at) {
           XQP_RETURN_NOT_OK(ExpectSym(Sym::kDollar, "'$'"));
           XQP_ASSIGN_OR_RETURN(clause.pos_var, ReadQName(false));
         }
-        XQP_RETURN_NOT_OK(ExpectName("in"));
+        XQP_RETURN_NOT_OK(ExpectKw(Kw::kIn));
       } else {
         XQP_RETURN_NOT_OK(ExpectSym(Sym::kAssign, "':='"));
       }
@@ -518,7 +655,7 @@ Result<ExprPtr> Parser::ParseFlwor() {
     return lex_.Error("FLWOR expression requires at least one for/let clause");
   }
   // where clause.
-  XQP_ASSIGN_OR_RETURN(bool where, AcceptName("where"));
+  XQP_ASSIGN_OR_RETURN(bool where, AcceptKw(Kw::kWhere));
   if (where) {
     FlworExpr::Clause clause;
     clause.type = FlworExpr::Clause::Type::kWhere;
@@ -527,24 +664,24 @@ Result<ExprPtr> Parser::ParseFlwor() {
     flwor->AddChild(std::move(e));
   }
   // order by.
-  XQP_ASSIGN_OR_RETURN(bool stable, AcceptName("stable"));
-  XQP_ASSIGN_OR_RETURN(bool order, AcceptName("order"));
+  XQP_ASSIGN_OR_RETURN(bool stable, AcceptKw(Kw::kStable));
+  XQP_ASSIGN_OR_RETURN(bool order, AcceptKw(Kw::kOrder));
   if (stable && !order) return lex_.Error("expected 'order' after 'stable'");
   if (order) {
-    XQP_RETURN_NOT_OK(ExpectName("by"));
+    XQP_RETURN_NOT_OK(ExpectKw(Kw::kBy));
     while (true) {
       FlworExpr::Clause clause;
       clause.type = FlworExpr::Clause::Type::kOrderSpec;
       XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseExprSingle());
-      XQP_ASSIGN_OR_RETURN(bool desc, AcceptName("descending"));
+      XQP_ASSIGN_OR_RETURN(bool desc, AcceptKw(Kw::kDescending));
       if (!desc) {
-        XQP_RETURN_NOT_OK(AcceptName("ascending").status());
+        XQP_RETURN_NOT_OK(AcceptKw(Kw::kAscending).status());
       }
       clause.descending = desc;
-      XQP_ASSIGN_OR_RETURN(bool empty_kw, AcceptName("empty"));
+      XQP_ASSIGN_OR_RETURN(bool empty_kw, AcceptKw(Kw::kEmpty));
       if (empty_kw) {
-        XQP_ASSIGN_OR_RETURN(bool greatest, AcceptName("greatest"));
-        if (!greatest) XQP_RETURN_NOT_OK(ExpectName("least"));
+        XQP_ASSIGN_OR_RETURN(bool greatest, AcceptKw(Kw::kGreatest));
+        if (!greatest) XQP_RETURN_NOT_OK(ExpectKw(Kw::kLeast));
         clause.empty_least = !greatest;
       }
       flwor->clauses.push_back(std::move(clause));
@@ -553,7 +690,7 @@ Result<ExprPtr> Parser::ParseFlwor() {
       if (!comma) break;
     }
   }
-  XQP_RETURN_NOT_OK(ExpectName("return"));
+  XQP_RETURN_NOT_OK(ExpectKw(Kw::kReturn));
   XQP_ASSIGN_OR_RETURN(ExprPtr ret, ParseExprSingle());
   flwor->AddChild(std::move(ret));
   return ExprPtr(std::move(flwor));
@@ -561,46 +698,46 @@ Result<ExprPtr> Parser::ParseFlwor() {
 
 Result<ExprPtr> Parser::ParseQuantified() {
   XQP_ASSIGN_OR_RETURN(Tok kw, lex_.Take());
-  auto quant = std::make_unique<QuantifiedExpr>(kw.text == "every");
+  auto quant = std::make_unique<QuantifiedExpr>(kw.IsKw(Kw::kEvery));
   while (true) {
     XQP_RETURN_NOT_OK(ExpectSym(Sym::kDollar, "'$'"));
     QuantifiedExpr::Binding binding;
     XQP_ASSIGN_OR_RETURN(binding.var, ReadQName(false));
-    XQP_ASSIGN_OR_RETURN(bool as, AcceptName("as"));
+    XQP_ASSIGN_OR_RETURN(bool as, AcceptKw(Kw::kAs));
     if (as) {
       XQP_RETURN_NOT_OK(ParseSequenceType().status());
     }
-    XQP_RETURN_NOT_OK(ExpectName("in"));
+    XQP_RETURN_NOT_OK(ExpectKw(Kw::kIn));
     XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseExprSingle());
     quant->bindings.push_back(std::move(binding));
     quant->AddChild(std::move(e));
     XQP_ASSIGN_OR_RETURN(bool comma, AcceptSym(Sym::kComma));
     if (!comma) break;
   }
-  XQP_RETURN_NOT_OK(ExpectName("satisfies"));
+  XQP_RETURN_NOT_OK(ExpectKw(Kw::kSatisfies));
   XQP_ASSIGN_OR_RETURN(ExprPtr sat, ParseExprSingle());
   quant->AddChild(std::move(sat));
   return ExprPtr(std::move(quant));
 }
 
 Result<ExprPtr> Parser::ParseTypeswitch() {
-  XQP_RETURN_NOT_OK(lex_.Take().status());  // typeswitch
+  XQP_RETURN_NOT_OK(lex_.Skip());  // typeswitch
   XQP_RETURN_NOT_OK(ExpectSym(Sym::kLParen, "'('"));
   auto ts = std::make_unique<TypeswitchExpr>();
   XQP_ASSIGN_OR_RETURN(ExprPtr operand, ParseExpr());
   ts->AddChild(std::move(operand));
   XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')'"));
   while (true) {
-    XQP_ASSIGN_OR_RETURN(bool is_case, AcceptName("case"));
+    XQP_ASSIGN_OR_RETURN(bool is_case, AcceptKw(Kw::kCase));
     if (!is_case) break;
     TypeswitchExpr::Case c;
     XQP_ASSIGN_OR_RETURN(bool dollar, AcceptSym(Sym::kDollar));
     if (dollar) {
       XQP_ASSIGN_OR_RETURN(c.var, ReadQName(false));
-      XQP_RETURN_NOT_OK(ExpectName("as"));
+      XQP_RETURN_NOT_OK(ExpectKw(Kw::kAs));
     }
     XQP_ASSIGN_OR_RETURN(c.type, ParseSequenceType());
-    XQP_RETURN_NOT_OK(ExpectName("return"));
+    XQP_RETURN_NOT_OK(ExpectKw(Kw::kReturn));
     XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseExprSingle());
     ts->cases.push_back(std::move(c));
     ts->AddChild(std::move(e));
@@ -608,195 +745,80 @@ Result<ExprPtr> Parser::ParseTypeswitch() {
   if (ts->cases.empty()) {
     return lex_.Error("typeswitch requires at least one case");
   }
-  XQP_RETURN_NOT_OK(ExpectName("default"));
+  XQP_RETURN_NOT_OK(ExpectKw(Kw::kDefault));
   XQP_ASSIGN_OR_RETURN(bool dollar, AcceptSym(Sym::kDollar));
   if (dollar) {
     XQP_ASSIGN_OR_RETURN(ts->default_var, ReadQName(false));
   }
-  XQP_RETURN_NOT_OK(ExpectName("return"));
+  XQP_RETURN_NOT_OK(ExpectKw(Kw::kReturn));
   XQP_ASSIGN_OR_RETURN(ExprPtr def, ParseExprSingle());
   ts->AddChild(std::move(def));
   return ExprPtr(std::move(ts));
 }
 
 Result<ExprPtr> Parser::ParseIf() {
-  XQP_RETURN_NOT_OK(lex_.Take().status());  // if
+  XQP_RETURN_NOT_OK(lex_.Skip());  // if
   XQP_RETURN_NOT_OK(ExpectSym(Sym::kLParen, "'('"));
   XQP_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpr());
   XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')'"));
-  XQP_RETURN_NOT_OK(ExpectName("then"));
+  XQP_RETURN_NOT_OK(ExpectKw(Kw::kThen));
   XQP_ASSIGN_OR_RETURN(ExprPtr then_e, ParseExprSingle());
-  XQP_RETURN_NOT_OK(ExpectName("else"));
+  XQP_RETURN_NOT_OK(ExpectKw(Kw::kElse));
   XQP_ASSIGN_OR_RETURN(ExprPtr else_e, ParseExprSingle());
   return ExprPtr(std::make_unique<IfExpr>(std::move(cond), std::move(then_e),
                                           std::move(else_e)));
 }
 
-Result<ExprPtr> Parser::ParseOr() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
-  while (true) {
-    XQP_ASSIGN_OR_RETURN(bool is_or, AcceptName("or"));
-    if (!is_or) return lhs;
-    XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-    lhs = std::make_unique<LogicalExpr>(false, std::move(lhs), std::move(rhs));
-  }
-}
-
-Result<ExprPtr> Parser::ParseAnd() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseComparison());
-  while (true) {
-    XQP_ASSIGN_OR_RETURN(bool is_and, AcceptName("and"));
-    if (!is_and) return lhs;
-    XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseComparison());
-    lhs = std::make_unique<LogicalExpr>(true, std::move(lhs), std::move(rhs));
-  }
-}
-
-Result<ExprPtr> Parser::ParseComparison() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseRange());
-  XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
-  CompOp op;
-  bool found = true;
-  if (t->IsSym(Sym::kEq)) op = CompOp::kGenEq;
-  else if (t->IsSym(Sym::kNe)) op = CompOp::kGenNe;
-  else if (t->IsSym(Sym::kLt)) op = CompOp::kGenLt;
-  else if (t->IsSym(Sym::kLe)) op = CompOp::kGenLe;
-  else if (t->IsSym(Sym::kGt)) op = CompOp::kGenGt;
-  else if (t->IsSym(Sym::kGe)) op = CompOp::kGenGe;
-  else if (t->IsSym(Sym::kLtLt)) op = CompOp::kBefore;
-  else if (t->IsSym(Sym::kGtGt)) op = CompOp::kAfter;
-  else if (t->IsName("eq")) op = CompOp::kValueEq;
-  else if (t->IsName("ne")) op = CompOp::kValueNe;
-  else if (t->IsName("lt")) op = CompOp::kValueLt;
-  else if (t->IsName("le")) op = CompOp::kValueLe;
-  else if (t->IsName("gt")) op = CompOp::kValueGt;
-  else if (t->IsName("ge")) op = CompOp::kValueGe;
-  else if (t->IsName("is")) op = CompOp::kIs;
-  else if (t->IsName("isnot")) op = CompOp::kIsNot;
-  else found = false;
-  if (!found) return lhs;
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseRange());
-  return ExprPtr(
-      std::make_unique<ComparisonExpr>(op, std::move(lhs), std::move(rhs)));
-}
-
-Result<ExprPtr> Parser::ParseRange() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
-  XQP_ASSIGN_OR_RETURN(bool to, AcceptName("to"));
-  if (!to) return lhs;
-  XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-  return ExprPtr(std::make_unique<RangeExpr>(std::move(lhs), std::move(rhs)));
-}
-
-Result<ExprPtr> Parser::ParseAdditive() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
-  while (true) {
-    XQP_ASSIGN_OR_RETURN(bool plus, AcceptSym(Sym::kPlus));
-    bool minus = false;
-    if (!plus) {
-      XQP_ASSIGN_OR_RETURN(minus, AcceptSym(Sym::kMinus));
-    }
-    if (!plus && !minus) return lhs;
-    XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-    lhs = std::make_unique<ArithmeticExpr>(
-        plus ? ArithOp::kAdd : ArithOp::kSub, std::move(lhs), std::move(rhs));
-  }
-}
-
-Result<ExprPtr> Parser::ParseMultiplicative() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnion());
+Result<ExprPtr> Parser::ParseOperators(uint8_t min_level) {
+  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
+  // Operators above `max_level` no longer apply to `lhs`: a left-
+  // associative operator's right operand already took every tighter one,
+  // and a non-associative or postfix operator also shuts out its own level.
+  uint8_t max_level = kMaxOperatorLevel;
   while (true) {
     XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
-    ArithOp op;
-    if (t->IsSym(Sym::kStar)) op = ArithOp::kMul;
-    else if (t->IsName("div")) op = ArithOp::kDiv;
-    else if (t->IsName("idiv")) op = ArithOp::kIDiv;
-    else if (t->IsName("mod")) op = ArithOp::kMod;
-    else return lhs;
-    XQP_RETURN_NOT_OK(lex_.Take().status());
-    XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnion());
-    lhs = std::make_unique<ArithmeticExpr>(op, std::move(lhs), std::move(rhs));
-  }
-}
-
-Result<ExprPtr> Parser::ParseUnion() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseIntersectExcept());
-  while (true) {
-    XQP_ASSIGN_OR_RETURN(bool pipe, AcceptSym(Sym::kPipe));
-    bool kw = false;
-    if (!pipe) {
-      XQP_ASSIGN_OR_RETURN(kw, AcceptName("union"));
+    const Operator& op = OperatorOf(*t);
+    if (op.level < min_level || op.level > max_level) return lhs;
+    if (op.fixity == Fixity::kPostfix) {
+      XQP_ASSIGN_OR_RETURN(bool second, PeekKw(op.second, 1));
+      if (!second) return lhs;  // `instance` alone is a name, not `instance of`.
+      XQP_RETURN_NOT_OK(lex_.Skip());
+      XQP_RETURN_NOT_OK(lex_.Skip());
+      XQP_ASSIGN_OR_RETURN(lhs, ParseTypeOperator(op.type_op, std::move(lhs)));
+      max_level = op.level - 1;
+      continue;
     }
-    if (!pipe && !kw) return lhs;
-    XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseIntersectExcept());
-    lhs = std::make_unique<UnionExpr>(std::move(lhs), std::move(rhs));
+    XQP_RETURN_NOT_OK(lex_.Skip());
+    XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseOperators(op.level + 1));
+    lhs = op.build(op.code, std::move(lhs), std::move(rhs));
+    max_level = op.fixity == Fixity::kLeft ? op.level : op.level - 1;
   }
 }
 
-Result<ExprPtr> Parser::ParseIntersectExcept() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseInstanceOf());
-  while (true) {
-    XQP_ASSIGN_OR_RETURN(bool intersect, AcceptName("intersect"));
-    bool except = false;
-    if (!intersect) {
-      XQP_ASSIGN_OR_RETURN(except, AcceptName("except"));
+Result<ExprPtr> Parser::ParseTypeOperator(TypeOp op, ExprPtr operand) {
+  switch (op) {
+    case TypeOp::kInstanceOf: {
+      XQP_ASSIGN_OR_RETURN(SequenceType type, ParseSequenceType());
+      return ExprPtr(
+          std::make_unique<InstanceOfExpr>(std::move(operand), std::move(type)));
     }
-    if (!intersect && !except) return lhs;
-    XQP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseInstanceOf());
-    lhs = std::make_unique<IntersectExceptExpr>(except, std::move(lhs),
-                                                std::move(rhs));
+    case TypeOp::kTreatAs: {
+      XQP_ASSIGN_OR_RETURN(SequenceType type, ParseSequenceType());
+      return ExprPtr(
+          std::make_unique<TreatExpr>(std::move(operand), std::move(type)));
+    }
+    case TypeOp::kCastableAs: {
+      XQP_ASSIGN_OR_RETURN(auto single, ParseSingleType());
+      return ExprPtr(std::make_unique<CastableExpr>(
+          std::move(operand), single.first, single.second));
+    }
+    case TypeOp::kCastAs: {
+      XQP_ASSIGN_OR_RETURN(auto single, ParseSingleType());
+      return ExprPtr(std::make_unique<CastExpr>(std::move(operand),
+                                                single.first, single.second));
+    }
   }
-}
-
-Result<ExprPtr> Parser::ParseInstanceOf() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseTreat());
-  XQP_ASSIGN_OR_RETURN(bool inst, PeekName("instance"));
-  if (!inst) return e;
-  XQP_ASSIGN_OR_RETURN(bool of, PeekName("of", 1));
-  if (!of) return e;
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_ASSIGN_OR_RETURN(SequenceType type, ParseSequenceType());
-  return ExprPtr(std::make_unique<InstanceOfExpr>(std::move(e), std::move(type)));
-}
-
-Result<ExprPtr> Parser::ParseTreat() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseCastable());
-  XQP_ASSIGN_OR_RETURN(bool treat, PeekName("treat"));
-  if (!treat) return e;
-  XQP_ASSIGN_OR_RETURN(bool as, PeekName("as", 1));
-  if (!as) return e;
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_ASSIGN_OR_RETURN(SequenceType type, ParseSequenceType());
-  return ExprPtr(std::make_unique<TreatExpr>(std::move(e), std::move(type)));
-}
-
-Result<ExprPtr> Parser::ParseCastable() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseCast());
-  XQP_ASSIGN_OR_RETURN(bool castable, PeekName("castable"));
-  if (!castable) return e;
-  XQP_ASSIGN_OR_RETURN(bool as, PeekName("as", 1));
-  if (!as) return e;
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_ASSIGN_OR_RETURN(auto single, ParseSingleType());
-  return ExprPtr(std::make_unique<CastableExpr>(std::move(e), single.first,
-                                                single.second));
-}
-
-Result<ExprPtr> Parser::ParseCast() {
-  XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseUnary());
-  XQP_ASSIGN_OR_RETURN(bool cast, PeekName("cast"));
-  if (!cast) return e;
-  XQP_ASSIGN_OR_RETURN(bool as, PeekName("as", 1));
-  if (!as) return e;
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_RETURN_NOT_OK(lex_.Take().status());
-  XQP_ASSIGN_OR_RETURN(auto single, ParseSingleType());
-  return ExprPtr(
-      std::make_unique<CastExpr>(std::move(e), single.first, single.second));
+  return lex_.Error("unknown type operator");
 }
 
 Result<ExprPtr> Parser::ParseUnary() {
@@ -873,18 +895,18 @@ Result<ExprPtr> Parser::ParseRelativePath(ExprPtr lhs) {
   }
 }
 
-Result<NodeTest> Parser::ParseKindTest(const std::string& keyword) {
+Result<NodeTest> Parser::ParseKindTest(Kw keyword) {
   // Caller consumed `keyword` and "(".
   NodeTest test;
-  if (keyword == "node") {
+  if (keyword == Kw::kNode) {
     test.kind = NodeTest::Kind::kAnyKind;
-  } else if (keyword == "text") {
+  } else if (keyword == Kw::kText) {
     test.kind = NodeTest::Kind::kText;
-  } else if (keyword == "comment") {
+  } else if (keyword == Kw::kComment) {
     test.kind = NodeTest::Kind::kComment;
-  } else if (keyword == "document-node") {
+  } else if (keyword == Kw::kDocumentNode) {
     test.kind = NodeTest::Kind::kDocument;
-  } else if (keyword == "processing-instruction") {
+  } else if (keyword == Kw::kProcessingInstruction) {
     test.kind = NodeTest::Kind::kPi;
     XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
     if (t->type == TokType::kString) {
@@ -894,16 +916,16 @@ Result<NodeTest> Parser::ParseKindTest(const std::string& keyword) {
       XQP_ASSIGN_OR_RETURN(Tok s, lex_.Take());
       test.pi_target = s.text;
     }
-  } else if (keyword == "element" || keyword == "attribute") {
-    test.kind = keyword == "element" ? NodeTest::Kind::kElement
-                                     : NodeTest::Kind::kAttribute;
+  } else if (keyword == Kw::kElement || keyword == Kw::kAttribute) {
+    test.kind = keyword == Kw::kElement ? NodeTest::Kind::kElement
+                                        : NodeTest::Kind::kAttribute;
     test.wildcard_local = true;
     test.wildcard_uri = true;
     XQP_ASSIGN_OR_RETURN(bool star, AcceptSym(Sym::kStar));
     if (!star) {
       XQP_ASSIGN_OR_RETURN(bool close, PeekSym(Sym::kRParen));
       if (!close) {
-        XQP_ASSIGN_OR_RETURN(QName name, ReadQName(keyword == "element"));
+        XQP_ASSIGN_OR_RETURN(QName name, ReadQName(keyword == Kw::kElement));
         test.wildcard_local = false;
         test.wildcard_uri = false;
         test.uri = name.uri;
@@ -915,7 +937,8 @@ Result<NodeTest> Parser::ParseKindTest(const std::string& keyword) {
       }
     }
   } else {
-    return lex_.Error("unsupported kind test: " + keyword);
+    return lex_.Error("unsupported kind test: " +
+                      std::string(KeywordText(keyword)));
   }
   XQP_RETURN_NOT_OK(ExpectSym(Sym::kRParen, "')' in kind test"));
   return test;
@@ -930,7 +953,7 @@ Result<NodeTest> Parser::ParseNodeTest(Axis axis) {
     if (colon->IsSym(Sym::kColon) && colon->pos == star.end) {
       XQP_ASSIGN_OR_RETURN(const Tok* local, lex_.Peek(1));
       if (local->type == TokType::kNCName && local->pos == colon->end) {
-        XQP_RETURN_NOT_OK(lex_.Take().status());
+        XQP_RETURN_NOT_OK(lex_.Skip());
         XQP_ASSIGN_OR_RETURN(Tok local_tok, lex_.Take());
         NodeTest test;
         test.kind = NodeTest::Kind::kName;
@@ -946,11 +969,11 @@ Result<NodeTest> Parser::ParseNodeTest(Axis axis) {
   }
   // Kind tests.
   XQP_ASSIGN_OR_RETURN(const Tok* paren, lex_.Peek(1));
-  if (paren->IsSym(Sym::kLParen) && IsKindTestName(t->text) &&
-      t->text != "item" && t->text != "empty-sequence") {
+  if (paren->IsSym(Sym::kLParen) && IsKindTestName(t->kw) &&
+      t->kw != Kw::kItem && t->kw != Kw::kEmptySequence) {
     XQP_ASSIGN_OR_RETURN(Tok kw, lex_.Take());
-    XQP_RETURN_NOT_OK(lex_.Take().status());  // '('
-    return ParseKindTest(kw.text);
+    XQP_RETURN_NOT_OK(lex_.Skip());  // '('
+    return ParseKindTest(kw.kw);
   }
   // Name test: QName | NCName":*".
   XQP_ASSIGN_OR_RETURN(Tok first, lex_.Take());
@@ -958,8 +981,8 @@ Result<NodeTest> Parser::ParseNodeTest(Axis axis) {
   if (colon->IsSym(Sym::kColon) && colon->pos == first.end) {
     XQP_ASSIGN_OR_RETURN(const Tok* after, lex_.Peek(1));
     if (after->IsSym(Sym::kStar) && after->pos == colon->end) {
-      XQP_RETURN_NOT_OK(lex_.Take().status());
-      XQP_RETURN_NOT_OK(lex_.Take().status());
+      XQP_RETURN_NOT_OK(lex_.Skip());
+      XQP_RETURN_NOT_OK(lex_.Skip());
       XQP_ASSIGN_OR_RETURN(std::string uri, ResolvePrefix(first.text, false));
       NodeTest test;
       test.kind = NodeTest::Kind::kName;
@@ -968,7 +991,7 @@ Result<NodeTest> Parser::ParseNodeTest(Axis axis) {
       return test;
     }
     if (after->type == TokType::kNCName && after->pos == colon->end) {
-      XQP_RETURN_NOT_OK(lex_.Take().status());
+      XQP_RETURN_NOT_OK(lex_.Skip());
       XQP_ASSIGN_OR_RETURN(Tok local, lex_.Take());
       XQP_ASSIGN_OR_RETURN(std::string uri, ResolvePrefix(first.text, false));
       return NodeTest::Name(std::move(uri), std::move(local.text));
@@ -988,12 +1011,12 @@ Result<ExprPtr> Parser::ParseStep() {
 
   // Abbreviations.
   if (t->IsSym(Sym::kDotDot)) {
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     ExprPtr step = std::make_unique<StepExpr>(Axis::kParent, NodeTest{});
     return ParsePredicates(std::move(step));
   }
   if (t->IsSym(Sym::kAt)) {
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     XQP_ASSIGN_OR_RETURN(NodeTest test, ParseNodeTest(Axis::kAttribute));
     ExprPtr step = std::make_unique<StepExpr>(Axis::kAttribute, std::move(test));
     return ParsePredicates(std::move(step));
@@ -1021,8 +1044,8 @@ Result<ExprPtr> Parser::ParseStep() {
       };
       for (const auto& [name, axis] : kAxes) {
         if (t->text == name) {
-          XQP_RETURN_NOT_OK(lex_.Take().status());
-          XQP_RETURN_NOT_OK(lex_.Take().status());
+          XQP_RETURN_NOT_OK(lex_.Skip());
+          XQP_RETURN_NOT_OK(lex_.Skip());
           XQP_ASSIGN_OR_RETURN(NodeTest test, ParseNodeTest(axis));
           ExprPtr step = std::make_unique<StepExpr>(axis, std::move(test));
           return ParsePredicates(std::move(step));
@@ -1046,7 +1069,7 @@ Result<ExprPtr> Parser::ParseStep() {
         }
       }
       if (call_like || prefixed_call) {
-        if (call_like && IsKindTestName(t->text)) {
+        if (call_like && IsKindTestName(t->kw)) {
           // Kind test as a step (child axis).
           XQP_ASSIGN_OR_RETURN(NodeTest test, ParseNodeTest(Axis::kChild));
           Axis axis = test.kind == NodeTest::Kind::kAttribute
@@ -1091,10 +1114,10 @@ Result<ExprPtr> Parser::ParsePredicates(ExprPtr base) {
 Result<bool> Parser::LooksLikeComputedCtor() {
   XQP_ASSIGN_OR_RETURN(const Tok* t, lex_.Peek());
   if (t->type != TokType::kNCName) return false;
-  bool named_kind = t->text == "element" || t->text == "attribute" ||
-                    t->text == "processing-instruction";
-  bool unnamed_kind = t->text == "text" || t->text == "comment" ||
-                      t->text == "document";
+  bool named_kind = t->kw == Kw::kElement || t->kw == Kw::kAttribute ||
+                    t->kw == Kw::kProcessingInstruction;
+  bool unnamed_kind = t->kw == Kw::kText || t->kw == Kw::kComment ||
+                      t->kw == Kw::kDocument;
   if (!named_kind && !unnamed_kind) return false;
   XQP_ASSIGN_OR_RETURN(const Tok* next, lex_.Peek(1));
   if (next->IsSym(Sym::kLBrace)) return true;  // computed name or content
@@ -1124,8 +1147,8 @@ Result<ExprPtr> Parser::ParseEnclosedExpr() {
 
 Result<ExprPtr> Parser::ParseComputedConstructor() {
   XQP_ASSIGN_OR_RETURN(Tok kw, lex_.Take());
-  if (kw.text == "element" || kw.text == "attribute") {
-    bool is_element = kw.text == "element";
+  if (kw.IsKw(Kw::kElement) || kw.IsKw(Kw::kAttribute)) {
+    bool is_element = kw.IsKw(Kw::kElement);
     bool computed_name = false;
     QName name;
     ExprPtr name_expr;
@@ -1152,19 +1175,19 @@ Result<ExprPtr> Parser::ParseComputedConstructor() {
     ctor->AddChild(std::move(content));
     return ExprPtr(std::move(ctor));
   }
-  if (kw.text == "text") {
+  if (kw.IsKw(Kw::kText)) {
     XQP_ASSIGN_OR_RETURN(ExprPtr content, ParseEnclosedExpr());
     return ExprPtr(std::make_unique<TextCtorExpr>(std::move(content)));
   }
-  if (kw.text == "comment") {
+  if (kw.IsKw(Kw::kComment)) {
     XQP_ASSIGN_OR_RETURN(ExprPtr content, ParseEnclosedExpr());
     return ExprPtr(std::make_unique<CommentCtorExpr>(std::move(content)));
   }
-  if (kw.text == "document") {
+  if (kw.IsKw(Kw::kDocument)) {
     XQP_ASSIGN_OR_RETURN(ExprPtr content, ParseEnclosedExpr());
     return ExprPtr(std::make_unique<DocumentCtorExpr>(std::move(content)));
   }
-  if (kw.text == "processing-instruction") {
+  if (kw.IsKw(Kw::kProcessingInstruction)) {
     auto ctor = std::make_unique<PiCtorExpr>();
     XQP_ASSIGN_OR_RETURN(Tok name, lex_.Take());
     if (name.type != TokType::kNCName) {
@@ -1229,16 +1252,16 @@ Result<ExprPtr> Parser::ParsePrimary() {
       break;
   }
   if (t->IsSym(Sym::kDollar)) {
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     XQP_ASSIGN_OR_RETURN(QName name, ReadQName(false));
     return ExprPtr(std::make_unique<VarRefExpr>(std::move(name)));
   }
   if (t->IsSym(Sym::kDot)) {
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     return ExprPtr(std::make_unique<ContextItemExpr>());
   }
   if (t->IsSym(Sym::kLParen)) {
-    XQP_RETURN_NOT_OK(lex_.Take().status());
+    XQP_RETURN_NOT_OK(lex_.Skip());
     XQP_ASSIGN_OR_RETURN(bool empty, AcceptSym(Sym::kRParen));
     if (empty) return ExprPtr(std::make_unique<SequenceExpr>());
     XQP_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
@@ -1251,14 +1274,14 @@ Result<ExprPtr> Parser::ParsePrimary() {
   if (t->type == TokType::kNCName) {
     XQP_ASSIGN_OR_RETURN(bool computed, LooksLikeComputedCtor());
     if (computed) return ParseComputedConstructor();
-    if (t->IsName("validate")) {
+    if (t->IsKw(Kw::kValidate)) {
       return lex_.Error(
           "schema validation is not supported (optional XQuery feature)");
     }
-    if (t->IsName("ordered") || t->IsName("unordered")) {
+    if (t->IsKw(Kw::kOrdered) || t->IsKw(Kw::kUnordered)) {
       XQP_ASSIGN_OR_RETURN(const Tok* next, lex_.Peek(1));
       if (next->IsSym(Sym::kLBrace)) {
-        XQP_RETURN_NOT_OK(lex_.Take().status());
+        XQP_RETURN_NOT_OK(lex_.Skip());
         return ParseEnclosedExpr();  // Treated as a no-op wrapper.
       }
     }
@@ -1373,7 +1396,7 @@ Result<ExprPtr> Parser::ParseDirectConstructor() {
         XQP_ASSIGN_OR_RETURN(const Tok* rb, lex_.Peek());
         if (!rb->IsSym(Sym::kRBrace)) return lex_.Error("expected '}'");
         size_t after = rb->end;
-        XQP_RETURN_NOT_OK(lex_.Take().status());
+        XQP_RETURN_NOT_OK(lex_.Skip());
         lex_.SetPos(after);
         attr.parts.push_back(std::move(e));
         continue;
@@ -1596,7 +1619,7 @@ Result<ExprPtr> Parser::ParseDirectConstructor() {
         return lex_.Error("expected '}' after enclosed expression");
       }
       size_t after = rb->end;
-      XQP_RETURN_NOT_OK(lex_.Take().status());
+      XQP_RETURN_NOT_OK(lex_.Skip());
       lex_.SetPos(after);
       ctor->AddChild(std::move(e));
       continue;

@@ -2,17 +2,23 @@
 
 namespace xqp {
 
-StaticContext::StaticContext() {
-  namespaces_["xml"] = "http://www.w3.org/XML/1998/namespace";
-  namespaces_["xs"] = std::string(kXsNamespace);
-  namespaces_["xsi"] = "http://www.w3.org/2001/XMLSchema-instance";
-  namespaces_["xdt"] = std::string(kXdtNamespace);
-  namespaces_["fn"] = std::string(kFnNamespace);
-  // "xf" appears throughout the paper's examples as the F&O prefix.
-  namespaces_["xf"] = std::string(kFnNamespace);
-  namespaces_["local"] = std::string(kLocalNamespace);
-  default_function_ns_ = std::string(kFnNamespace);
-}
+namespace {
+
+/// Prefixes every query starts with.
+constexpr std::pair<std::string_view, std::string_view> kPredeclared[] = {
+    {"xml", "http://www.w3.org/XML/1998/namespace"},
+    {"xs", kXsNamespace},
+    {"xsi", "http://www.w3.org/2001/XMLSchema-instance"},
+    {"xdt", kXdtNamespace},
+    {"fn", kFnNamespace},
+    // "xf" appears throughout the paper's examples as the F&O prefix.
+    {"xf", kFnNamespace},
+    {"local", kLocalNamespace},
+};
+
+}  // namespace
+
+StaticContext::StaticContext() : default_function_ns_(kFnNamespace) {}
 
 Status StaticContext::DeclareNamespace(const std::string& prefix,
                                        const std::string& uri) {
@@ -30,11 +36,12 @@ Result<std::string> StaticContext::ResolvePrefix(
     return use_default_element_ns ? default_element_ns_ : std::string();
   }
   auto it = namespaces_.find(prefix);
-  if (it == namespaces_.end()) {
-    return Status::StaticError("undeclared namespace prefix: " +
-                               std::string(prefix));
+  if (it != namespaces_.end()) return it->second;
+  for (const auto& [name, uri] : kPredeclared) {
+    if (name == prefix) return std::string(uri);
   }
-  return it->second;
+  return Status::StaticError("undeclared namespace prefix: " +
+                             std::string(prefix));
 }
 
 }  // namespace xqp

@@ -54,6 +54,8 @@ class StaticContext {
   }
 
  private:
+  /// Prolog declarations; the predeclared prefixes (xml, xs, fn, ...) are
+  /// consulted after these, so a declaration can shadow one of them.
   std::map<std::string, std::string, std::less<>> namespaces_;
   std::string default_element_ns_;
   std::string default_function_ns_;

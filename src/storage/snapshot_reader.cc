@@ -540,6 +540,7 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
       }
       idx->postings_[s].assign(post + row[s], post + row[s + 1]);
     }
+    idx->ComputeTotals();
 
     if (header.value_kinds != 0) {
       const Sec& vals = sec(SectionId::kValues);
