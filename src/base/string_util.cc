@@ -38,15 +38,6 @@ std::string NormalizeSpace(std::string_view s) {
   return out;
 }
 
-bool IsNameStartChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-         static_cast<unsigned char>(c) >= 0x80;
-}
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
-
 bool IsNCName(std::string_view name) {
   if (name.empty() || !IsNameStartChar(name[0])) return false;
   for (size_t i = 1; i < name.size(); ++i) {

@@ -27,10 +27,15 @@ std::string NormalizeSpace(std::string_view s);
 bool IsNCName(std::string_view name);
 
 /// True if `c` may start an NCName.
-bool IsNameStartChar(char c);
+inline bool IsNameStartChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         static_cast<unsigned char>(c) >= 0x80;
+}
 
 /// True if `c` may continue an NCName.
-bool IsNameChar(char c);
+inline bool IsNameChar(char c) {
+  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
+}
 
 /// Splits "prefix:local" into its two parts; prefix is empty when there is
 /// no colon.

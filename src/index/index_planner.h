@@ -71,11 +71,14 @@ std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
     const DocumentIndexes& idx, const IndexQuery& q);
 
 /// Advances a synopsis frontier (sorted, duplicate-free synopsis-node set)
-/// across one chain step. Exported for the cost model (opt/cost.h), which
-/// resolves chains exactly the way AnswerIndexQuery does.
+/// across one chain step whose name the caller looked up
+/// (`name_id` = idx.doc().FindNameId(st.uri, st.local)). Exported for the
+/// cost model (opt/cost.h), which resolves chains exactly the way
+/// AnswerIndexQuery does.
 std::vector<int32_t> ResolveSynopsisStep(const DocumentIndexes& idx,
                                          const std::vector<int32_t>& frontier,
-                                         const IndexStep& st);
+                                         const IndexStep& st,
+                                         uint32_t name_id);
 
 /// Total posting count of a synopsis set — the exact number of document
 /// nodes on those paths (lists are pairwise disjoint).

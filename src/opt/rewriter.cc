@@ -12,7 +12,7 @@ namespace opt_internal {
 
 void RuleContext::Count(const char* rule) {
   ++(*stats)[rule];
-  changed = true;
+  ++fired;
   if (metrics::Enabled()) {
     metrics::MetricsRegistry::Global()
         .counter(std::string("rewrite.") + rule)
@@ -27,16 +27,22 @@ namespace {
 Status OptimizeFrame(ExprPtr& body, ParsedModule* module,
                      const RewriterOptions& options, RewriteStats* stats,
                      int* next_slot) {
+  // Properties feed several rules, so every rule family starts from fresh
+  // ones. They go stale only when a rule fires, and the path rules refresh
+  // whatever they change themselves, so a family that fired nothing needs
+  // no new analysis after it.
+  bool fresh = false;
   for (int pass = 0; pass < options.max_passes; ++pass) {
     RuleContext ctx{module, &options, stats, next_slot};
-    // Properties feed several rules; refresh before every pass.
-    AnalyzeExpr(body.get(), module);
+    if (!fresh) AnalyzeExpr(body.get(), module);
     XQP_RETURN_NOT_OK(opt_internal::ApplyCoreRules(body, &ctx));
-    AnalyzeExpr(body.get(), module);
+    if (ctx.fired > 0) AnalyzeExpr(body.get(), module);
+    const int after_core = ctx.fired;
     XQP_RETURN_NOT_OK(opt_internal::ApplyFlworRules(body, &ctx));
-    AnalyzeExpr(body.get(), module);
+    if (ctx.fired > after_core) AnalyzeExpr(body.get(), module);
     XQP_RETURN_NOT_OK(opt_internal::ApplyPathRules(body, &ctx));
-    if (!ctx.changed) break;
+    fresh = true;
+    if (ctx.fired == 0) break;
   }
   return Status::OK();
 }

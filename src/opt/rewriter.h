@@ -58,19 +58,21 @@ struct RuleContext {
   /// Slot counter of the frame being rewritten (extended when rules create
   /// new bindings).
   int* next_slot;
-  bool changed = false;
+  /// Rule applications in this pass so far. Every rule that changes the
+  /// tree counts, so an unchanged count means unchanged properties.
+  int fired = 0;
 
   /// Records one application of `rule`: bumps the per-compilation stats,
-  /// marks the pass as having changed the tree, and (when the global
-  /// metrics registry collects) bumps the process-wide "rewrite.<rule>"
-  /// fire counter.
+  /// counts it toward `fired`, and (when the global metrics registry
+  /// collects) bumps the process-wide "rewrite.<rule>" fire counter.
   void Count(const char* rule);
 };
 
 // Rule entry points (one translation unit per family).
 Status ApplyCoreRules(ExprPtr& e, RuleContext* ctx);    // rules_core.cc
 Status ApplyFlworRules(ExprPtr& e, RuleContext* ctx);   // rules_flwor.cc
-Status ApplyPathRules(ExprPtr& e, RuleContext* ctx);    // rules_path.cc
+/// Expects fresh properties and leaves them fresh (rules_path.cc).
+Status ApplyPathRules(ExprPtr& e, RuleContext* ctx);
 /// The value-join rule (rules_flwor.cc): one pass over the optimized main
 /// body, after the fixpoint, with fresh properties.
 void PlanValueJoins(Expr* body, RuleContext* ctx);

@@ -425,6 +425,59 @@ TEST(EngineConcurrency, OneLazyQueryExecuteProfileOpenFromManyThreads) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(EngineConcurrency, ExplainWhileExecutingFromManyThreads) {
+  // ExplainTree() refreshes the access-path annotation of the shared plan;
+  // with the indexes warm every refresh stores the same decision, so each
+  // concurrent explain must read exactly the serial text.
+  XQueryEngine engine;
+  ASSERT_TRUE(engine.ParseAndRegister(
+                        "d.xml", "<r><a><b/><b/></a><a><b/></a><c/></r>")
+                  .ok());
+  ASSERT_TRUE(engine.GetDocumentIndexes("d.xml").ok());
+  auto compiled = engine.Compile("doc('d.xml')/r/a/b");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const CompiledQuery& q = *compiled.value();
+  CompiledQuery::ExecOptions vm;
+  vm.backend = ExecBackend::kVm;
+  const std::string explain = q.ExplainTree();
+  const std::string explain_vm = q.ExplainTree(vm);
+  ASSERT_NE(explain.find("[access: "), std::string::npos) << explain;
+  const ExecBackend backends[] = {ExecBackend::kLazy, ExecBackend::kEager,
+                                  ExecBackend::kVm};
+  std::vector<std::string> expected;
+  for (ExecBackend b : backends) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = b;
+    expected.push_back(q.ExecuteToXml(exec).ValueOrDie());
+  }
+  constexpr int kThreads = 8;
+  constexpr int kIters = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const int kind = (t + i) % 5;
+        if (kind == 0) {
+          if (q.ExplainTree() != explain) failures.fetch_add(1);
+        } else if (kind == 1) {
+          if (q.ExplainTree(vm) != explain_vm) failures.fetch_add(1);
+        } else {
+          CompiledQuery::ExecOptions exec;
+          exec.backend = backends[kind - 2];
+          Result<std::string> got = q.ExecuteToXml(exec);
+          if (!got.ok() || got.value() != expected[kind - 2]) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(EngineConcurrency, ConcurrentTagIndexAndRegistration) {
   XQueryEngine engine;
   ASSERT_TRUE(engine.ParseAndRegister("d.xml", "<r><a/><b/></r>").ok());

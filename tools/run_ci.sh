@@ -71,18 +71,23 @@ echo "=== ASan+UBSan build + robustness and fuzz-smoke tests ==="
 # one pooled iterator tree across runs that fail, stop early inside
 # recursive functions and drop their documents, so ASan checks that
 # closing a tree touches only the live context and frees the run's items.
+# The lexer, parser, optimizer and compile-golden tests cover the front
+# end: the lexer's reused token ring, the operator-table parser's error
+# paths, and the rewriter's in-place tree surgery (CSE hoisting, path
+# collapse) with the node-at-a-time property refresh.
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DXQP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" \
   --target test_robustness test_ingest test_index test_vm test_planner \
   test_storage test_value_join test_xmark test_document test_string_pool \
-  test_differential test_axes test_lazy fuzz_pull_parser \
+  test_differential test_axes test_lazy test_lexer test_query_parser \
+  test_optimizer test_compile_goldens fuzz_pull_parser \
   fuzz_query_parser fuzz_snapshot -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|test_lazy|tool_fuzz_smoke'
+  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|test_lazy|test_lexer|test_query_parser|test_optimizer|test_compile_goldens|tool_fuzz_smoke'
 
 echo "CI run clean."
