@@ -62,10 +62,11 @@ struct QueryLimits {
 
   /// The built-in ceilings used when the fields above are 0. The
   /// expression default is sized for the *worst* build we ship: each
-  /// nesting level costs ~13 recursive-descent frames, and ASan's
-  /// redzones inflate that to ~33KB/level — an 8MB stack overflows near
-  /// 240 levels (the sanitizer CI lane checks this empirically). Raising
-  /// max_expr_depth past that is the caller taking on stack risk.
+  /// nesting level costs a chain of recursive-descent frames
+  /// (ParseExprSingle down to ParsePrimary), which ASan's redzones
+  /// inflate several-fold; the sanitizer CI lane checks that the default
+  /// fits an 8MB stack. Raising max_expr_depth far past it is the caller
+  /// taking on stack risk.
   static constexpr uint32_t kDefaultMaxParseDepth = 4096;
   static constexpr uint32_t kDefaultMaxExprDepth = 128;
 
