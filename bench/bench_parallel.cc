@@ -1,13 +1,9 @@
-// Experiment E13 — morsel-driven parallel structural joins and the
-// thread-safe engine front door. Each benchmark compares the serial
-// kernel against the partitioned parallel kernel at 1/2/4/8 threads
-// over XMark scales {0.05, 0.1, 0.5}; ExecuteBatchParallel runs a
-// mixed query batch through the shared result cache.
-//
-// Thread counts above the machine's core count are still interesting:
-// they expose partitioning/scheduling overhead. On a single-core host
-// all thread counts should be roughly flat (the kernels degrade to
-// serial only below min_parallel, which these benches disable).
+// Experiment E13 — the thread-safe engine front door: ExecuteBatchParallel
+// runs a mixed query batch through the shared result cache split
+// 0/1/2/4/8 ways (0 = DefaultParallelism()) over XMark scales
+// {0.05, 0.1, 0.5}. Splits above the machine's core count expose
+// scheduling overhead; on a single-core host all of them should be
+// roughly flat.
 
 #include <benchmark/benchmark.h>
 
@@ -16,71 +12,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "join/structural_join.h"
-#include "join/tag_index.h"
 
 namespace xqp {
 namespace {
-
-struct JoinInput {
-  std::shared_ptr<const Document> doc;
-  std::unique_ptr<TagIndex> index;
-  const std::vector<NodeIndex>* ancestors;
-  const std::vector<NodeIndex>* descendants;
-};
-
-/// XMark: ancestors = <item>, descendants = <keyword>, same pairing as
-/// the serial structural-join experiment (E5) so numbers line up.
-JoinInput XMarkInput(double scale) {
-  JoinInput in;
-  in.doc = bench::XMarkDoc(scale);
-  in.index = std::make_unique<TagIndex>(in.doc);
-  in.ancestors = in.index->Lookup("", "item");
-  in.descendants = in.index->Lookup("", "keyword");
-  if (in.ancestors == nullptr || in.descendants == nullptr) std::abort();
-  return in;
-}
-
-/// range(0) = XMark permille, range(1) = thread count (0 = serial kernel).
-void BM_StackTreeDesc_Threads(benchmark::State& state) {
-  auto in = XMarkInput(bench::ScaleFromArg(state.range(0)));
-  const int threads = static_cast<int>(state.range(1));
-  size_t pairs = 0;
-  for (auto _ : state) {
-    std::vector<JoinPair> result =
-        threads == 0
-            ? StackTreeDesc(*in.doc, *in.ancestors, *in.descendants)
-            : StackTreeDescParallel(*in.doc, *in.ancestors, *in.descendants,
-                                    /*parent_child=*/false, threads,
-                                    /*min_parallel=*/1);
-    pairs = result.size();
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["pairs"] = static_cast<double>(pairs);
-  state.counters["threads"] = static_cast<double>(threads);
-}
-BENCHMARK(BM_StackTreeDesc_Threads)
-    ->ArgsProduct({{50, 100, 500}, {0, 1, 2, 4, 8}});
-
-void BM_JoinDescendants_Threads(benchmark::State& state) {
-  auto in = XMarkInput(bench::ScaleFromArg(state.range(0)));
-  const int threads = static_cast<int>(state.range(1));
-  size_t matched = 0;
-  for (auto _ : state) {
-    std::vector<NodeIndex> result =
-        threads == 0
-            ? JoinDescendants(*in.doc, *in.ancestors, *in.descendants)
-            : JoinDescendantsParallel(*in.doc, *in.ancestors, *in.descendants,
-                                      /*parent_child=*/false, threads,
-                                      /*min_parallel=*/1);
-    matched = result.size();
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["matched"] = static_cast<double>(matched);
-  state.counters["threads"] = static_cast<double>(threads);
-}
-BENCHMARK(BM_JoinDescendants_Threads)
-    ->ArgsProduct({{50, 100, 500}, {0, 1, 2, 4, 8}});
 
 /// A mixed batch: path queries (cacheable, identical — exercises the
 /// shared result cache under contention) plus per-iteration unique
@@ -90,7 +24,6 @@ void BM_ExecuteBatchParallel(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(1));
   EngineOptions options;
   options.num_threads = threads;
-  options.parallel_threshold = threads == 0 ? 0 : 1;
   XQueryEngine engine(options);
   Status st = engine.RegisterDocument("xmark.xml", bench::XMarkDoc(scale));
   if (!st.ok()) std::abort();

@@ -1,6 +1,6 @@
 // XMark explorer: generates an auction document, runs the adapted XMark
-// suite on both engines, and demonstrates the structural-join machinery on
-// twig-shaped queries.
+// suite on both engines, and runs twig-shaped queries under each forced
+// access path (navigation, structural joins, TwigStack).
 //
 // Usage: xmark_explorer [scale]   (default 0.05)
 
@@ -9,9 +9,6 @@
 #include <cstdlib>
 
 #include "engine.h"
-#include "join/tag_index.h"
-#include "join/twig.h"
-#include "join/twig_planner.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 
@@ -78,43 +75,46 @@ int main(int argc, char** argv) {
                 eager_ms, lazy_result->size());
   }
 
-  // Twig-join demonstration: compile a path query to a twig pattern and run
-  // it through the three executors.
-  std::printf("\n--- structural/twig joins ---\n");
-  const char* twig_query = "//open_auction[bidder]/seller";
-  auto compiled = engine.Compile(twig_query);
-  auto pattern = TwigPlanner::Compile(*(*compiled)->module().body);
-  if (!pattern.ok()) {
-    std::fprintf(stderr, "twig planner: %s\n",
-                 pattern.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("query %s compiles to twig %s\n", twig_query,
-              pattern->ToString().c_str());
-
-  TagIndex index(*doc);
-  struct Algo {
-    const char* name;
-    Result<std::vector<NodeIndex>> (*run)(const TagIndex&, const TwigPattern&,
-                                          TwigStats*);
-  };
-  for (const auto& [name, run] :
-       {std::pair{"TwigStack", &TwigStackMatch},
-        std::pair{"BinaryJoins", &BinaryJoinMatch}}) {
-    TwigStats stats{};
-    t0 = std::chrono::steady_clock::now();
-    auto matches = run(index, *pattern, &stats);
-    double ms = MillisSince(t0);
-    std::printf("  %-12s %5zu matches, %6llu intermediate pairs, %7.2f ms\n",
-                name, matches.value().size(),
-                static_cast<unsigned long long>(stats.intermediate_pairs), ms);
-  }
-  {
-    TwigStats stats{};
-    t0 = std::chrono::steady_clock::now();
-    auto matches = NavigationMatch(**doc, *pattern, &stats);
-    std::printf("  %-12s %5zu matches, %25s %7.2f ms\n", "Navigation",
-                matches.value().size(), "", MillisSince(t0));
+  // Structural-join demonstration: twig-shaped queries under each forced
+  // access path. EXPLAIN shows which executor the plan took (the first
+  // query's existence predicate keeps navigation; the second is a chain
+  // the joins answer), and every run must produce the same result.
+  std::printf("\n--- forced access paths ---\n");
+  for (const char* twig_query :
+       {"doc('xmark.xml')//open_auction[bidder]/seller",
+        "doc('xmark.xml')//open_auction//bidder/increase"}) {
+    std::printf("%s\n", twig_query);
+    std::string reference;
+    for (AccessPath force :
+         {AccessPath::kNav, AccessPath::kSJoin, AccessPath::kTwig}) {
+      EngineOptions forced;
+      forced.force_access_path = force;
+      XQueryEngine forced_engine(forced);
+      Status registered = forced_engine.RegisterDocument("xmark.xml", *doc);
+      auto query = forced_engine.Compile(twig_query);
+      if (!registered.ok() || !query.ok()) {
+        std::fprintf(stderr, "%s: setup failed\n", AccessPathName(force));
+        return 1;
+      }
+      t0 = std::chrono::steady_clock::now();
+      auto result = (*query)->ExecuteToXml();
+      double ms = MillisSince(t0);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s: %s\n", AccessPathName(force),
+                     result.status().ToString().c_str());
+        return 1;
+      }
+      std::printf("force=%s: %zu bytes of result in %.2f ms\n%s",
+                  AccessPathName(force), result->size(), ms,
+                  (*query)->ExplainTree().c_str());
+      if (force == AccessPath::kNav) {
+        reference = *result;
+      } else if (*result != reference) {
+        std::fprintf(stderr, "%s: result differs from nav\n",
+                     AccessPathName(force));
+        return 1;
+      }
+    }
   }
   return 0;
 }

@@ -1,11 +1,16 @@
 #include "base/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "base/fault.h"
 #include "base/limits.h"
@@ -73,10 +78,29 @@ void ThreadPool::Submit(std::function<void()> fn) {
   impl_->cv.notify_one();
 }
 
+std::optional<int> ParseThreadCount(std::string_view value) {
+  int n = 0;
+  auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), n);
+  if (ec != std::errc() || end != value.data() + value.size() || n < 1 ||
+      n > kMaxThreadCount) {
+    return std::nullopt;
+  }
+  return n;
+}
+
 int DefaultParallelism() {
-  if (const char* env = std::getenv("XQP_THREADS")) {
-    int n = std::atoi(env);
-    if (n >= 1) return n;
+  const char* env = std::getenv("XQP_THREADS");
+  if (env != nullptr && *env != '\0') {
+    std::optional<int> n = ParseThreadCount(env);
+    if (!n.has_value()) {
+      std::fprintf(stderr,
+                   "XQP_THREADS: unrecognized value \"%s\" (expected an "
+                   "integer from 1 to %d)\n",
+                   env, kMaxThreadCount);
+      std::exit(2);
+    }
+    return *n;
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

@@ -1,18 +1,12 @@
 #ifndef XQP_BASE_PARALLEL_H_
 #define XQP_BASE_PARALLEL_H_
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <functional>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 namespace xqp {
-
-/// Default input-size floor below which parallel kernels fall back to their
-/// serial counterparts: fork/join overhead only pays off once the combined
-/// input is a few cache pages wide.
-inline constexpr size_t kDefaultParallelThreshold = 16384;
 
 /// Fixed-size pool of worker threads with a shared FIFO task queue. Tasks
 /// are plain closures; there is no work stealing — ParallelFor instead uses
@@ -45,9 +39,20 @@ class ThreadPool {
   int num_threads_ = 0;
 };
 
+/// Largest worker count XQP_THREADS accepts.
+inline constexpr int kMaxThreadCount = 256;
+
+/// Parses an XQP_THREADS value: a plain decimal integer from 1 to
+/// kMaxThreadCount, no sign and no trailing text. nullopt for anything
+/// else, the empty string included (DefaultParallelism treats an empty
+/// value as unset before it gets here).
+std::optional<int> ParseThreadCount(std::string_view value);
+
 /// Parallelism the engine should use by default: the XQP_THREADS environment
-/// variable when set (>= 1), otherwise std::thread::hardware_concurrency().
-/// A value of 1 means "run everything serially".
+/// variable when set and non-empty, otherwise
+/// std::thread::hardware_concurrency(). A value of 1 means "run everything
+/// serially". An unrecognized value is a startup error: message on stderr,
+/// exit 2 (the same contract as the engine's XQP_* knobs).
 int DefaultParallelism();
 
 /// Runs fn(chunk_begin, chunk_end) over a partition of [0, n) using the
@@ -63,45 +68,6 @@ void ParallelFor(size_t n, int num_chunks,
 /// as ParallelFor — for pre-computed, irregular partitions.
 void ParallelForChunks(size_t num_chunks,
                        const std::function<void(size_t)>& fn);
-
-/// Stable sort via chunked std::stable_sort plus a pairwise merge tree.
-/// Identical result to std::stable_sort(begin, end, cmp). Falls back to a
-/// single serial sort when the range is small or the pool is serial.
-template <typename It, typename Cmp>
-void ParallelStableSort(It begin, It end, Cmp cmp, int num_chunks = 0,
-                        size_t min_parallel = kDefaultParallelThreshold) {
-  const size_t n = static_cast<size_t>(end - begin);
-  if (num_chunks <= 0) num_chunks = DefaultParallelism();
-  if (num_chunks <= 1 || n < min_parallel || n < 2) {
-    std::stable_sort(begin, end, cmp);
-    return;
-  }
-  // Chunk boundaries (even split).
-  std::vector<size_t> bounds;
-  bounds.reserve(static_cast<size_t>(num_chunks) + 1);
-  for (int c = 0; c <= num_chunks; ++c) {
-    bounds.push_back(n * static_cast<size_t>(c) /
-                     static_cast<size_t>(num_chunks));
-  }
-  ParallelForChunks(static_cast<size_t>(num_chunks), [&](size_t c) {
-    std::stable_sort(begin + bounds[c], begin + bounds[c + 1], cmp);
-  });
-  // Pairwise merge rounds; each round merges disjoint adjacent runs in
-  // parallel. std::inplace_merge is stable, so the result matches a single
-  // stable_sort.
-  for (size_t width = 1; width < bounds.size() - 1; width *= 2) {
-    std::vector<std::array<size_t, 3>> merges;
-    for (size_t lo = 0; lo + width < bounds.size() - 1; lo += 2 * width) {
-      size_t mid = lo + width;
-      size_t hi = std::min(lo + 2 * width, bounds.size() - 1);
-      merges.push_back({bounds[lo], bounds[mid], bounds[hi]});
-    }
-    ParallelForChunks(merges.size(), [&](size_t m) {
-      std::inplace_merge(begin + merges[m][0], begin + merges[m][1],
-                         begin + merges[m][2], cmp);
-    });
-  }
-}
 
 }  // namespace xqp
 

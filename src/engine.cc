@@ -142,6 +142,13 @@ constexpr EnvKnob kEnvKnobs[] = {
        o->snapshot_dir = std::string(v);
        return true;
      }},
+    // Sizes the process-wide pool (DefaultParallelism), not this engine;
+    // checked here too so a run that never reaches the pool rejects it.
+    {"XQP_THREADS", "an integer from 1 to 256",
+     [](std::string_view v, EngineOptions*) {
+       static_assert(kMaxThreadCount == 256);
+       return ParseThreadCount(v).has_value();
+     }},
 };
 
 }  // namespace
@@ -743,8 +750,6 @@ Status CompiledQuery::SetupContext(const ExecOptions& options,
   ctx->module = module_.get();
   ctx->provider = engine_;
   if (engine_ != nullptr) {
-    ctx->parallel_threshold = engine_->options().parallel_threshold;
-    ctx->num_threads = engine_->options().num_threads;
     ctx->force_access_path = engine_->options().force_access_path;
   }
   if (options.has_context_item) {

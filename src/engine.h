@@ -49,12 +49,7 @@ std::optional<ExecBackend> ParseExecBackend(std::string_view name);
 /// read once, by the XQueryEngine constructor: an empty value means unset,
 /// an unrecognized one is a startup error (message on stderr, exit 2).
 struct EngineOptions {
-  /// Combined input size (nodes) above which path/join evaluation routes
-  /// to the morsel-parallel kernels; smaller inputs keep the serial
-  /// algorithms and their latency. 0 disables parallel dispatch.
-  size_t parallel_threshold = 16384;
-
-  /// Worker count for parallel kernels and ExecuteBatchParallel; 0 means
+  /// Worker count for ExecuteBatchParallel and LoadDocumentsParallel; 0 means
   /// DefaultParallelism() (the XQP_THREADS environment override, else
   /// std::thread::hardware_concurrency()).
   int num_threads = 0;
@@ -307,7 +302,7 @@ class XQueryEngine : public DocumentProvider {
 /// Everything one profiled execution produced: the result itself plus the
 /// per-operator statistics, compile-time rewrite fire counts, engine cache
 /// counters, and the delta of the global metrics registry over the run
-/// (join kernel calls, parallel-dispatch decisions, pool utilization).
+/// (join kernel calls, index hits, sort sizes).
 /// `module` is a non-owning view of the CompiledQuery's plan — keep the
 /// query alive while rendering.
 struct ProfileReport {
@@ -416,10 +411,10 @@ class CompiledQuery {
 
   /// Executes the query with per-operator profiling: every iterator pull /
   /// interpreter evaluation is counted and timed, and the global metrics
-  /// registry is force-enabled for the duration so kernel counters and
-  /// parallel-dispatch decisions land in the report. Runs the same plan
-  /// through the same governor as Execute(), so both agree on results,
-  /// errors and engine counters; only the instrumentation differs.
+  /// registry is force-enabled for the duration so kernel counters land in
+  /// the report. Runs the same plan through the same governor as
+  /// Execute(), so both agree on results, errors and engine counters; only
+  /// the instrumentation differs.
   Result<ProfileReport> Profile(const ExecOptions& options) const;
   Result<ProfileReport> Profile() const { return Profile(ExecOptions()); }
 

@@ -201,8 +201,7 @@ bool AxisCursor::Next(Node* out) {
   return false;
 }
 
-Status FinishPathResult(const PathExpr& path, const DynamicContext& ctx,
-                        Sequence* out) {
+Status FinishPathResult(const PathExpr& path, Sequence* out) {
   bool saw_node = false;
   bool saw_atomic = false;
   for (const Item& item : *out) (item.IsNode() ? saw_node : saw_atomic) = true;
@@ -211,7 +210,7 @@ Status FinishPathResult(const PathExpr& path, const DynamicContext& ctx,
   }
   if (!saw_node) return Status::OK();
   if (path.needs_sort) {
-    return SortDocOrderDistinct(out, ctx.parallel_threshold, ctx.num_threads);
+    return SortDocOrderDistinct(out);
   }
   if (path.needs_dedup) return DedupNodesPreservingOrder(out);
   return Status::OK();

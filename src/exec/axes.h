@@ -7,8 +7,6 @@
 
 namespace xqp {
 
-class DynamicContext;
-
 /// Streaming cursor over one axis from one origin node, filtered by a node
 /// test. Forward axes deliver document order; reverse axes deliver reverse
 /// document order (the order XPath predicates count in). The caller owns
@@ -43,10 +41,8 @@ Result<Item> SlashRoot(const Item& item);
 
 /// The tail every backend applies to one path level's concatenated
 /// result: a mix of nodes and atomic values is a type error, and nodes are
-/// put in document order as `path`'s needs_sort / needs_dedup flags say
-/// (large sorts take ctx's parallel settings).
-Status FinishPathResult(const PathExpr& path, const DynamicContext& ctx,
-                        Sequence* out);
+/// put in document order as `path`'s needs_sort / needs_dedup flags say.
+Status FinishPathResult(const PathExpr& path, Sequence* out);
 
 /// Appends all nodes selected by `axis`/`test` from `origin` to `out`
 /// (convenience for the eager interpreter and the navigation baseline).

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "base/limits.h"
-#include "base/parallel.h"
 #include "exec/constructor.h"
 #include "exec/lazy_seq.h"
 #include "query/expr.h"
@@ -79,13 +78,6 @@ class DynamicContext {
   /// Guard against runaway recursion in user functions.
   int call_depth = 0;
   static constexpr int kMaxCallDepth = 4096;
-
-  /// Parallel dispatch knobs, copied from EngineOptions at context setup:
-  /// materialized node sequences at least this large route through the
-  /// parallel sort/join kernels (0 disables), with `num_threads` workers
-  /// (0 = DefaultParallelism()).
-  size_t parallel_threshold = kDefaultParallelThreshold;
-  int num_threads = 0;
 
   /// This run's resource governor, or null (the default) for ungoverned
   /// execution: iterators and the interpreter then pay one pointer test

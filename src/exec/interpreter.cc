@@ -336,7 +336,7 @@ Result<Sequence> Interpreter::EvalPath(const PathExpr* e) {
     out.insert(out.end(), std::make_move_iterator(part.value().begin()),
                std::make_move_iterator(part.value().end()));
   }
-  XQP_RETURN_NOT_OK(FinishPathResult(*e, *ctx_, &out));
+  XQP_RETURN_NOT_OK(FinishPathResult(*e, &out));
   return out;
 }
 

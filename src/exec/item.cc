@@ -52,8 +52,7 @@ Result<bool> PredicateKeeps(const Sequence& value, int64_t position) {
   return EffectiveBooleanValue(value);
 }
 
-Status SortDocOrderDistinct(Sequence* seq, size_t parallel_threshold,
-                            int num_threads) {
+Status SortDocOrderDistinct(Sequence* seq) {
   // ddo sorts run at materialization points over arbitrarily large
   // sequences; check the governing query before committing to the work.
   if (ResourceGovernor* governor = CurrentGovernor()) {
@@ -65,27 +64,18 @@ Status SortDocOrderDistinct(Sequence* seq, size_t parallel_threshold,
           "path/union result contains an atomic value; expected nodes only");
     }
   }
-  auto cmp = [](const Item& a, const Item& b) {
-    return Node::CompareDocOrder(a.AsNode(), b.AsNode()) < 0;
-  };
-  const bool go_parallel =
-      parallel_threshold > 0 && seq->size() >= parallel_threshold;
   if (metrics::Enabled()) {
-    static metrics::Counter* parallel_sorts =
-        metrics::MetricsRegistry::Global().counter("sort.ddo.parallel");
-    static metrics::Counter* serial_sorts =
-        metrics::MetricsRegistry::Global().counter("sort.ddo.serial");
+    static metrics::Counter* sorts =
+        metrics::MetricsRegistry::Global().counter("sort.ddo.sorts");
     static metrics::Counter* sorted_items =
         metrics::MetricsRegistry::Global().counter("sort.ddo.items");
-    (go_parallel ? parallel_sorts : serial_sorts)->Increment();
+    sorts->Increment();
     sorted_items->Add(seq->size());
   }
-  if (go_parallel) {
-    ParallelStableSort(seq->begin(), seq->end(), cmp, num_threads,
-                       parallel_threshold);
-  } else {
-    std::stable_sort(seq->begin(), seq->end(), cmp);
-  }
+  std::stable_sort(seq->begin(), seq->end(),
+                   [](const Item& a, const Item& b) {
+                     return Node::CompareDocOrder(a.AsNode(), b.AsNode()) < 0;
+                   });
   seq->erase(std::unique(seq->begin(), seq->end(),
                          [](const Item& a, const Item& b) {
                            return a.AsNode().SameNode(b.AsNode());

@@ -5,7 +5,6 @@
 #include <variant>
 #include <vector>
 
-#include "base/parallel.h"
 #include "base/status.h"
 #include "xml/atomic_value.h"
 #include "xml/node.h"
@@ -60,12 +59,8 @@ Result<bool> PredicateKeeps(const Sequence& value, int64_t position);
 /// Sorts nodes into document order and removes duplicate (identical) nodes.
 /// Errors if the sequence contains atomic values (callers guarantee
 /// node-only input). This is the expensive "ddo" operation whose elision
-/// the optimizer targets. Sequences of at least `parallel_threshold` items
-/// route through the chunked parallel sort (0 disables the parallel path);
-/// `num_threads` 0 means DefaultParallelism().
-Status SortDocOrderDistinct(Sequence* seq,
-                            size_t parallel_threshold = kDefaultParallelThreshold,
-                            int num_threads = 0);
+/// the optimizer targets.
+Status SortDocOrderDistinct(Sequence* seq);
 
 /// Removes duplicate nodes by identity while preserving the existing order
 /// (for paths that are duplicate-prone but provably ordered, or vice

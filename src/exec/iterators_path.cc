@@ -199,7 +199,7 @@ class PathIt : public ItemIterator {
         buffer_.push_back(std::move(item));
       }
     }
-    return FinishPathResult(*e_, *ctx_, &buffer_);
+    return FinishPathResult(*e_, &buffer_);
   }
 
   const PathExpr* e_;

@@ -55,11 +55,14 @@ struct IndexQuery {
   }
 };
 
-/// Recognizes the index-answerable fragment, mirroring (and extending with
-/// the attribute axis and one value predicate) TwigPlanner's convertibility
-/// rules. Purely structural — no document needed — so the rewriter uses it
-/// to mark PathExpr::index_candidate and EXPLAIN re-derives it to print the
-/// access path.
+/// Recognizes the index-answerable fragment: a path anchored at a literal
+/// doc('uri') whose steps are named child, descendant ("/" or "//") or
+/// attribute steps. Predicates may sit on one step only: general
+/// comparisons of a named child or attribute with a literal (and
+/// conjunctions of them), then at most one numeric position on a child
+/// step. Anything else declines. Purely structural — no document needed —
+/// so the rewriter uses it to mark PathExpr::index_candidate and EXPLAIN
+/// re-derives it to print the access path.
 std::optional<IndexQuery> PlanIndexPath(const Expr& e);
 
 /// Answers `q` from the synopsis / value index. nullopt means the index

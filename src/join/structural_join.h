@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "base/parallel.h"
 #include "xml/document.h"
 
 namespace xqp {
@@ -66,54 +65,6 @@ std::vector<NodeIndex> JoinAncestors(const Document& doc,
                                      std::span<const NodeIndex> ancestors,
                                      std::span<const NodeIndex> descendants,
                                      bool parent_child = false);
-
-/// ---------------------------------------------------------------------
-/// Morsel-driven parallel variants.
-///
-/// The ancestor list is split into contiguous chunks cut only at subtree
-/// boundaries: position i is a valid cut iff start(ancestors[i]) >
-/// max_{j<i} end(ancestors[j]). Region labels nest or are disjoint, so a
-/// cut at i guarantees no ancestor before the cut contains one after it
-/// (and a later start can never contain an earlier one) — every
-/// (ancestor, descendant) match therefore falls in exactly one chunk, and
-/// each chunk's descendant sub-range is found by binary search on the
-/// chunk's [first start, max end] window. Workers run the serial kernel on
-/// their chunk; concatenating chunk outputs in order reproduces the serial
-/// output bit for bit (matched descendant windows are disjoint and
-/// increasing across chunks).
-///
-/// `num_threads` ≤ 0 uses DefaultParallelism() (XQP_THREADS env override);
-/// the serial kernel runs inline when the effective thread count is 1 or
-/// the combined input is smaller than `min_parallel`.
-
-std::vector<JoinPair> StackTreeDescParallel(
-    const Document& doc, std::span<const NodeIndex> ancestors,
-    std::span<const NodeIndex> descendants, bool parent_child = false,
-    int num_threads = 0, size_t min_parallel = kDefaultParallelThreshold);
-
-std::vector<NodeIndex> JoinDescendantsParallel(
-    const Document& doc, std::span<const NodeIndex> ancestors,
-    std::span<const NodeIndex> descendants, bool parent_child = false,
-    int num_threads = 0, size_t min_parallel = kDefaultParallelThreshold);
-
-std::vector<NodeIndex> JoinAncestorsParallel(
-    const Document& doc, std::span<const NodeIndex> ancestors,
-    std::span<const NodeIndex> descendants, bool parent_child = false,
-    int num_threads = 0, size_t min_parallel = kDefaultParallelThreshold);
-
-/// The chunk descriptor ParallelJoinPartition produces (exposed for tests:
-/// the partitioning invariant is what makes the parallel kernels exact).
-struct JoinChunk {
-  size_t anc_begin, anc_end;    // Ancestor sub-range [begin, end).
-  size_t desc_begin, desc_end;  // Descendant sub-range [begin, end).
-};
-
-/// Splits `ancestors` into up to `target_chunks` subtree-closed chunks and
-/// binary-searches each chunk's candidate descendant window. Exact: the
-/// union of per-chunk matches equals the full join's matches, disjointly.
-std::vector<JoinChunk> ParallelJoinPartition(
-    const Document& doc, std::span<const NodeIndex> ancestors,
-    std::span<const NodeIndex> descendants, size_t target_chunks);
 
 }  // namespace xqp
 

@@ -17,8 +17,7 @@ namespace {
 /// previous frontier plays ancestor; parent_child encodes "/" vs "//").
 /// Declines (nullopt) when the chain shape is not joinable.
 std::optional<std::vector<NodeIndex>> ExecuteSJoinChain(
-    const DocumentIndexes& idx, const TagIndex& tag, const IndexQuery& q,
-    DynamicContext* ctx) {
+    const DocumentIndexes& idx, const TagIndex& tag, const IndexQuery& q) {
   JoinChainShape shape = ClassifyJoinChain(q);
   if (!shape.joinable) return std::nullopt;
   const Document& doc = idx.doc();
@@ -30,13 +29,7 @@ std::optional<std::vector<NodeIndex>> ExecuteSJoinChain(
       frontier.clear();
       break;
     }
-    if (ctx->parallel_threshold > 0) {
-      frontier = JoinDescendantsParallel(doc, frontier, *list, !st.descendant,
-                                         ctx->num_threads,
-                                         ctx->parallel_threshold);
-    } else {
-      frontier = JoinDescendants(doc, frontier, *list, !st.descendant);
-    }
+    frontier = JoinDescendants(doc, frontier, *list, !st.descendant);
   }
   if (shape.trailing_attr && !frontier.empty()) {
     frontier = NavigateMaterializedStep(doc, frontier, q.steps.back());
@@ -194,7 +187,7 @@ Result<std::optional<Sequence>> TryExecuteAccessPath(const PathExpr* e,
           XQP_RETURN_NOT_OK(ctx->governor->Poll());
         }
         if (decision.chosen == AccessPath::kSJoin) {
-          nodes = ExecuteSJoinChain(*indexes, *tag, *plan, ctx);
+          nodes = ExecuteSJoinChain(*indexes, *tag, *plan);
         } else {
           XQP_ASSIGN_OR_RETURN(nodes, ExecuteTwigChain(*indexes, *tag, *plan));
         }

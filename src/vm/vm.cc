@@ -598,7 +598,7 @@ Result<Sequence> Vm::Run() {
     }
     if (gov_ != nullptr) XQP_RETURN_NOT_OK(gov_->Poll());
     if (plan.path != nullptr) {
-      XQP_RETURN_NOT_OK(FinishPathResult(*plan.path, *ctx_, &out));
+      XQP_RETURN_NOT_OK(FinishPathResult(*plan.path, &out));
     }
     stack[sp - 1] = std::move(out);
     VM_NEXT();
@@ -612,7 +612,7 @@ Result<Sequence> Vm::Run() {
     if (gov_ != nullptr && (path.needs_sort || path.needs_dedup)) {
       XQP_RETURN_NOT_OK(gov_->ChargeBytes(out.size() * sizeof(Item)));
     }
-    XQP_RETURN_NOT_OK(FinishPathResult(path, *ctx_, &out));
+    XQP_RETURN_NOT_OK(FinishPathResult(path, &out));
     VM_NEXT();
   }
 

@@ -10,7 +10,6 @@
 #include "exec/item.h"             // Item / Sequence
 #include "join/structural_join.h"  // Structural join primitives
 #include "join/twig.h"             // Twig patterns + holistic joins
-#include "join/twig_planner.h"     // Path-query -> twig compilation
 #include "tokens/token_iterator.h" // TokenIterator / TokenSink
 #include "tokens/token_stream.h"   // TokenStream storage mode
 #include "xmark/generator.h"       // XMark-style data generator

@@ -1,231 +1,68 @@
-// Tests for the morsel-driven parallel execution subsystem: the parallel
-// join kernels must be bit-identical to their serial counterparts on every
-// input shape, and XQueryEngine must stay consistent under concurrent
-// ExecuteCached / ExecuteBatchParallel / GetTagIndex callers.
+// Tests for the worker pool and the engine's thread-safety contract: the
+// XQP_THREADS parser accepts only in-range integers, ParallelFor covers its
+// range exactly once, and XQueryEngine stays consistent under concurrent
+// ExecuteCached / ExecuteBatchParallel / Profile / ExplainTree /
+// GetTagIndex callers.
 
 #include <atomic>
-#include <functional>
-#include <numeric>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "base/metrics.h"
 #include "base/parallel.h"
 #include "engine.h"
-#include "join/structural_join.h"
-#include "join/tag_index.h"
 #include "tests/test_util.h"
-#include "xmark/generator.h"
 
 namespace xqp {
 namespace {
 
-using testing_util::RandomXml;
-
-// Force the parallel path regardless of input size or machine width: 4-way
-// chunking with no serial fallback.
-constexpr int kThreads = 4;
-constexpr size_t kForce = 1;  // min_parallel: always partition.
-
-std::shared_ptr<const Document> SmallXMark() {
-  XMarkOptions options;
-  options.scale = 0.02;
-  return Document::Parse(GenerateXMarkXml(options)).ValueOrDie();
-}
-
-/// Serial/parallel identity on one (doc, ancestors, descendants) input,
-/// both axis modes, all three kernels.
-void ExpectJoinsIdentical(const Document& doc,
-                          const std::vector<NodeIndex>& anc,
-                          const std::vector<NodeIndex>& desc) {
-  for (bool pc : {false, true}) {
-    EXPECT_EQ(StackTreeDescParallel(doc, anc, desc, pc, kThreads, kForce),
-              StackTreeDesc(doc, anc, desc, pc));
-    EXPECT_EQ(JoinDescendantsParallel(doc, anc, desc, pc, kThreads, kForce),
-              JoinDescendants(doc, anc, desc, pc));
-    EXPECT_EQ(JoinAncestorsParallel(doc, anc, desc, pc, kThreads, kForce),
-              JoinAncestors(doc, anc, desc, pc));
+TEST(ThreadCount, ParsesOnlyIntegersInRange) {
+  const struct {
+    std::string value;
+    std::optional<int> want;
+  } kCases[] = {
+      {"4", 4},
+      {"1", 1},
+      {std::to_string(kMaxThreadCount), kMaxThreadCount},
+      {"abc", std::nullopt},
+      {"4x", std::nullopt},
+      {" 4", std::nullopt},
+      {"+4", std::nullopt},
+      {"0", std::nullopt},
+      {"-1", std::nullopt},
+      {std::to_string(kMaxThreadCount + 1), std::nullopt},
+      {"99999999999", std::nullopt},
+      {"", std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(ParseThreadCount(c.value), c.want) << '"' << c.value << '"';
   }
 }
 
-TEST(ParallelPartition, SubtreeClosedAndExhaustive) {
-  auto doc = Document::Parse(RandomXml(7, 2000, 3)).value();
-  TagIndex index(doc);
-  const auto* anc = index.Lookup("", "a");
-  const auto* desc = index.Lookup("", "b");
-  ASSERT_TRUE(anc != nullptr && desc != nullptr);
-  auto chunks = ParallelJoinPartition(*doc, *anc, *desc, 8);
-  ASSERT_FALSE(chunks.empty());
-  // Chunks tile the ancestor list exactly.
-  EXPECT_EQ(chunks.front().anc_begin, 0u);
-  EXPECT_EQ(chunks.back().anc_end, anc->size());
-  for (size_t c = 1; c < chunks.size(); ++c) {
-    EXPECT_EQ(chunks[c - 1].anc_end, chunks[c].anc_begin);
-    // Subtree-closure: no region before the cut may reach past it.
-    NodeIndex cut_start = (*anc)[chunks[c].anc_begin];
-    for (size_t i = 0; i < chunks[c].anc_begin; ++i) {
-      EXPECT_LT(doc->node((*anc)[i]).end, cut_start);
-    }
-  }
-  // Candidate descendant windows are disjoint and ordered.
-  for (size_t c = 1; c < chunks.size(); ++c) {
-    EXPECT_LE(chunks[c - 1].desc_end, chunks[c].desc_begin);
-  }
+TEST(ThreadCount, EnvironmentOverridesAndEmptyMeansUnset) {
+  const char* saved = std::getenv("XQP_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const unsigned hw = std::thread::hardware_concurrency();
+  setenv("XQP_THREADS", "3", 1);
+  EXPECT_EQ(DefaultParallelism(), 3);
+  setenv("XQP_THREADS", "", 1);
+  EXPECT_EQ(DefaultParallelism(), hw == 0 ? 1 : static_cast<int>(hw));
+  setenv("XQP_THREADS", restore.c_str(), 1);  // Empty is the same as unset.
 }
 
-TEST(ParallelJoin, IdenticalOnXMark) {
-  auto doc = SmallXMark();
-  TagIndex index(doc);
-  const char* anc_tags[] = {"item", "open_auction", "parlist"};
-  const char* desc_tags[] = {"keyword", "text", "listitem"};
-  for (const char* at : anc_tags) {
-    for (const char* dt : desc_tags) {
-      const auto* anc = index.Lookup("", at);
-      const auto* desc = index.Lookup("", dt);
-      ASSERT_TRUE(anc != nullptr && desc != nullptr) << at << "//" << dt;
-      ExpectJoinsIdentical(*doc, *anc, *desc);
-    }
-  }
-}
-
-TEST(ParallelJoin, IdenticalOnRandomRecursiveDocs) {
-  for (uint64_t seed : {11u, 12u, 13u, 14u, 15u}) {
-    auto doc = Document::Parse(RandomXml(seed, 1500, 4)).value();
-    TagIndex index(doc);
-    const auto* anc = index.Lookup("", "a");
-    const auto* desc = index.Lookup("", "b");
-    if (anc == nullptr || desc == nullptr) continue;
-    ExpectJoinsIdentical(*doc, *anc, *desc);
-    // Self-join on recursive data: ancestors == descendants.
-    ExpectJoinsIdentical(*doc, *anc, *anc);
-  }
-}
-
-TEST(ParallelJoin, AdversarialDeepNesting) {
-  // One 3000-deep <a> chain: there is no subtree boundary to cut at, so
-  // the partitioner must fall back to a single chunk and stay correct.
-  std::string xml = "<root>";
-  for (int i = 0; i < 3000; ++i) xml += "<a>";
-  xml += "<b/>";
-  for (int i = 0; i < 3000; ++i) xml += "</a>";
-  xml += "</root>";
-  auto doc = Document::Parse(xml).value();
-  TagIndex index(doc);
-  const auto* anc = index.Lookup("", "a");
-  const auto* desc = index.Lookup("", "b");
-  ASSERT_TRUE(anc != nullptr && desc != nullptr);
-  auto chunks = ParallelJoinPartition(*doc, *anc, *desc, 8);
-  EXPECT_EQ(chunks.size(), 1u);  // Nothing is cuttable inside one subtree.
-  ExpectJoinsIdentical(*doc, *anc, *desc);
-}
-
-TEST(ParallelJoin, EmptyAndSingletonInputs) {
-  auto doc = Document::Parse("<r><a><b/></a><a/><b/></r>").value();
-  TagIndex index(doc);
-  const auto* anc = index.Lookup("", "a");
-  const auto* desc = index.Lookup("", "b");
-  std::vector<NodeIndex> empty;
-  EXPECT_TRUE(
-      StackTreeDescParallel(*doc, empty, *desc, false, kThreads, kForce)
-          .empty());
-  EXPECT_TRUE(
-      StackTreeDescParallel(*doc, *anc, empty, false, kThreads, kForce)
-          .empty());
-  EXPECT_TRUE(
-      JoinDescendantsParallel(*doc, empty, empty, false, kThreads, kForce)
-          .empty());
-  // Single ancestor.
-  std::vector<NodeIndex> one{anc->front()};
-  ExpectJoinsIdentical(*doc, one, *desc);
-  ExpectJoinsIdentical(*doc, *anc, *desc);
-}
-
-TEST(ParallelJoin, ManyDisjointSubtrees) {
-  // Wide, shallow forest: maximal cutting opportunity — every top-level
-  // <a> is its own subtree.
-  std::string xml = "<root>";
-  for (int i = 0; i < 4000; ++i) xml += "<a><b/></a>";
-  xml += "</root>";
-  auto doc = Document::Parse(xml).value();
-  TagIndex index(doc);
-  ExpectJoinsIdentical(*doc, *index.Lookup("", "a"), *index.Lookup("", "b"));
-}
-
-/// Runs fn with the metrics registry temporarily enabled and returns the
-/// per-run counter delta.
-metrics::MetricsSnapshot CountersDuring(const std::function<void()>& fn) {
-  auto& reg = metrics::MetricsRegistry::Global();
-  bool was_enabled = reg.enabled();
-  reg.set_enabled(true);
-  metrics::MetricsSnapshot before = reg.Snapshot();
-  fn();
-  metrics::MetricsSnapshot delta = reg.Snapshot().Delta(before);
-  reg.set_enabled(was_enabled);
-  return delta;
-}
-
-TEST(ParallelJoin, BelowThresholdTakesSerialPath) {
-  // XMark posting lists at scale 0.02 are far below the default
-  // min_parallel (16384): the wrappers must not partition, and the
-  // dispatch decision must be visible in the metrics.
-  auto doc = SmallXMark();
-  TagIndex index(doc);
-  const auto* anc = index.Lookup("", "item");
-  const auto* desc = index.Lookup("", "keyword");
-  ASSERT_TRUE(anc != nullptr && desc != nullptr);
-  std::vector<JoinPair> result;
-  auto delta = CountersDuring([&] {
-    result = StackTreeDescParallel(*doc, *anc, *desc, false, kThreads);
-  });
-  EXPECT_EQ(result, StackTreeDesc(*doc, *anc, *desc, false));
-  EXPECT_EQ(delta.counters["join.parallel.serial_fallback"], 1u);
-  EXPECT_EQ(delta.counters["join.parallel.dispatched"], 0u);
-}
-
-TEST(ParallelJoin, ForcedDispatchIsCountedAndIdentical) {
-  auto doc = SmallXMark();
-  TagIndex index(doc);
-  const auto* anc = index.Lookup("", "item");
-  const auto* desc = index.Lookup("", "keyword");
-  ASSERT_TRUE(anc != nullptr && desc != nullptr);
-  std::vector<JoinPair> result;
-  auto delta = CountersDuring([&] {
-    result = StackTreeDescParallel(*doc, *anc, *desc, false, kThreads, kForce);
-  });
-  EXPECT_EQ(result, StackTreeDesc(*doc, *anc, *desc, false));
-  EXPECT_EQ(delta.counters["join.parallel.dispatched"], 1u);
-  EXPECT_EQ(delta.counters["join.parallel.serial_fallback"], 0u);
-}
-
-TEST(ParallelJoin, GiantSubtreeNoCutPoints) {
-  // The umbrella shape: every <a> and <b> lives inside one giant <a>
-  // subtree, so no subtree-closed cut exists and the parallel path must
-  // degrade gracefully to a single chunk.
-  std::string xml = "<root><a>";
-  for (int i = 0; i < 500; ++i) xml += "<a><x/></a>";
-  for (int i = 0; i < 500; ++i) xml += "<b/>";
-  xml += "</a></root>";
-  auto doc = Document::Parse(xml).value();
-  TagIndex index(doc);
-  ExpectJoinsIdentical(*doc, *index.Lookup("", "a"), *index.Lookup("", "b"));
-}
-
-TEST(ParallelSort, MatchesSerialStableSort) {
-  std::vector<int> v(40000);
-  uint64_t s = 88172645463325252ULL;
-  for (int& x : v) {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    x = static_cast<int>(s % 1000);  // Many duplicates: stability matters.
-  }
-  auto expect = v;
-  std::stable_sort(expect.begin(), expect.end());
-  ParallelStableSort(v.begin(), v.end(), std::less<int>(), 4, 1);
-  EXPECT_EQ(v, expect);
+TEST(ThreadCountDeathTest, UnrecognizedValueExits2) {
+  EXPECT_EXIT(
+      {
+        setenv("XQP_THREADS", "abc", 1);
+        DefaultParallelism();
+      },
+      ::testing::ExitedWithCode(2),
+      "XQP_THREADS: unrecognized value \"abc\" \\(expected an integer from "
+      "1 to 256\\)");
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {

@@ -434,6 +434,27 @@ TEST(PlannerFeatures, GenuineDescendantPositionalDeclines) {
   ExpectPlanEquivalence("d.xml", xml, {"doc('d.xml')/descendant::b[2]"});
 }
 
+TEST(PlannerFeatures, NonIndexShapesDecline) {
+  // Plan shapes before rewrites: PlanIndexPath takes only doc('uri')-
+  // anchored chains of named child/descendant/attribute steps.
+  XQueryEngine engine;
+  XQueryEngine::CompileOptions raw;
+  raw.optimize = false;
+  for (const char* q :
+       {"1 + 2", "//a[@id = '1']", "for $x in //a return $x", "//a/text()",
+        "//*", "doc('d.xml')//a/text()", "doc('d.xml')//*",
+        "doc('d.xml')//a[@id]", "doc(concat('d', '.xml'))//a"}) {
+    auto compiled = engine.Compile(q, raw);
+    ASSERT_TRUE(compiled.ok()) << q << ": " << compiled.status().ToString();
+    EXPECT_FALSE(PlanIndexPath(*compiled.value()->module().body).has_value())
+        << q;
+  }
+  // The same harness accepts an index-answerable chain.
+  auto compiled = engine.Compile("doc('d.xml')//a[@id = '1']/b", raw);
+  XQP_ASSERT_OK(compiled.status());
+  EXPECT_TRUE(PlanIndexPath(*compiled.value()->module().body).has_value());
+}
+
 TEST(PlannerFeatures, ConjunctivePredicatesIntersect) {
   const std::string xml =
       "<r>"

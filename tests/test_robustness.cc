@@ -14,6 +14,7 @@
 #include "base/fault.h"
 #include "base/limits.h"
 #include "base/metrics.h"
+#include "base/parallel.h"
 #include "engine.h"
 #include "tests/test_util.h"
 
@@ -576,16 +577,37 @@ TEST(Robustness, FaultAtAllocFailsConstructionCleanly) {
 
 TEST(Robustness, FaultAtPoolSubmitDegradesToInlineRun) {
   // A refused pool enqueue must not deadlock or change results: the task
-  // runs inline on the submitting thread.
+  // runs inline on the submitting thread. A 4-query batch split 4 ways
+  // submits helper tasks whenever the global pool has workers.
   EngineOptions options;
-  options.parallel_threshold = 1;  // Force parallel dispatch.
   options.num_threads = 4;
   XQueryEngine engine(options);
   XQP_ASSERT_OK(engine.ParseAndRegister("site.xml", kDoc).status());
-  fault::ScopedFault f("pool.submit", 1, StatusCode::kInternal);
-  XQP_ASSERT_OK_AND_ASSIGN(
-      Sequence r, engine.Execute("count(doc('site.xml')//name)"));
-  EXPECT_EQ(r[0].AsAtomic().AsInt(), 5);
+  const std::vector<std::string_view> queries = {
+      "count(doc('site.xml')//name)", "doc('site.xml')//item[price > 20]",
+      "sum(doc('site.xml')//price)", "doc('site.xml')//name[. = 'lamp']"};
+  std::vector<std::string> expected;
+  for (std::string_view q : queries) {
+    XQP_ASSERT_OK_AND_ASSIGN(Sequence r, engine.Execute(q));
+    XQP_ASSERT_OK_AND_ASSIGN(std::string xml, SerializeSequence(r));
+    expected.push_back(std::move(xml));
+  }
+  std::vector<Result<Sequence>> batch;
+  {
+    fault::ScopedFault f("pool.submit", 1, StatusCode::kInternal);
+    batch = engine.ExecuteBatchParallel(queries);
+    if (ThreadPool::Global().num_threads() > 0) {
+      EXPECT_FALSE(fault::Armed()) << "pool.submit never fired";
+    }
+  }
+  ASSERT_EQ(batch.size(), queries.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << queries[i] << ": "
+                               << batch[i].status().ToString();
+    XQP_ASSERT_OK_AND_ASSIGN(std::string xml,
+                             SerializeSequence(batch[i].value()));
+    EXPECT_EQ(xml, expected[i]) << queries[i];
+  }
 }
 
 TEST(Robustness, FaultNthCountingIsExact) {

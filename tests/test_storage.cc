@@ -782,6 +782,16 @@ TEST(EngineEnvDeathTest, UnrecognizedKnobValueIsAStartupError) {
         XQueryEngine engine;
       },
       ::testing::ExitedWithCode(2), "XQP_DEADLINE_MS: unrecognized value");
+  // XQP_THREADS sizes the worker pool, but the constructor checks it with
+  // the other knobs, so a run that never reaches the pool rejects it too.
+  EXPECT_EXIT(
+      {
+        setenv("XQP_THREADS", "4x", 1);
+        XQueryEngine engine;
+      },
+      ::testing::ExitedWithCode(2),
+      "XQP_THREADS: unrecognized value \"4x\" \\(expected an integer from 1 "
+      "to 256\\)");
 }
 
 TEST(EngineEnv, EmptyKnobMeansUnsetAndGoodValuesApply) {

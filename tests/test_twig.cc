@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine.h"
-#include "join/twig_planner.h"
 #include "tests/test_util.h"
 
 namespace xqp {
@@ -194,72 +192,6 @@ TEST_P(RandomTwigTest, MatchersAgreeOnRandomPatterns) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTwigTest,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28, 29,
                                            30, 31, 32, 33, 34, 35, 36));
-
-TEST(TwigPlanner, CompilesPathQuery) {
-  XQueryEngine engine;
-  auto q = engine.Compile("//a/b//c");
-  ASSERT_TRUE(q.ok());
-  auto pattern = TwigPlanner::Compile(*(*q)->module().body);
-  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
-  EXPECT_EQ(pattern->nodes.size(), 3u);
-  EXPECT_TRUE(pattern->IsPath());
-  EXPECT_EQ(pattern->output, 2);
-  EXPECT_TRUE(pattern->nodes[1].child_edge);
-  EXPECT_FALSE(pattern->nodes[2].child_edge);
-}
-
-TEST(TwigPlanner, CompilesPredicates) {
-  XQueryEngine engine;
-  auto q = engine.Compile("//open_auction[bidder]/seller");
-  ASSERT_TRUE(q.ok());
-  auto pattern = TwigPlanner::Compile(*(*q)->module().body);
-  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
-  EXPECT_EQ(pattern->nodes.size(), 3u);
-  EXPECT_FALSE(pattern->IsPath());
-  EXPECT_EQ(pattern->nodes[pattern->output].local, "seller");
-}
-
-TEST(TwigPlanner, RejectsNonPathQueries) {
-  XQueryEngine engine;
-  XQueryEngine::CompileOptions raw;
-  raw.optimize = false;  // Plan shape before rewrites.
-  for (const char* q :
-       {"1 + 2", "//a[@id = '1']", "for $x in //a return $x",
-        "//a/text()", "//*"}) {
-    auto compiled = engine.Compile(q, raw);
-    ASSERT_TRUE(compiled.ok()) << q;
-    EXPECT_FALSE(TwigPlanner::IsConvertible(*(*compiled)->module().body))
-        << q;
-  }
-}
-
-TEST(TwigPlanner, OptimizerCanExposeTwigShape) {
-  // for $x in //a return $x minimizes to //a, which IS convertible — the
-  // rewrite pipeline feeds the twig planner.
-  XQueryEngine engine;
-  auto compiled = engine.Compile("for $x in //a return $x");
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(TwigPlanner::IsConvertible(*(*compiled)->module().body));
-}
-
-TEST(TwigPlanner, PlannerResultMatchesEngine) {
-  // The twig executor and the full query engine agree on a path query.
-  std::string xml = RandomXml(77, 300, 3);
-  XQueryEngine engine;
-  XQP_ASSERT_OK_AND_ASSIGN(auto doc, engine.ParseAndRegister("doc.xml", xml));
-  XQP_ASSERT_OK_AND_ASSIGN(auto q, engine.Compile("doc('doc.xml')//a/b"));
-  XQP_ASSERT_OK_AND_ASSIGN(Sequence engine_result, q->Execute());
-
-  auto pattern = TwigPlanner::Compile(*q->module().body);
-  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
-  TagIndex index(doc);
-  XQP_ASSERT_OK_AND_ASSIGN(auto twig_result,
-                           TwigStackMatch(index, *pattern));
-  ASSERT_EQ(engine_result.size(), twig_result.size());
-  for (size_t i = 0; i < twig_result.size(); ++i) {
-    EXPECT_EQ(engine_result[i].AsNode().index(), twig_result[i]);
-  }
-}
 
 }  // namespace
 }  // namespace xqp

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The full CI gate: a Release build running the whole test suite, a
 # ThreadSanitizer build of the concurrency-sensitive tests (everything
-# carrying the `tsan` ctest label — the parallel join kernels and the
-# lock-free metrics/profile subsystem), and an ASan+UBSan build of the
-# suite that leans hardest on error paths and object lifetimes (the
-# robustness/governance tests plus the fuzz smoke drivers).
+# carrying the `tsan` ctest label — the worker pool, the thread-safe engine
+# front door and the lock-free metrics/profile subsystem), and an
+# ASan+UBSan build of the suite that leans hardest on error paths and
+# object lifetimes (the robustness/governance tests plus the fuzz smoke
+# drivers).
 #
 # Usage: tools/run_ci.sh [release-build-dir] [tsan-build-dir] [asan-build-dir]
 #   Defaults: build, build-tsan, build-asan. The trees are kept separate so
@@ -29,7 +30,8 @@ echo "=== Release bench smoke (ingest fast path + index access paths + vm + plan
 # keeps the fast-path numbers honest on every CI run; BENCH_ingest.json /
 # BENCH_parse.json / BENCH_index.json / BENCH_vm.json / BENCH_planner.json /
 # BENCH_vm_paths.json / BENCH_vm_construct.json land in the release build
-# dir for the perf dashboard to pick up.
+# dir for comparison by hand; EXPERIMENTS.md keeps the numbers that back a
+# claim.
 (cd "$BUILD_DIR" && \
   ./bench/bench_ingest --json --benchmark_min_time=0.1 && \
   ./bench/bench_parse --json --benchmark_min_time=0.1 \

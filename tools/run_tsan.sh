@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds the repo with ThreadSanitizer and runs the concurrency-sensitive
-# test binaries (the parallel join kernels and the thread-safe engine).
+# test binaries (the worker pool and the thread-safe engine).
 #
 # Usage: tools/run_tsan.sh [build-dir]
 #   build-dir defaults to build-tsan (kept separate from the normal build
