@@ -19,7 +19,7 @@ namespace bench {
 
 /// main() body for bench targets that support a `--json` convenience flag:
 /// `--json` (or `--json=FILE`) is rewritten into google-benchmark's
-/// `--benchmark_out=FILE --benchmark_out_format=json` pair so CI lanes can
+/// `--benchmark_out=FILE --benchmark_out_format=json` pair so a run can
 /// emit machine-readable results (BENCH_*.json) without remembering the
 /// native flag spelling. All other arguments pass through untouched.
 inline int JsonAwareMain(int argc, char** argv, const char* default_json_file) {

@@ -537,6 +537,15 @@ Result<std::shared_ptr<const TagIndex>> XQueryEngine::GetTagIndex(
   return it->second;
 }
 
+std::shared_ptr<const TagIndex> XQueryEngine::PeekTagIndex(
+    const Document& doc) {
+  std::shared_lock lock(mu_);
+  for (const auto& [uri, index] : tag_indexes_) {
+    if (index->doc_ptr().get() == &doc) return index;
+  }
+  return nullptr;
+}
+
 Result<std::shared_ptr<const DocumentIndexes>>
 XQueryEngine::GetDocumentIndexes(const std::string& uri) {
   if (!options_.enable_indexes) {

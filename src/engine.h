@@ -115,8 +115,8 @@ struct EngineOptions {
 ///   auto result = query.value()->Execute();
 /// Thread-safety contract: registration (RegisterDocument /
 /// ParseAndRegister / RegisterCollection) and execution (Execute /
-/// ExecuteCached / ExecuteBatchParallel / GetTagIndex) may be called from
-/// any number of threads concurrently. The read-mostly caches
+/// ExecuteCached / ExecuteBatchParallel / GetTagIndex / PeekTagIndex) may
+/// be called from any number of threads concurrently. The read-mostly caches
 /// (result_cache_, tag_indexes_) sit behind a shared_mutex; statistics
 /// counters are atomics. Registration invalidates derived caches under the
 /// exclusive lock, and an epoch counter keeps an in-flight execution from
@@ -255,6 +255,11 @@ class XQueryEngine : public DocumentProvider {
   /// sjoin/twig access paths).
   Result<std::shared_ptr<const TagIndex>> GetTagIndex(
       const std::string& uri) override;
+
+  /// The cached tag index built over `doc` itself, or null — never builds,
+  /// so a document whose index is cold (or was dropped by a
+  /// re-registration) keeps its steps on the row scan.
+  std::shared_ptr<const TagIndex> PeekTagIndex(const Document& doc) override;
 
  private:
   /// Clears derived caches and bumps the epoch. Caller must hold mu_

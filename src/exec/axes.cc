@@ -1,8 +1,66 @@
 #include "exec/axes.h"
 
+#include <algorithm>
+
+#include "base/metrics.h"
 #include "exec/dynamic_context.h"
+#include "join/tag_index.h"
 
 namespace xqp {
+
+namespace {
+
+void CountPostings(bool sliced) {
+  if (!metrics::Enabled()) return;
+  static metrics::Counter* slices =
+      metrics::MetricsRegistry::Global().counter("join.postings.slices");
+  static metrics::Counter* declined =
+      metrics::MetricsRegistry::Global().counter("join.postings.declined");
+  (sliced ? slices : declined)->Increment();
+}
+
+/// The tag index built for origin's document, from the run's memo or one
+/// provider peek; null when there is none.
+const TagIndex* RunTagIndex(const Node& origin, DynamicContext* ctx) {
+  const Document* doc = &origin.doc();
+  auto [it, inserted] = ctx->peeked_tag_indexes.try_emplace(doc);
+  if (inserted) {
+    std::shared_ptr<const TagIndex> index = ctx->provider->PeekTagIndex(*doc);
+    // Postings of another document would slice rows that are not its own.
+    if (index != nullptr && &index->doc() != doc) index = nullptr;
+    it->second = {origin.doc_ptr(), std::move(index)};
+  }
+  return it->second.index.get();
+}
+
+}  // namespace
+
+std::optional<std::span<const NodeIndex>> DescendantPostings(
+    const Node& origin, Axis axis, const NodeTest& test, DynamicContext* ctx) {
+  if (axis != Axis::kDescendant && axis != Axis::kDescendantOrSelf) {
+    return std::nullopt;
+  }
+  const TagIndex* index = nullptr;
+  if (ctx != nullptr && ctx->provider != nullptr && !origin.IsNull() &&
+      ctx->force_access_path != AccessPath::kNav &&
+      test.kind == NodeTest::Kind::kName && !test.wildcard_uri &&
+      !test.wildcard_local) {
+    index = RunTagIndex(origin, ctx);
+  }
+  CountPostings(index != nullptr);
+  if (index == nullptr) return std::nullopt;
+  const std::vector<NodeIndex>* postings = index->Lookup(test.uri, test.local);
+  if (postings == nullptr) return std::span<const NodeIndex>();
+  // Postings hold elements only, so the origin is in the list exactly when
+  // descendant-or-self's self matches.
+  const NodeIndex n = origin.index();
+  auto first = axis == Axis::kDescendant
+                   ? std::upper_bound(postings->begin(), postings->end(), n)
+                   : std::lower_bound(postings->begin(), postings->end(), n);
+  auto last =
+      std::upper_bound(first, postings->end(), origin.doc().node(n).end);
+  return std::span<const NodeIndex>(first, last);
+}
 
 Result<Item> SlashRoot(const Item& item) {
   if (!item.IsNode()) {
@@ -17,11 +75,16 @@ Result<Item> SlashRoot(const Item& item) {
   return Item(std::move(root));
 }
 
-AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test)
+AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test,
+                       DynamicContext* ctx)
     : origin_(origin), axis_(axis), test_(test) {
   if (origin.IsNull()) {
     done_ = true;
     return;
+  }
+  if (test != nullptr) {
+    slice_ = DescendantPostings(origin, axis, *test, ctx);
+    if (slice_.has_value()) return;
   }
   const Document& doc = origin.doc();
   const NodeRecord& rec = doc.node(origin.index());
@@ -97,36 +160,36 @@ bool AxisCursor::Matches(NodeIndex i) const {
   return test_->Matches(origin_.doc(), i, axis_ == Axis::kAttribute);
 }
 
-bool AxisCursor::Candidate(Node* out) {
+bool AxisCursor::Candidate(NodeIndex* out) {
   const Document& doc = origin_.doc();
   switch (axis_) {
     case Axis::kSelf:
       if (!include_self_pending_) return false;
       include_self_pending_ = false;
-      *out = origin_;
+      *out = origin_.index();
       return true;
     case Axis::kChild:
     case Axis::kAttribute:
     case Axis::kFollowingSibling: {
       if (current_ == kNullNode) return false;
-      *out = Node(origin_.doc_ptr(), current_);
+      *out = current_;
       current_ = doc.node(current_).next_sibling;
       return true;
     }
     case Axis::kParent:
       if (current_ == kNullNode) return false;
-      *out = Node(origin_.doc_ptr(), current_);
+      *out = current_;
       current_ = kNullNode;
       return true;
     case Axis::kAncestor:
     case Axis::kAncestorOrSelf: {
       if (include_self_pending_) {
         include_self_pending_ = false;
-        *out = origin_;
+        *out = origin_.index();
         return true;
       }
       if (current_ == kNullNode) return false;
-      *out = Node(origin_.doc_ptr(), current_);
+      *out = current_;
       current_ = doc.node(current_).parent;
       return true;
     }
@@ -134,14 +197,14 @@ bool AxisCursor::Candidate(Node* out) {
     case Axis::kDescendantOrSelf: {
       if (include_self_pending_) {
         include_self_pending_ = false;
-        *out = origin_;
+        *out = origin_.index();
         return true;
       }
       while (scan_ != kNullNode && scan_ <= scan_end_ &&
              scan_ < doc.NumNodes()) {
         NodeIndex i = scan_++;
         if (doc.node(i).kind == NodeKind::kAttribute) continue;
-        *out = Node(origin_.doc_ptr(), i);
+        *out = i;
         return true;
       }
       return false;
@@ -161,14 +224,14 @@ bool AxisCursor::Candidate(Node* out) {
         return false;
       }
       scan_end_ = last;
-      *out = Node(origin_.doc_ptr(), last);
+      *out = last;
       return true;
     }
     case Axis::kFollowing: {
       while (!done_ && scan_ <= scan_end_ && scan_ < doc.NumNodes()) {
         NodeIndex i = scan_++;
         if (doc.node(i).kind == NodeKind::kAttribute) continue;
-        *out = Node(origin_.doc_ptr(), i);
+        *out = i;
         return true;
       }
       return false;
@@ -181,7 +244,7 @@ bool AxisCursor::Candidate(Node* out) {
         if (rec.kind == NodeKind::kAttribute) continue;
         // Exclude ancestors of the origin.
         if (i < origin_.index() && origin_.index() <= rec.end) continue;
-        *out = Node(origin_.doc_ptr(), i);
+        *out = i;
         return true;
       }
       return false;
@@ -191,10 +254,18 @@ bool AxisCursor::Candidate(Node* out) {
 }
 
 bool AxisCursor::Next(Node* out) {
-  Node candidate;
+  if (slice_.has_value()) {
+    if (slice_->empty()) return false;
+    *out = Node(origin_.doc_ptr(), slice_->front());
+    *slice_ = slice_->subspan(1);
+    return true;
+  }
+  // Rows are tested by index; a Node (a document reference) is built only
+  // for a match.
+  NodeIndex candidate;
   while (Candidate(&candidate)) {
-    if (Matches(candidate.index())) {
-      *out = candidate;
+    if (Matches(candidate)) {
+      *out = Node(origin_.doc_ptr(), candidate);
       return true;
     }
   }
@@ -217,10 +288,10 @@ Status FinishPathResult(const PathExpr& path, Sequence* out) {
 }
 
 void CollectAxis(const Node& origin, Axis axis, const NodeTest& test,
-                 Sequence* out) {
-  AxisCursor cursor(origin, axis, &test);
+                 Sequence* out, DynamicContext* ctx) {
+  AxisCursor cursor(origin, axis, &test, ctx);
   Node node;
-  while (cursor.Next(&node)) out->push_back(Item(node));
+  while (cursor.Next(&node)) out->push_back(Item(std::move(node)));
 }
 
 }  // namespace xqp

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/limits.h"
@@ -47,6 +48,14 @@ class DocumentProvider {
       const std::string& uri) {
     (void)uri;
     return std::shared_ptr<const TagIndex>();
+  }
+  /// The already-built tag index whose document is `doc` (the same object,
+  /// not merely the same URI), or nullptr — never builds. Variable-anchored
+  /// descendant steps slice its postings (exec/axes.h); a miss sends them
+  /// to the row scan.
+  virtual std::shared_ptr<const TagIndex> PeekTagIndex(const Document& doc) {
+    (void)doc;
+    return nullptr;
   }
 };
 
@@ -94,8 +103,19 @@ class DynamicContext {
   /// Access-path override for doc()-anchored chains, copied from
   /// EngineOptions at context setup. kAuto lets the cost model choose; a
   /// forced strategy that cannot answer a given chain degrades to
-  /// navigation (results stay bit-identical across all settings).
+  /// navigation (results stay bit-identical across all settings). kNav
+  /// also keeps variable-anchored descendant steps on the row scan.
   AccessPath force_access_path = AccessPath::kAuto;
+
+  /// The provider's PeekTagIndex answer for each document this run's
+  /// descendant steps started from, a miss memoised as a null index, so a
+  /// run asks the provider at most once per document. Holding the document
+  /// keeps its address from being reused while the run lasts.
+  struct PeekedTagIndex {
+    std::shared_ptr<const Document> doc;
+    std::shared_ptr<const TagIndex> index;
+  };
+  std::unordered_map<const Document*, PeekedTagIndex> peeked_tag_indexes;
 
   /// This run's value-join indexes by FlworExpr::Clause::join_id, built on
   /// first use (exec/value_join.h).

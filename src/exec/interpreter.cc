@@ -346,7 +346,7 @@ Result<Sequence> Interpreter::EvalStep(const StepExpr* e) {
     return Status::TypeError("axis step requires a node context item");
   }
   Sequence out;
-  CollectAxis(ctx_item.AsNode(), e->axis, e->test, &out);
+  CollectAxis(ctx_item.AsNode(), e->axis, e->test, &out, ctx_);
   return out;
 }
 

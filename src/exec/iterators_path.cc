@@ -12,7 +12,7 @@ namespace lazy_internal {
 namespace {
 
 /// Streaming axis step: nodes are produced one at a time straight off the
-/// document's node table.
+/// document's node table, or off a tag posting slice (exec/axes.h).
 class StepIt : public ItemIterator {
  public:
   StepIt(const StepExpr* e, const LazyFocus* focus) : e_(e), focus_(focus) {}
@@ -42,7 +42,7 @@ class StepIt : public ItemIterator {
       if (!origin.IsNode()) {
         return Status::TypeError("axis step requires a node context item");
       }
-      cursor_.emplace(origin.AsNode(), e_->axis, &e_->test);
+      cursor_.emplace(origin.AsNode(), e_->axis, &e_->test, ctx_);
     }
     Node node;
     if (!cursor_->Next(&node)) return false;

@@ -21,8 +21,17 @@ std::string FlagSuffix(const PathExpr& p) {
   if (access != AccessPath::kAuto) {
     out += " [access: ";
     out += AccessPathName(access);
-    out += ", est=" +
-           std::to_string(p.access_est.load(std::memory_order_relaxed)) + "]";
+    const AccessPath declined =
+        p.access_declined.load(std::memory_order_relaxed);
+    if (declined != AccessPath::kAuto) {
+      out += ", forced ";
+      out += AccessPathName(declined);
+      out += " declined]";
+    } else {
+      out += ", est=" +
+             std::to_string(p.access_est.load(std::memory_order_relaxed)) +
+             "]";
+    }
   }
   return out;
 }

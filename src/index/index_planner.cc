@@ -44,6 +44,22 @@ const Expr* ChainAnchor(const Expr* e, size_t* length) {
   return e;
 }
 
+/// The literal argument of a doc('uri') / document('uri') call, or null
+/// for any other expression.
+const LiteralExpr* LiteralDocUri(const Expr* anchor) {
+  if (anchor->kind() != ExprKind::kFunctionCall) return nullptr;
+  const auto* call = static_cast<const FunctionCallExpr*>(anchor);
+  if (call->name.local != "doc" && call->name.local != "document") {
+    return nullptr;
+  }
+  if (call->NumChildren() != 1 ||
+      call->child(0)->kind() != ExprKind::kLiteral) {
+    return nullptr;
+  }
+  const auto* lit = static_cast<const LiteralExpr*>(call->child(0));
+  return lit->value.IsStringLike() ? lit : nullptr;
+}
+
 /// Flattens a left-deep path chain of `length` rhs expressions into their
 /// sequence, leftmost first.
 void FlattenChain(const Expr* e, size_t length,
@@ -373,23 +389,19 @@ std::vector<NodeIndex> NavigateStep(const Document& doc,
 
 }  // namespace
 
+bool IsDocAnchoredPath(const Expr& e) {
+  if (e.kind() != ExprKind::kPath) return false;
+  size_t length = 0;
+  return LiteralDocUri(ChainAnchor(&e, &length)) != nullptr;
+}
+
 std::optional<IndexQuery> PlanIndexPath(const Expr& e) {
   if (e.kind() != ExprKind::kPath) return std::nullopt;
   size_t length = 0;
-  const Expr* anchor = ChainAnchor(&e, &length);
   // Only literal doc('uri') anchors: the synopsis lives per registered
   // document, and the uri must be known statically for EXPLAIN to show it.
-  if (anchor->kind() != ExprKind::kFunctionCall) return std::nullopt;
-  const auto* call = static_cast<const FunctionCallExpr*>(anchor);
-  if (call->name.local != "doc" && call->name.local != "document") {
-    return std::nullopt;
-  }
-  if (call->NumChildren() != 1 ||
-      call->child(0)->kind() != ExprKind::kLiteral) {
-    return std::nullopt;
-  }
-  const auto* lit = static_cast<const LiteralExpr*>(call->child(0));
-  if (!lit->value.IsStringLike()) return std::nullopt;
+  const LiteralExpr* lit = LiteralDocUri(ChainAnchor(&e, &length));
+  if (lit == nullptr) return std::nullopt;
 
   std::vector<const Expr*> rhs;
   FlattenChain(&e, length, &rhs);

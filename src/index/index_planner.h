@@ -65,6 +65,11 @@ struct IndexQuery {
 /// re-derives it to print the access path.
 std::optional<IndexQuery> PlanIndexPath(const Expr& e);
 
+/// True when `e` is a path chain anchored at a literal doc('uri'): the
+/// chains a forced access path is offered to, whether or not PlanIndexPath
+/// can answer them.
+bool IsDocAnchoredPath(const Expr& e);
+
 /// Answers `q` from the synopsis / value index. nullopt means the index
 /// cannot *prove* the answer (numeric predicate over a non-numeric path,
 /// complex-content target, disabled value family) and the caller must fall

@@ -215,13 +215,19 @@ Result<std::optional<Sequence>> TryExecuteAccessPath(const PathExpr* e,
   return std::optional<Sequence>(std::move(out));
 }
 
-void AnnotateAccessPaths(Expr* root, const IndexPeek& peek, AccessPath force) {
+namespace {
+
+/// AnnotateAccessPaths' walk; `chain_lhs` is true for the lhs of a path,
+/// which belongs to its parent's chain.
+void Annotate(Expr* root, const IndexPeek& peek, AccessPath force,
+              bool chain_lhs) {
   if (root == nullptr) return;
   if (root->kind() == ExprKind::kPath) {
     auto* path = static_cast<PathExpr*>(root);
     // Decide first, then store once: a concurrent EXPLAIN of the same plan
     // must never see a transient reset.
     AccessPath chosen = AccessPath::kAuto;
+    AccessPath declined = AccessPath::kAuto;
     uint64_t est = 0;
     if (path->index_candidate) {
       std::optional<IndexQuery> plan = PlanIndexPath(*path);
@@ -233,13 +239,27 @@ void AnnotateAccessPaths(Expr* root, const IndexPeek& peek, AccessPath force) {
           est = d.card.rows;
         }
       }
+    } else if (force != AccessPath::kAuto && force != AccessPath::kNav &&
+               !chain_lhs && IsDocAnchoredPath(*path)) {
+      // A doc()-anchored chain the planner cannot answer runs on
+      // navigation whatever was forced; say so on the chain's top path.
+      chosen = AccessPath::kNav;
+      declined = force;
     }
     path->access_path.store(chosen, std::memory_order_relaxed);
     path->access_est.store(est, std::memory_order_relaxed);
+    path->access_declined.store(declined, std::memory_order_relaxed);
   }
   for (size_t i = 0; i < root->NumChildren(); ++i) {
-    AnnotateAccessPaths(root->child(i), peek, force);
+    Annotate(root->child(i), peek, force,
+             i == 0 && root->kind() == ExprKind::kPath);
   }
+}
+
+}  // namespace
+
+void AnnotateAccessPaths(Expr* root, const IndexPeek& peek, AccessPath force) {
+  Annotate(root, peek, force, /*chain_lhs=*/false);
 }
 
 }  // namespace xqp

@@ -54,7 +54,10 @@ using IndexPeek =
 /// chosen access path and cardinality estimate
 /// (PathExpr::access_path/access_est — EXPLAIN-only; execution re-derives
 /// the decision against live indexes). Paths whose document has no cached
-/// indexes yet are reset to kAuto/0.
+/// indexes yet are reset to kAuto/0. Under a forced sjoin/twig/index
+/// strategy, the top path of a doc()-anchored chain the planner declines is
+/// marked kNav with that strategy in PathExpr::access_declined, rendered
+/// "[access: nav, forced F declined]".
 void AnnotateAccessPaths(Expr* root, const IndexPeek& peek, AccessPath force);
 
 }  // namespace xqp

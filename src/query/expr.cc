@@ -414,6 +414,8 @@ std::unique_ptr<Expr> PathExpr::Clone() const {
                        std::memory_order_relaxed);
   e->access_est.store(access_est.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
+  e->access_declined.store(access_declined.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
   return e;
 }
 

@@ -466,6 +466,10 @@ class PathExpr : public Expr {
   /// rendering or running, and every writer stores the same decision.
   std::atomic<AccessPath> access_path{AccessPath::kAuto};
   std::atomic<uint64_t> access_est{0};
+  /// The forced strategy (EngineOptions::force_access_path) the planner
+  /// declined for this candidate, which then runs on navigation; kAuto when
+  /// none was. EXPLAIN-only, like the two above.
+  std::atomic<AccessPath> access_declined{AccessPath::kAuto};
 };
 
 /// E[p1][p2]...: child 0 is the base, children 1..N the predicates.

@@ -590,7 +590,8 @@ Result<Sequence> Vm::Run() {
         return Status::TypeError("axis step requires a node context item");
       }
       size_t before = out.size();
-      CollectAxis(origin.AsNode(), plan.step->axis, plan.step->test, &out);
+      CollectAxis(origin.AsNode(), plan.step->axis, plan.step->test, &out,
+                  ctx_);
       if (blocking && gov_ != nullptr) {
         XQP_RETURN_NOT_OK(
             gov_->ChargeBytes((out.size() - before) * sizeof(Item)));

@@ -243,6 +243,45 @@ TEST(ExplainTest, CanonicalPlansAreStable) {
             "    step child::name\n");
 }
 
+/// A forced strategy the planner declines (an existence predicate such as
+/// [bidder] is outside its fragment) is marked on the chain's top path, so
+/// EXPLAIN shows the navigation that runs; without a force nothing is.
+TEST(ExplainTest, DeclinedForcedAccessPathIsMarked) {
+  const std::string query = "doc('xmark.xml')//open_auction[bidder]/seller";
+  const std::string body =
+      "  path\n"
+      "    call doc\n"
+      "      literal xmark.xml\n"
+      "    filter\n"
+      "      step descendant::open_auction\n"
+      "      predicate: step child::bidder\n"
+      "  step child::seller\n";
+  for (AccessPath force :
+       {AccessPath::kSJoin, AccessPath::kTwig, AccessPath::kIndex}) {
+    EngineOptions options;
+    options.force_access_path = force;
+    XQueryEngine engine(options);
+    XMarkOptions xmark;
+    xmark.scale = 0.01;
+    ASSERT_TRUE(
+        engine.ParseAndRegister("xmark.xml", GenerateXMarkXml(xmark)).ok());
+    auto q = engine.Compile(query);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q.value()->ExplainTree(),
+              std::string("path [sort] [access: nav, forced ") +
+                  AccessPathName(force) + " declined]\n" + body);
+  }
+  for (AccessPath force : {AccessPath::kAuto, AccessPath::kNav}) {
+    EngineOptions options;
+    options.force_access_path = force;
+    XQueryEngine engine(options);
+    auto q = engine.Compile(query);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q.value()->ExplainTree(), "path [sort]\n" + body)
+        << AccessPathName(force);
+  }
+}
+
 /// The value-join rule's annotation on the XMark Q8 (hash) and Q11 (range)
 /// shapes, identical on every backend apart from the vm's root marker.
 TEST(ExplainTest, ValueJoinPlansAreStable) {

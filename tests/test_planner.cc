@@ -2,22 +2,31 @@
 // (every forced strategy × every backend must be bit-identical to the
 // unindexed reference), cardinality-estimator accuracy on XMark and
 // adversarial documents, cost-model crossover sanity on skewed corpora,
-// and forced-path robustness under fault injection and resource limits.
+// forced-path robustness under fault injection and resource limits, and
+// the tag-posting slice that answers variable-anchored descendant steps.
 
 #include "opt/access_path.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/fault.h"
+#include "base/metrics.h"
 #include "engine.h"
+#include "exec/axes.h"
+#include "exec/dynamic_context.h"
 #include "index/index_planner.h"
+#include "join/tag_index.h"
 #include "opt/cost.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"
@@ -563,6 +572,300 @@ TEST(PlannerRobustness, EnvKnobParsesAndApplies) {
         XQueryEngine engine2;
       },
       ::testing::ExitedWithCode(2), "XQP_ACCESS_PATH");
+}
+
+// ---------------------------------------------------------------------
+// Posting slice: a named descendant step from any node reads the run of
+// its tag's postings inside the origin's region instead of scanning rows.
+
+/// Counter deltas of the global registry, switched on for one test.
+class PostingCounters {
+ public:
+  PostingCounters()
+      : was_enabled_(metrics::MetricsRegistry::Global().enabled()) {
+    metrics::MetricsRegistry::Global().set_enabled(true);
+    before_ = metrics::MetricsRegistry::Global().Snapshot();
+  }
+  ~PostingCounters() {
+    metrics::MetricsRegistry::Global().set_enabled(was_enabled_);
+  }
+
+  /// join.postings.{slices,declined} since construction or the last Take.
+  std::pair<uint64_t, uint64_t> Take() {
+    metrics::MetricsSnapshot now =
+        metrics::MetricsRegistry::Global().Snapshot();
+    std::map<std::string, uint64_t> delta = now.Delta(before_).counters;
+    before_ = std::move(now);
+    return {delta["join.postings.slices"], delta["join.postings.declined"]};
+  }
+
+ private:
+  bool was_enabled_;
+  metrics::MetricsSnapshot before_;
+};
+
+/// An engine serving `xml` under `uri` with its tag index built (or not).
+std::unique_ptr<XQueryEngine> SliceEngine(const std::string& uri,
+                                          const std::string& xml,
+                                          AccessPath force, bool tag_index) {
+  EngineOptions options;
+  options.force_access_path = force;
+  auto engine = std::make_unique<XQueryEngine>(options);
+  EXPECT_TRUE(engine->ParseAndRegister(uri, xml).ok());
+  if (tag_index) EXPECT_TRUE(engine->GetTagIndex(uri).ok());
+  return engine;
+}
+
+/// Every query must serialize identically on the three backends of: the
+/// scan (forced nav), the slice (auto, tag index built) and the slice over
+/// a snapshot-loaded twin of the document; and each must take the slice.
+/// The queries keep their steps variable-anchored: a bare
+/// `for $v in doc(...)//a return $v//b` is rewritten into a doc()-anchored
+/// chain that the index answers instead.
+void ExpectSliceMatchesScan(const std::string& uri, const std::string& xml,
+                            const std::vector<std::string>& queries) {
+  auto scan = SliceEngine(uri, xml, AccessPath::kNav, true);
+  auto slice = SliceEngine(uri, xml, AccessPath::kAuto, true);
+  const std::string path = ::testing::TempDir() + "/xqp_posting_slice.xqps";
+  XQP_ASSERT_OK(slice->SaveSnapshot(uri, path));
+  XQueryEngine twin;
+  XQP_ASSERT_OK(twin.LoadDocumentSnapshot(uri, path).status());
+  XQP_ASSERT_OK(twin.GetTagIndex(uri).status());
+  PostingCounters counters;
+  for (const std::string& query : queries) {
+    const std::string want = RunWith(*scan, query, ExecBackend::kEager);
+    EXPECT_EQ(want.rfind("ERROR", 0), std::string::npos) << query << want;
+    for (ExecBackend backend : kAllBackends) {
+      const char* name = ExecBackendName(backend);
+      EXPECT_EQ(RunWith(*scan, query, backend), want) << query << " " << name;
+      EXPECT_EQ(counters.Take().first, 0u) << query << " " << name;
+      EXPECT_EQ(RunWith(*slice, query, backend), want) << query << " " << name;
+      EXPECT_GT(counters.Take().first, 0u) << query << " " << name;
+      EXPECT_EQ(RunWith(twin, query, backend), want)
+          << query << " (snapshot twin) " << name;
+      EXPECT_GT(counters.Take().first, 0u)
+          << query << " (snapshot twin) " << name;
+    }
+  }
+}
+
+TEST(PostingSlice, RecursiveDocumentsMatchScan) {
+  // Random trees nest every tag inside itself: //a holds //a.
+  const std::vector<std::string> queries = {
+      "for $v in doc('r.xml')//a return <v>{$v//b}</v>",
+      "for $v in doc('r.xml')//a return <v>{$v//a}</v>",
+      "for $v in doc('r.xml')//a return count($v//a)",
+      "for $v in doc('r.xml')//a return <v>{$v/descendant-or-self::a}</v>",
+      "for $v in doc('r.xml')//b return <v>{$v/descendant-or-self::c}</v>",
+      "for $v in doc('r.xml')//c return <v>{$v/descendant::d[2]}</v>",
+      "for $v in doc('r.xml')//d return count($v//absent)",
+      "for $t in doc('r.xml')//text() "
+      "return count($t/descendant-or-self::a)",
+      "for $k in doc('r.xml')//@k return count($k/descendant-or-self::b)",
+      "for $v in doc('r.xml')/r return <v>{$v//a//b}</v>",
+      "for $v in doc('r.xml')/r return string-join($v//d/@k, ',')",
+      "let $v := doc('r.xml')//b return <v n='{count($v)}'>{$v//c}</v>",
+  };
+  for (uint64_t seed : {3u, 29u, 512u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ExpectSliceMatchesScan("r.xml", RandomXml(seed, 300), queries);
+  }
+  // XMark's parlist/listitem recursion, and the Q6 and Q7 shapes.
+  ExpectSliceMatchesScan(
+      "x.xml", XMarkXml(0.02),
+      {
+          "for $p in doc('x.xml')//parlist return count($p//listitem)",
+          "for $p in doc('x.xml')//parlist return <p>{$p//parlist}</p>",
+          "for $l in doc('x.xml')//listitem "
+          "return count($l/descendant-or-self::listitem/text)",
+          "for $p in doc('x.xml')/site return count($p//description) + "
+          "count($p//annotation) + count($p//emailaddress)",
+          "for $b in doc('x.xml')/site/regions/* return count($b//item)",
+      });
+}
+
+TEST(PostingSlice, FastPathRunsUnlessNavigationIsForced) {
+  const std::string xml = RandomXml(77, 200);
+  const std::string query = "for $v in doc('r.xml')//a return count($v//b)";
+  for (ExecBackend backend : kAllBackends) {
+    SCOPED_TRACE(ExecBackendName(backend));
+    auto sliced = SliceEngine("r.xml", xml, AccessPath::kAuto, true);
+    auto nav = SliceEngine("r.xml", xml, AccessPath::kNav, true);
+    PostingCounters counters;
+    const std::string want = RunWith(*sliced, query, backend);
+    auto [slices, declined] = counters.Take();
+    EXPECT_GT(slices, 0u);
+    EXPECT_EQ(declined, 0u);
+    EXPECT_EQ(RunWith(*nav, query, backend), want);
+    std::tie(slices, declined) = counters.Take();
+    EXPECT_EQ(slices, 0u);
+    EXPECT_GT(declined, 0u);
+  }
+}
+
+TEST(PostingSlice, DeclinesWithoutABuiltIndexOrANamedStep) {
+  const std::string xml = "<r><a><b/><a><b/></a></a><b/></r>";
+  auto engine = SliceEngine("d.xml", xml, AccessPath::kAuto, false);
+  std::shared_ptr<const Document> doc = engine->GetDocument("d.xml").value();
+  const Node r(doc, doc->node(0).first_child);
+  const NodeTest b = NodeTest::Name("", "b");
+
+  // No tag index built: declines, and the miss is memoised for the run.
+  DynamicContext cold;
+  cold.provider = engine.get();
+  EXPECT_FALSE(DescendantPostings(r, Axis::kDescendant, b, &cold));
+  XQP_ASSERT_OK(engine->GetTagIndex("d.xml").status());
+  EXPECT_FALSE(DescendantPostings(r, Axis::kDescendant, b, &cold));
+
+  DynamicContext ctx;
+  ctx.provider = engine.get();
+  auto slice = DescendantPostings(r, Axis::kDescendant, b, &ctx);
+  ASSERT_TRUE(slice.has_value());
+  Sequence scanned;
+  CollectAxis(r, Axis::kDescendant, b, &scanned);
+  ASSERT_EQ(slice->size(), scanned.size());
+  for (size_t i = 0; i < scanned.size(); ++i) {
+    EXPECT_EQ((*slice)[i], scanned[i].AsNode().index());
+  }
+  // A name the index does not hold answers empty.
+  auto absent = DescendantPostings(r, Axis::kDescendant,
+                                   NodeTest::Name("", "zz"), &ctx);
+  ASSERT_TRUE(absent.has_value());
+  EXPECT_TRUE(absent->empty());
+
+  // Wildcards, kind tests and other axes decline.
+  EXPECT_FALSE(
+      DescendantPostings(r, Axis::kDescendant, NodeTest::AnyName(), &ctx));
+  NodeTest element_b;
+  element_b.kind = NodeTest::Kind::kElement;
+  element_b.local = "b";
+  EXPECT_FALSE(DescendantPostings(r, Axis::kDescendant, element_b, &ctx));
+  EXPECT_FALSE(DescendantPostings(r, Axis::kChild, b, &ctx));
+  EXPECT_FALSE(DescendantPostings(r, Axis::kDescendant, b, nullptr));
+
+  // Forced navigation declines.
+  DynamicContext nav;
+  nav.provider = engine.get();
+  nav.force_access_path = AccessPath::kNav;
+  EXPECT_FALSE(DescendantPostings(r, Axis::kDescendant, b, &nav));
+
+  // A constructed (arena) tree has no tag index.
+  auto built = engine->Execute("<a><b/></a>");
+  XQP_ASSERT_OK(built.status());
+  ASSERT_EQ(built.value().size(), 1u);
+  EXPECT_FALSE(DescendantPostings(built.value()[0].AsNode(),
+                                  Axis::kDescendant, b, &ctx));
+
+  // Through the engine: the constructed tree and `$v//*` scan.
+  PostingCounters counters;
+  EXPECT_EQ(RunWith(*engine, "count(<a><b/><c><b/></c></a>//b)",
+                    ExecBackend::kLazy),
+            "2");
+  EXPECT_EQ(RunWith(*engine,
+                    "for $v in doc('d.xml')/r return count($v//*)",
+                    ExecBackend::kVm),
+            "5");
+  auto [slices, declined] = counters.Take();
+  EXPECT_EQ(slices, 0u);
+  EXPECT_GE(declined, 2u);
+}
+
+TEST(PostingSlice, GovernorLimitsMatchScan) {
+  const std::string xml = DiversityXml(4, 16);
+  for (AccessPath force : {AccessPath::kAuto, AccessPath::kNav}) {
+    SCOPED_TRACE(AccessPathName(force));
+    EngineOptions options;
+    options.force_access_path = force;
+    options.default_limits.max_result_items = 5;
+    XQueryEngine engine(options);
+    XQP_ASSERT_OK(engine.ParseAndRegister("d.xml", xml).status());
+    XQP_ASSERT_OK(engine.GetTagIndex("d.xml").status());
+    auto compiled = engine.Compile("for $v in doc('d.xml')/r return $v//k");
+    XQP_ASSERT_OK(compiled.status());
+    for (ExecBackend backend : kAllBackends) {
+      CompiledQuery::ExecOptions exec;
+      exec.backend = backend;
+      auto r = compiled.value()->Execute(exec);
+      ASSERT_FALSE(r.ok()) << ExecBackendName(backend);
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+          << ExecBackendName(backend);
+    }
+  }
+}
+
+/// <r> holding `n` <item/>s, each nested one level deeper inside <g>s
+/// every `depth` items, so two values of (n, depth) differ in both their
+/// answer and their row layout.
+std::string ItemsXml(int n, int depth) {
+  std::string xml = "<r>";
+  for (int i = 0; i < n; ++i) {
+    if (i % depth == 0) xml += "<g>";
+    xml += "<item/>";
+    if (i % depth == depth - 1 || i == n - 1) xml += "</g>";
+  }
+  return xml + "</r>";
+}
+
+TEST(PostingSlice, ReRegistrationNeverServesTheOldIndex) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("u.xml", ItemsXml(40, 3)).status());
+  XQP_ASSERT_OK(engine.GetTagIndex("u.xml").status());
+  std::shared_ptr<const Document> old_doc =
+      engine.GetDocument("u.xml").value();
+  ASSERT_NE(engine.PeekTagIndex(*old_doc), nullptr);
+
+  XQP_ASSERT_OK(engine.ParseAndRegister("u.xml", ItemsXml(25, 4)).status());
+  std::shared_ptr<const Document> new_doc =
+      engine.GetDocument("u.xml").value();
+  EXPECT_EQ(engine.PeekTagIndex(*old_doc), nullptr);
+  EXPECT_EQ(engine.PeekTagIndex(*new_doc), nullptr);
+  const std::string query = "for $v in doc('u.xml')/r return count($v//item)";
+  for (ExecBackend backend : kAllBackends) {
+    EXPECT_EQ(RunWith(engine, query, backend), "25");
+  }
+  XQP_ASSERT_OK(engine.GetTagIndex("u.xml").status());
+  std::shared_ptr<const TagIndex> peeked = engine.PeekTagIndex(*new_doc);
+  ASSERT_NE(peeked, nullptr);
+  EXPECT_EQ(&peeked->doc(), new_doc.get());
+  for (ExecBackend backend : kAllBackends) {
+    EXPECT_EQ(RunWith(engine, query, backend), "25");
+  }
+}
+
+// One thread swaps the document under the URI (and rebuilds its tag index)
+// while readers run `$v//item`: every answer is one whole version's.
+TEST(PostingSlice, ConcurrentReRegistrationServesOneVersion) {
+  const std::string versions[] = {ItemsXml(40, 3), ItemsXml(25, 4)};
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("u.xml", versions[0]).status());
+  XQP_ASSERT_OK(engine.GetTagIndex("u.xml").status());
+  auto compiled = engine.Compile(
+      "for $v in doc('u.xml')/r return (count($v//item), count($v//g//item))");
+  XQP_ASSERT_OK(compiled.status());
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 1; !stop; ++i) {
+      EXPECT_TRUE(engine.ParseAndRegister("u.xml", versions[i % 2]).ok());
+      EXPECT_TRUE(engine.GetTagIndex("u.xml").ok());
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      CompiledQuery::ExecOptions exec;
+      exec.backend = kAllBackends[t];
+      for (int run = 0; run < 300; ++run) {
+        auto r = compiled.value()->ExecuteToXml(exec);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_TRUE(r.value() == "40 40" || r.value() == "25 25")
+            << r.value();
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  stop = true;
+  writer.join();
 }
 
 }  // namespace
