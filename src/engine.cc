@@ -713,7 +713,7 @@ Result<std::shared_ptr<const vm::Program>> CompiledQuery::VmProgram() const {
 }
 
 void CompiledQuery::AnnotateForExplain() const {
-  if (engine_ == nullptr || !engine_->options().enable_indexes) return;
+  if (engine_ == nullptr) return;
   IndexPeek peek = [this](const std::string& uri) {
     return engine_->PeekDocumentIndexes(uri);
   };

@@ -49,9 +49,12 @@ std::optional<ExecBackend> ParseExecBackend(std::string_view name);
 /// read once, by the XQueryEngine constructor: an empty value means unset,
 /// an unrecognized one is a startup error (message on stderr, exit 2).
 struct EngineOptions {
-  /// Worker count for ExecuteBatchParallel and LoadDocumentsParallel; 0 means
-  /// DefaultParallelism() (the XQP_THREADS environment override, else
-  /// std::thread::hardware_concurrency()).
+  /// How many chunks ExecuteBatchParallel and LoadDocumentsParallel cut a
+  /// batch into for ParallelFor; 0 means DefaultParallelism() (the
+  /// XQP_THREADS environment override, else
+  /// std::thread::hardware_concurrency()). It does not size the worker
+  /// pool: the process-wide ThreadPool::Global() is sized once by
+  /// DefaultParallelism(), and the calling thread helps drain the chunks.
   int num_threads = 0;
 
   /// Turns on the process-wide metrics registry (kernel counters, rewrite
@@ -445,7 +448,8 @@ class CompiledQuery {
   /// Refreshes PathExpr access-path annotations against the engine's
   /// *currently cached* indexes (peek-only) before an EXPLAIN rendering —
   /// a plan explained after a warm-up run shows the decision execution
-  /// would make.
+  /// would make. With indexes disabled the peek finds none, so a forced
+  /// strategy still shows as declined.
   void AnnotateForExplain() const;
 
   /// Engine default_limits overridden by the per-call limits.

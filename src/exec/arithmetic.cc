@@ -28,6 +28,28 @@ Result<AtomicValue> ToNumeric(const AtomicValue& v) {
 
 }  // namespace
 
+Status ArithmeticError(ArithOp op, bool by_zero) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return Status::DynamicError("err:FOAR0002: integer overflow in addition");
+    case ArithOp::kSub:
+      return Status::DynamicError(
+          "err:FOAR0002: integer overflow in subtraction");
+    case ArithOp::kMul:
+      return Status::DynamicError(
+          "err:FOAR0002: integer overflow in multiplication");
+    case ArithOp::kDiv:
+      return Status::DynamicError("decimal division by zero");
+    case ArithOp::kIDiv:
+      return Status::DynamicError(
+          by_zero ? "integer division by zero"
+                  : "err:FOAR0002: integer overflow in idiv");
+    case ArithOp::kMod:
+      return Status::DynamicError("modulus by zero");
+  }
+  return Status::Internal("unknown arithmetic operator");
+}
+
 Result<Sequence> EvalArithmetic(ArithOp op, const Sequence& lhs,
                                 const Sequence& rhs) {
   if (lhs.empty() || rhs.empty()) return Sequence{};
@@ -37,22 +59,23 @@ Result<Sequence> EvalArithmetic(ArithOp op, const Sequence& lhs,
   XQP_ASSIGN_OR_RETURN(AtomicValue a, ToNumeric(lhs[0].AsAtomic()));
   XQP_ASSIGN_OR_RETURN(AtomicValue b, ToNumeric(rhs[0].AsAtomic()));
 
-  if (op == ArithOp::kIDiv) {
-    // Integer-typed operands take an exact integer path: the double route
-    // below loses precision past 2^53, and INT64_MIN idiv -1 would cast a
-    // non-representable double back to int64 (UB).
-    if (a.type() == XsType::kInteger && b.type() == XsType::kInteger) {
-      int64_t x = a.AsInt();
-      int64_t y = b.AsInt();
-      if (y == 0) return Status::DynamicError("integer division by zero");
-      if (x == INT64_MIN && y == -1) {
-        return Status::DynamicError(
-            "err:FOAR0002: integer overflow in idiv");
-      }
-      return Sequence{Item(AtomicValue::Integer(x / y))};
+  int rank = std::max(Rank(a.type()), Rank(b.type()));
+  // "div" on integers produces a decimal.
+  if (op == ArithOp::kDiv && rank == 0) rank = 1;
+
+  if (rank == 0) {
+    // Exact integer arithmetic; for idiv the double route below would lose
+    // precision past 2^53.
+    int64_t r = 0;
+    if (!CheckedIntArith(op, a.AsInt(), b.AsInt(), &r)) {
+      return ArithmeticError(op, b.AsInt() == 0);
     }
+    return Sequence{Item(AtomicValue::Integer(r))};
+  }
+
+  if (op == ArithOp::kIDiv) {
     double y = b.NumericAsDouble();
-    if (y == 0.0) return Status::DynamicError("integer division by zero");
+    if (y == 0.0) return ArithmeticError(op, true);
     double x = a.NumericAsDouble();
     if (std::isnan(x) || std::isnan(y) || std::isinf(x)) {
       return Status::DynamicError("idiv with NaN or INF operand");
@@ -60,48 +83,9 @@ Result<Sequence> EvalArithmetic(ArithOp op, const Sequence& lhs,
     double q = std::trunc(x / y);
     // Casting a value outside int64's range is UB; make it err:FOAR0002.
     if (!(q >= -9223372036854775808.0 && q < 9223372036854775808.0)) {
-      return Status::DynamicError("err:FOAR0002: integer overflow in idiv");
+      return ArithmeticError(op, false);
     }
     return Sequence{Item(AtomicValue::Integer(static_cast<int64_t>(q)))};
-  }
-
-  int rank = std::max(Rank(a.type()), Rank(b.type()));
-  // "div" on integers produces a decimal.
-  if (op == ArithOp::kDiv && rank == 0) rank = 1;
-
-  if (rank == 0) {
-    // Checked integer arithmetic: signed overflow is UB in C++, and the
-    // XQuery spec makes it a dynamic error (err:FOAR0002), not a trap.
-    int64_t x = a.AsInt();
-    int64_t y = b.AsInt();
-    int64_t r = 0;
-    switch (op) {
-      case ArithOp::kAdd:
-        if (__builtin_add_overflow(x, y, &r)) {
-          return Status::DynamicError(
-              "err:FOAR0002: integer overflow in addition");
-        }
-        return Sequence{Item(AtomicValue::Integer(r))};
-      case ArithOp::kSub:
-        if (__builtin_sub_overflow(x, y, &r)) {
-          return Status::DynamicError(
-              "err:FOAR0002: integer overflow in subtraction");
-        }
-        return Sequence{Item(AtomicValue::Integer(r))};
-      case ArithOp::kMul:
-        if (__builtin_mul_overflow(x, y, &r)) {
-          return Status::DynamicError(
-              "err:FOAR0002: integer overflow in multiplication");
-        }
-        return Sequence{Item(AtomicValue::Integer(r))};
-      case ArithOp::kMod:
-        if (y == 0) return Status::DynamicError("modulus by zero");
-        // INT64_MIN % -1 traps on x86 even though the result is 0.
-        if (y == -1) return Sequence{Item(AtomicValue::Integer(0))};
-        return Sequence{Item(AtomicValue::Integer(x % y))};
-      default:
-        break;
-    }
   }
 
   double x = a.NumericAsDouble();
@@ -118,13 +102,11 @@ Result<Sequence> EvalArithmetic(ArithOp op, const Sequence& lhs,
       r = x * y;
       break;
     case ArithOp::kDiv:
-      if (rank < 2 && y == 0.0) {
-        return Status::DynamicError("decimal division by zero");
-      }
+      if (rank < 2 && y == 0.0) return ArithmeticError(op, true);
       r = x / y;
       break;
     case ArithOp::kMod:
-      if (rank < 2 && y == 0.0) return Status::DynamicError("modulus by zero");
+      if (rank < 2 && y == 0.0) return ArithmeticError(op, true);
       r = std::fmod(x, y);
       break;
     case ArithOp::kIDiv:

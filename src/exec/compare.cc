@@ -180,23 +180,26 @@ Result<Sequence> EvalNodeComparison(CompOp op, const Sequence& lhs,
   return Sequence{Item(AtomicValue::Boolean(out))};
 }
 
-Result<Sequence> EvalSetOperation(const Expr& e, Sequence lhs, Sequence rhs) {
+Result<Sequence> EvalSetOperation(const Expr& e, const Sequence& lhs,
+                                  const Sequence& rhs) {
+  Sequence out;
+  out.reserve(lhs.size() + (e.kind() == ExprKind::kUnion ? rhs.size() : 0));
+  out.insert(out.end(), lhs.begin(), lhs.end());
   if (e.kind() == ExprKind::kUnion) {
-    lhs.insert(lhs.end(), rhs.begin(), rhs.end());
-    XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
-    return lhs;
+    out.insert(out.end(), rhs.begin(), rhs.end());
+    XQP_RETURN_NOT_OK(SortDocOrderDistinct(&out));
+    return out;
   }
   const bool is_except = static_cast<const IntersectExceptExpr&>(e).is_except;
-  XQP_RETURN_NOT_OK(SortDocOrderDistinct(&lhs));
-  XQP_RETURN_NOT_OK(SortDocOrderDistinct(&rhs));
-  Sequence out;
-  for (const Item& item : lhs) {
+  XQP_RETURN_NOT_OK(SortDocOrderDistinct(&out));
+  XQP_RETURN_NOT_OK(CheckNodesOnly(rhs));
+  std::erase_if(out, [&](const Item& item) {
     const bool in_rhs =
         std::any_of(rhs.begin(), rhs.end(), [&](const Item& r) {
           return item.AsNode().SameNode(r.AsNode());
         });
-    if (in_rhs != is_except) out.push_back(item);
-  }
+    return in_rhs == is_except;
+  });
   return out;
 }
 

@@ -34,8 +34,9 @@ Result<Sequence> EvalNodeComparison(CompOp op, const Sequence& lhs,
 
 /// `lhs union rhs`, `lhs intersect rhs` or `lhs except rhs` as `e` (a
 /// union or intersect/except expression) says: nodes only, in document
-/// order, without duplicates. Every backend calls this one implementation.
-Result<Sequence> EvalSetOperation(const Expr& e, Sequence lhs, Sequence rhs);
+/// order, without duplicates.
+Result<Sequence> EvalSetOperation(const Expr& e, const Sequence& lhs,
+                                  const Sequence& rhs);
 
 /// Total ordering used by "order by", fn:min and fn:max: untypedAtomic is
 /// cast to double when the other side is numeric, otherwise compared as

@@ -6,11 +6,9 @@
 
 #include "base/fault.h"
 #include "base/string_util.h"
-#include "exec/profile.h"
-#include "exec/arithmetic.h"
 #include "exec/axes.h"
-#include "exec/compare.h"
 #include "exec/constructor.h"
+#include "exec/operators.h"
 #include "exec/order_by.h"
 #include "exec/type_match.h"
 #include "exec/value_join.h"
@@ -109,59 +107,22 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
       return out;
     }
 
-    case ExprKind::kRange: {
-      XQP_ASSIGN_OR_RETURN(Sequence lo_s, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Sequence hi_s, Eval(e->child(1)));
-      if (lo_s.empty() || hi_s.empty()) return Sequence{};
-      if (lo_s.size() != 1 || hi_s.size() != 1) {
-        return Status::TypeError("range operands must be singletons");
-      }
-      XQP_ASSIGN_OR_RETURN(AtomicValue lo,
-                           lo_s[0].Atomized().CastTo(XsType::kInteger));
-      XQP_ASSIGN_OR_RETURN(AtomicValue hi,
-                           hi_s[0].Atomized().CastTo(XsType::kInteger));
-      Sequence out;
-      for (int64_t v = lo.AsInt(); v <= hi.AsInt(); ++v) {
-        // A range literal can materialize an arbitrarily large sequence in
-        // one Eval; amortized governor checks keep it cancellable and
-        // budgeted.
-        if (ctx_->governor != nullptr && (out.size() & 1023) == 0) {
-          XQP_RETURN_NOT_OK(ctx_->governor->Poll());
-          XQP_RETURN_NOT_OK(
-              ctx_->governor->ChargeBytes(1024 * sizeof(Item)));
-        }
-        out.push_back(Item(AtomicValue::Integer(v)));
-      }
-      return out;
-    }
-
-    case ExprKind::kArithmetic: {
-      XQP_ASSIGN_OR_RETURN(Sequence lhs, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Sequence rhs, Eval(e->child(1)));
-      return EvalArithmetic(static_cast<const ArithmeticExpr*>(e)->op,
-                            Atomize(lhs), Atomize(rhs));
-    }
-
-    case ExprKind::kUnary: {
-      XQP_ASSIGN_OR_RETURN(Sequence operand, Eval(e->child(0)));
-      return EvalUnary(static_cast<const UnaryExpr*>(e)->negate,
-                       Atomize(operand));
-    }
-
-    case ExprKind::kComparison: {
-      const auto* cmp = static_cast<const ComparisonExpr*>(e);
-      XQP_ASSIGN_OR_RETURN(Sequence lhs, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Sequence rhs, Eval(e->child(1)));
-      if (IsValueComp(cmp->op)) {
-        return EvalValueComparison(cmp->op, Atomize(lhs), Atomize(rhs));
-      }
-      if (IsGeneralComp(cmp->op)) {
-        XQP_ASSIGN_OR_RETURN(
-            bool b, EvalGeneralComparison(cmp->op, Atomize(lhs), Atomize(rhs)));
-        return Sequence{Item(AtomicValue::Boolean(b))};
-      }
-      return EvalNodeComparison(cmp->op, lhs, rhs);
-    }
+    case ExprKind::kRange:
+    case ExprKind::kArithmetic:
+    case ExprKind::kUnary:
+    case ExprKind::kComparison:
+    case ExprKind::kInstanceOf:
+    case ExprKind::kCastAs:
+    case ExprKind::kCastableAs:
+    case ExprKind::kUnion:
+    case ExprKind::kIntersectExcept:
+    case ExprKind::kElementCtor:
+    case ExprKind::kAttributeCtor:
+    case ExprKind::kTextCtor:
+    case ExprKind::kCommentCtor:
+    case ExprKind::kPiCtor:
+    case ExprKind::kDocumentCtor:
+      return EvalOperator(*e);
 
     case ExprKind::kLogical: {
       const auto* logic = static_cast<const LogicalExpr*>(e);
@@ -199,13 +160,6 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
     case ExprKind::kTypeswitch:
       return EvalTypeswitch(static_cast<const TypeswitchExpr*>(e));
 
-    case ExprKind::kInstanceOf: {
-      const auto* inst = static_cast<const InstanceOfExpr*>(e);
-      XQP_ASSIGN_OR_RETURN(Sequence v, Eval(e->child(0)));
-      return Sequence{
-          Item(AtomicValue::Boolean(MatchesSequenceType(v, inst->type)))};
-    }
-
     case ExprKind::kTreatAs: {
       const SequenceType& type = static_cast<const TreatExpr*>(e)->type;
       XQP_ASSIGN_OR_RETURN(Sequence v, Eval(e->child(0)));
@@ -216,88 +170,8 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
       return v;
     }
 
-    case ExprKind::kCastAs: {
-      const auto* cast = static_cast<const CastExpr*>(e);
-      XQP_ASSIGN_OR_RETURN(Sequence v, Eval(e->child(0)));
-      Sequence atomized = Atomize(v);
-      if (atomized.empty()) {
-        if (cast->optional) return Sequence{};
-        return Status::TypeError("cast of empty sequence to non-optional type");
-      }
-      if (atomized.size() != 1) {
-        return Status::TypeError("cast requires a singleton");
-      }
-      XQP_ASSIGN_OR_RETURN(AtomicValue out,
-                           atomized[0].AsAtomic().CastTo(cast->target));
-      return Sequence{Item(std::move(out))};
-    }
-
-    case ExprKind::kCastableAs: {
-      const auto* cast = static_cast<const CastableExpr*>(e);
-      XQP_ASSIGN_OR_RETURN(Sequence v, Eval(e->child(0)));
-      Sequence atomized = Atomize(v);
-      bool ok;
-      if (atomized.empty()) {
-        ok = cast->optional;
-      } else if (atomized.size() != 1) {
-        ok = false;
-      } else {
-        ok = atomized[0].AsAtomic().CastTo(cast->target).ok();
-      }
-      return Sequence{Item(AtomicValue::Boolean(ok))};
-    }
-
-    case ExprKind::kUnion:
-    case ExprKind::kIntersectExcept: {
-      XQP_ASSIGN_OR_RETURN(Sequence lhs, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Sequence rhs, Eval(e->child(1)));
-      return EvalSetOperation(*e, std::move(lhs), std::move(rhs));
-    }
-
     case ExprKind::kFunctionCall:
       return EvalCall(static_cast<const FunctionCallExpr*>(e));
-
-    case ExprKind::kElementCtor:
-      return EvalElementCtor(static_cast<const ElementCtorExpr*>(e));
-
-    case ExprKind::kAttributeCtor: {
-      const auto* ctor = static_cast<const AttributeCtorExpr*>(e);
-      QName name = ctor->name;
-      size_t start = 0;
-      if (ctor->computed_name) {
-        XQP_ASSIGN_OR_RETURN(Sequence name_v, Eval(e->child(0)));
-        XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(name_v));
-        start = 1;
-      }
-      std::vector<Sequence> parts;
-      for (size_t i = start; i < e->NumChildren(); ++i) {
-        XQP_ASSIGN_OR_RETURN(Sequence part, Eval(e->child(i)));
-        parts.push_back(std::move(part));
-      }
-      XQP_ASSIGN_OR_RETURN(Item item,
-                           construct::Attribute(&ctx_->arena, name, parts));
-      return Sequence{std::move(item)};
-    }
-
-    case ExprKind::kTextCtor: {
-      XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      return construct::Text(&ctx_->arena, content);
-    }
-
-    case ExprKind::kCommentCtor: {
-      XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(Item item,
-                           construct::Comment(&ctx_->arena, content));
-      return Sequence{std::move(item)};
-    }
-
-    case ExprKind::kPiCtor: {
-      const auto* pi = static_cast<const PiCtorExpr*>(e);
-      XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(
-          Item item, construct::Pi(&ctx_->arena, pi->target, content));
-      return Sequence{std::move(item)};
-    }
 
     case ExprKind::kTryCatch: {
       auto attempt = Eval(e->child(0));
@@ -307,13 +181,6 @@ Result<Sequence> Interpreter::EvalDispatch(const Expr* e) {
         return attempt;  // Only dynamic/type errors are catchable.
       }
       return Eval(e->child(1));
-    }
-
-    case ExprKind::kDocumentCtor: {
-      XQP_ASSIGN_OR_RETURN(Sequence content, Eval(e->child(0)));
-      XQP_ASSIGN_OR_RETURN(
-          Item item, construct::DocumentNode(&ctx_->arena, {&content, 1}));
-      return Sequence{std::move(item)};
     }
   }
   return Status::Internal("unhandled expression kind");
@@ -543,37 +410,29 @@ Result<Sequence> Interpreter::EvalCall(const FunctionCallExpr* e) {
                      CurrentFocusInfo());
 }
 
-Result<Sequence> Interpreter::EvalElementCtor(const ElementCtorExpr* e) {
-  QName name = e->name;
-  size_t start = 0;
-  if (e->computed_name) {
-    XQP_ASSIGN_OR_RETURN(Sequence name_v, Eval(e->child(0)));
-    XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(name_v));
-    start = 1;
-  }
-  // Direct attributes are evaluated inline: their value parts, then the
-  // remaining content (construct::SplitDirectAttributes' layout).
-  std::vector<Sequence> values;
-  const size_t attrs = construct::DirectAttributeCount(*e);
-  for (size_t i = start; i < start + attrs; ++i) {
-    const Expr* attr = e->child(i);
-    InlineOpScope profiled(ctx_->profile, attr);
-    for (size_t j = 0; j < attr->NumChildren(); ++j) {
-      XQP_ASSIGN_OR_RETURN(Sequence part, Eval(attr->child(j)));
-      values.push_back(std::move(part));
+Result<Sequence> Interpreter::EvalOperator(const Expr& e) {
+  // A unary or binary operator evaluates into fixed storage; only a
+  // constructor with more operands uses the heap.
+  Sequence fixed[2];
+  std::vector<Sequence> more;
+  std::span<const Sequence> operands;
+  if (e.kind() != ExprKind::kElementCtor && e.NumChildren() <= 2) {
+    for (size_t i = 0; i < e.NumChildren(); ++i) {
+      XQP_ASSIGN_OR_RETURN(fixed[i], Eval(e.child(i)));
     }
+    operands = std::span<const Sequence>(fixed, e.NumChildren());
+  } else {
+    XQP_RETURN_NOT_OK(construct::ForEachOperand(
+        e, ctx_->profile, [&](const Expr* operand) -> Status {
+          XQP_ASSIGN_OR_RETURN(Sequence value, Eval(operand));
+          more.push_back(std::move(value));
+          return Status::OK();
+        }));
+    operands = more;
   }
-  for (size_t i = start + attrs; i < e->NumChildren(); ++i) {
-    XQP_ASSIGN_OR_RETURN(Sequence part, Eval(e->child(i)));
-    values.push_back(std::move(part));
-  }
-  std::vector<construct::DirectAttribute> direct;
-  std::span<const Sequence> content =
-      construct::SplitDirectAttributes(*e, values, &direct);
-  XQP_ASSIGN_OR_RETURN(
-      Item item,
-      construct::Element(&ctx_->arena, name, e->ns_decls, direct, content));
-  return Sequence{std::move(item)};
+  Sequence out;
+  XQP_RETURN_NOT_OK(ApplyOperator(e, operands, ctx_, &out));
+  return out;
 }
 
 Result<Sequence> EvalExpr(const Expr* e, DynamicContext* ctx) {

@@ -40,7 +40,9 @@ class Interpreter {
   Result<Sequence> EvalQuantified(const QuantifiedExpr* e);
   Result<Sequence> EvalTypeswitch(const TypeswitchExpr* e);
   Result<Sequence> EvalCall(const FunctionCallExpr* e);
-  Result<Sequence> EvalElementCtor(const ElementCtorExpr* e);
+  /// The materializing operators (exec/operators.h): evaluates the
+  /// operands of `e`, then applies it.
+  Result<Sequence> EvalOperator(const Expr& e);
 
   /// Current context item (error when absent).
   Result<Item> ContextItem() const;

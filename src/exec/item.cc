@@ -52,18 +52,23 @@ Result<bool> PredicateKeeps(const Sequence& value, int64_t position) {
   return EffectiveBooleanValue(value);
 }
 
+Status CheckNodesOnly(const Sequence& seq) {
+  for (const Item& item : seq) {
+    if (!item.IsNode()) {
+      return Status::TypeError(
+          "path/union result contains an atomic value; expected nodes only");
+    }
+  }
+  return Status::OK();
+}
+
 Status SortDocOrderDistinct(Sequence* seq) {
   // ddo sorts run at materialization points over arbitrarily large
   // sequences; check the governing query before committing to the work.
   if (ResourceGovernor* governor = CurrentGovernor()) {
     XQP_RETURN_NOT_OK(governor->Poll());
   }
-  for (const Item& item : *seq) {
-    if (!item.IsNode()) {
-      return Status::TypeError(
-          "path/union result contains an atomic value; expected nodes only");
-    }
-  }
+  XQP_RETURN_NOT_OK(CheckNodesOnly(*seq));
   if (metrics::Enabled()) {
     static metrics::Counter* sorts =
         metrics::MetricsRegistry::Global().counter("sort.ddo.sorts");

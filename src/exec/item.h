@@ -56,6 +56,10 @@ Result<bool> EffectiveBooleanValue(const Sequence& seq);
 /// `position`, anything else takes its effective boolean value.
 Result<bool> PredicateKeeps(const Sequence& value, int64_t position);
 
+/// A type error when `seq` holds an atomic value (a path, union,
+/// intersect or except result must be nodes only).
+Status CheckNodesOnly(const Sequence& seq);
+
 /// Sorts nodes into document order and removes duplicate (identical) nodes.
 /// Errors if the sequence contains atomic values (callers guarantee
 /// node-only input). This is the expensive "ddo" operation whose elision

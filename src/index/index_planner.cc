@@ -167,11 +167,12 @@ void SortUnique(std::vector<int32_t>* v) {
   v->erase(std::unique(v->begin(), v->end()), v->end());
 }
 
-/// Advances a synopsis frontier across one step. Frontier sets stay sorted
-/// and duplicate-free.
-std::vector<int32_t> ResolveStep(const DocumentIndexes& idx,
-                                 const std::vector<int32_t>& frontier,
-                                 const IndexStep& st, uint32_t name_id) {
+}  // namespace
+
+std::vector<int32_t> ResolveSynopsisStep(const DocumentIndexes& idx,
+                                         const std::vector<int32_t>& frontier,
+                                         const IndexStep& st,
+                                         uint32_t name_id) {
   std::vector<int32_t> next;
   if (name_id == kNoName) return next;  // Name absent from the document.
   NodeKind kind = st.attribute ? NodeKind::kAttribute : NodeKind::kElement;
@@ -189,10 +190,8 @@ std::vector<int32_t> ResolveStep(const DocumentIndexes& idx,
   return next;
 }
 
-/// Concatenate-and-sort of the (pairwise disjoint) posting lists of a
-/// synopsis set: the document-order distinct node set on those paths.
-std::vector<NodeIndex> MergedPostings(const DocumentIndexes& idx,
-                                      const std::vector<int32_t>& syn) {
+std::vector<NodeIndex> MergedSynopsisPostings(
+    const DocumentIndexes& idx, const std::vector<int32_t>& syn) {
   if (syn.size() == 1) return idx.postings(syn[0]);
   std::vector<NodeIndex> out;
   size_t total = 0;
@@ -206,77 +205,111 @@ std::vector<NodeIndex> MergedPostings(const DocumentIndexes& idx,
   return out;
 }
 
-void AppendRange(
-    std::vector<std::pair<std::string, NodeIndex>>::const_iterator lo,
-    std::vector<std::pair<std::string, NodeIndex>>::const_iterator hi,
-    std::vector<NodeIndex>* out) {
-  for (auto it = lo; it != hi; ++it) out->push_back(it->second);
+namespace {
+
+/// The entries of one path's sorted value postings that satisfy a general
+/// comparison against a literal: at most two runs [first, second) of
+/// positions in the list.
+struct MatchingRuns {
+  std::pair<size_t, size_t> runs[2];
+  size_t count = 0;
+
+  void Add(size_t begin, size_t end) {
+    if (begin < end) runs[count++] = {begin, end};
+  }
+  size_t Total() const {
+    size_t total = 0;
+    for (size_t i = 0; i < count; ++i) {
+      total += runs[i].second - runs[i].first;
+    }
+    return total;
+  }
+};
+
+/// The runs satisfying `op` in a list of `size` sorted entries whose first
+/// `ordered` can order against the literal (numbers keep NaN entries last)
+/// and whose entries equal to it are [lo, hi). An unordered pair satisfies
+/// only !=, which ApplyOpNanAware also says.
+MatchingRuns RunsFor(CompOp op, size_t lo, size_t hi, size_t ordered,
+                     size_t size) {
+  MatchingRuns m;
+  switch (op) {
+    case CompOp::kGenEq: m.Add(lo, hi); break;
+    case CompOp::kGenNe:
+      m.Add(0, lo);
+      m.Add(hi, size);
+      break;
+    case CompOp::kGenLt: m.Add(0, lo); break;
+    case CompOp::kGenLe: m.Add(0, hi); break;
+    case CompOp::kGenGt: m.Add(hi, ordered); break;
+    case CompOp::kGenGe: m.Add(lo, ordered); break;
+    default: break;
+  }
+  return m;
 }
 
-void AppendRange(
-    std::vector<std::pair<double, NodeIndex>>::const_iterator lo,
-    std::vector<std::pair<double, NodeIndex>>::const_iterator hi,
-    std::vector<NodeIndex>* out) {
-  for (auto it = lo; it != hi; ++it) out->push_back(it->second);
-}
-
-/// Range scan over one path's sorted string postings, mirroring
-/// general-comparison string semantics (byte-wise compare).
-void ScanStrings(const DocumentIndexes::ValuePostings& vp, CompOp op,
-                 const std::string& val, std::vector<NodeIndex>* out) {
+/// Range probe of one path's string postings, mirroring general-comparison
+/// string semantics (byte-wise compare).
+MatchingRuns StringRuns(const DocumentIndexes::ValuePostings& vp, CompOp op,
+                        const std::string& val) {
   const auto& v = vp.by_string;
   auto lo = std::lower_bound(
       v.begin(), v.end(), val,
       [](const auto& p, const std::string& s) { return p.first < s; });
   auto hi = std::upper_bound(
-      v.begin(), v.end(), val,
+      lo, v.end(), val,
       [](const std::string& s, const auto& p) { return s < p.first; });
-  switch (op) {
-    case CompOp::kGenEq: AppendRange(lo, hi, out); break;
-    case CompOp::kGenNe:
-      AppendRange(v.begin(), lo, out);
-      AppendRange(hi, v.end(), out);
-      break;
-    case CompOp::kGenLt: AppendRange(v.begin(), lo, out); break;
-    case CompOp::kGenLe: AppendRange(v.begin(), hi, out); break;
-    case CompOp::kGenGt: AppendRange(hi, v.end(), out); break;
-    case CompOp::kGenGe: AppendRange(lo, v.end(), out); break;
-    default: break;
-  }
+  return RunsFor(op, lo - v.begin(), hi - v.begin(), v.size(), v.size());
 }
 
-/// Range scan over one path's sorted numeric postings (NaN entries last),
-/// mirroring ApplyOpNanAware: an unordered pair satisfies only !=.
-void ScanNumbers(const DocumentIndexes::ValuePostings& vp, CompOp op,
-                 double val, std::vector<NodeIndex>* out) {
+/// Range probe of one path's numeric postings (NaN entries last). A NaN
+/// literal orders against nothing, so only != matches, everything.
+MatchingRuns NumberRuns(const DocumentIndexes::ValuePostings& vp, CompOp op,
+                        double val) {
   const auto& v = vp.by_number;
+  if (std::isnan(val)) return RunsFor(op, 0, 0, 0, v.size());
   auto nan_begin = std::partition_point(
       v.begin(), v.end(), [](const auto& p) { return !std::isnan(p.first); });
-  if (std::isnan(val)) {
-    // NaN literal: every pair is unordered, so != matches everything and
-    // the ordering operators match nothing.
-    if (op == CompOp::kGenNe) AppendRange(v.begin(), v.end(), out);
-    return;
-  }
   auto lo = std::lower_bound(
       v.begin(), nan_begin, val,
       [](const auto& p, double d) { return p.first < d; });
   auto hi = std::upper_bound(
-      v.begin(), nan_begin, val,
+      lo, nan_begin, val,
       [](double d, const auto& p) { return d < p.first; });
-  switch (op) {
-    case CompOp::kGenEq: AppendRange(lo, hi, out); break;
-    case CompOp::kGenNe:
-      // Everything but the equal run — NaN-valued nodes included.
-      AppendRange(v.begin(), lo, out);
-      AppendRange(hi, v.end(), out);
-      break;
-    case CompOp::kGenLt: AppendRange(v.begin(), lo, out); break;
-    case CompOp::kGenLe: AppendRange(v.begin(), hi, out); break;
-    case CompOp::kGenGt: AppendRange(hi, nan_begin, out); break;
-    case CompOp::kGenGe: AppendRange(lo, nan_begin, out); break;
-    default: break;
+  return RunsFor(op, lo - v.begin(), hi - v.begin(), nan_begin - v.begin(),
+                 v.size());
+}
+
+/// Probes `pred` over the value postings of its target paths under
+/// `frontier`, calling `fn(vp, runs)` for each path. False when the value
+/// index cannot prove the predicate (disabled family, unindexable path,
+/// a non-numeric path under a numeric operand): a single uncastable value
+/// on the path means normal evaluation would raise FORG0001 the moment it
+/// compares that node, and only the fallback plan can reproduce that.
+template <typename Fn>
+bool ProbeValues(const DocumentIndexes& idx,
+                 const std::vector<int32_t>& frontier,
+                 const IndexPredicate& pred, Fn&& fn) {
+  const Document& doc = idx.doc();
+  const bool numeric = pred.operand.IsNumeric();
+  if (numeric && !(idx.value_kinds() & kIndexValueNumeric)) return false;
+  if (!numeric && !(idx.value_kinds() & kIndexValueString)) return false;
+  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
+  if (tname == kNoName) return true;  // Never satisfied.
+  NodeKind tkind =
+      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
+  const std::string sval = numeric ? std::string() : pred.operand.AsString();
+  const double dval = numeric ? pred.operand.NumericAsDouble() : 0.0;
+  for (int32_t s : frontier) {
+    int32_t t = idx.FindChild(s, tkind, tname);
+    if (t < 0) continue;
+    const DocumentIndexes::ValuePostings* vp = idx.values(t);
+    if (vp == nullptr || !vp->indexable) return false;
+    if (numeric && !vp->all_numeric) return false;
+    fn(*vp, numeric ? NumberRuns(*vp, pred.op, dval)
+                    : StringRuns(*vp, pred.op, sval));
   }
+  return true;
 }
 
 /// Applies the value predicate over a synopsis frontier: range-scans the
@@ -287,31 +320,19 @@ std::optional<std::vector<NodeIndex>> ApplyPredicate(
     const DocumentIndexes& idx, const std::vector<int32_t>& frontier,
     const IndexPredicate& pred) {
   const Document& doc = idx.doc();
-  bool numeric = pred.operand.IsNumeric();
-  if (numeric && !(idx.value_kinds() & kIndexValueNumeric)) return std::nullopt;
-  if (!numeric && !(idx.value_kinds() & kIndexValueString)) return std::nullopt;
-  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
-  if (tname == kNoName) return std::vector<NodeIndex>{};  // Never satisfied.
-  NodeKind tkind =
-      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
+  const bool numeric = pred.operand.IsNumeric();
   std::vector<NodeIndex> targets;
-  std::string sval = numeric ? std::string() : pred.operand.AsString();
-  double dval = numeric ? pred.operand.NumericAsDouble() : 0.0;
-  for (int32_t s : frontier) {
-    int32_t t = idx.FindChild(s, tkind, tname);
-    if (t < 0) continue;
-    const DocumentIndexes::ValuePostings* vp = idx.values(t);
-    if (vp == nullptr || !vp->indexable) return std::nullopt;
-    if (numeric) {
-      // A single uncastable value on the path means normal evaluation
-      // would raise FORG0001 the moment it compares that node; only the
-      // fallback plan can reproduce that.
-      if (!vp->all_numeric) return std::nullopt;
-      ScanNumbers(*vp, pred.op, dval, &targets);
-    } else {
-      ScanStrings(*vp, pred.op, sval, &targets);
-    }
-  }
+  const bool proved = ProbeValues(
+      idx, frontier, pred,
+      [&](const DocumentIndexes::ValuePostings& vp, const MatchingRuns& m) {
+        for (size_t i = 0; i < m.count; ++i) {
+          for (size_t j = m.runs[i].first; j < m.runs[i].second; ++j) {
+            targets.push_back(numeric ? vp.by_number[j].second
+                                      : vp.by_string[j].second);
+          }
+        }
+      });
+  if (!proved) return std::nullopt;
   // Existential semantics: a base qualifies when any target child matched.
   std::vector<NodeIndex> bases;
   bases.reserve(targets.size());
@@ -341,11 +362,11 @@ std::vector<NodeIndex> SelectKthPerParent(const Document& doc,
   return out;
 }
 
-/// Navigates one step from materialized nodes (the steps after a mid-chain
-/// predicate). Output is doc-order distinct.
-std::vector<NodeIndex> NavigateStep(const Document& doc,
-                                    const std::vector<NodeIndex>& base,
-                                    const IndexStep& st) {
+}  // namespace
+
+std::vector<NodeIndex> NavigateMaterializedStep(
+    const Document& doc, const std::vector<NodeIndex>& base,
+    const IndexStep& st) {
   std::vector<NodeIndex> out;
   uint32_t name_id = doc.FindNameId(st.uri, st.local);
   if (name_id == kNoName) return out;
@@ -386,8 +407,6 @@ std::vector<NodeIndex> NavigateStep(const Document& doc,
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
-
-}  // namespace
 
 bool IsDocAnchoredPath(const Expr& e) {
   if (e.kind() != ExprKind::kPath) return false;
@@ -484,11 +503,11 @@ std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
   for (size_t si = 0; si < q.steps.size(); ++si) {
     const IndexStep& st = q.steps[si];
     if (materialized) {
-      bases = NavigateStep(doc, bases, st);
+      bases = NavigateMaterializedStep(doc, bases, st);
       continue;
     }
-    frontier = ResolveStep(idx, frontier, st,
-                           doc.FindNameId(st.uri, st.local));
+    frontier = ResolveSynopsisStep(idx, frontier, st,
+                                   doc.FindNameId(st.uri, st.local));
     if (q.HasPredicates() && q.PredicateStep() == si) {
       std::optional<std::vector<NodeIndex>> filtered;
       const IndexPredicate* positional = nullptr;
@@ -512,9 +531,9 @@ std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
         }
       }
       if (positional != nullptr) {
-        std::vector<NodeIndex> pool = filtered.has_value()
-                                          ? std::move(*filtered)
-                                          : MergedPostings(idx, frontier);
+        std::vector<NodeIndex> pool =
+            filtered.has_value() ? std::move(*filtered)
+                                 : MergedSynopsisPostings(idx, frontier);
         filtered = SelectKthPerParent(doc, pool,
                                       positional->operand.NumericAsDouble());
       }
@@ -523,14 +542,7 @@ std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
     }
   }
   if (materialized) return bases;
-  return MergedPostings(idx, frontier);
-}
-
-std::vector<int32_t> ResolveSynopsisStep(const DocumentIndexes& idx,
-                                         const std::vector<int32_t>& frontier,
-                                         const IndexStep& st,
-                                         uint32_t name_id) {
-  return ResolveStep(idx, frontier, st, name_id);
+  return MergedSynopsisPostings(idx, frontier);
 }
 
 size_t CountSynopsisPostings(const DocumentIndexes& idx,
@@ -540,81 +552,17 @@ size_t CountSynopsisPostings(const DocumentIndexes& idx,
   return total;
 }
 
-std::vector<NodeIndex> MergedSynopsisPostings(const DocumentIndexes& idx,
-                                              const std::vector<int32_t>& syn) {
-  return MergedPostings(idx, syn);
-}
-
-std::vector<NodeIndex> NavigateMaterializedStep(
-    const Document& doc, const std::vector<NodeIndex>& base,
-    const IndexStep& st) {
-  return NavigateStep(doc, base, st);
-}
-
 std::optional<size_t> CountPredicateMatches(
     const DocumentIndexes& idx, const std::vector<int32_t>& frontier,
     const IndexPredicate& pred) {
   if (pred.positional) return std::nullopt;
-  const Document& doc = idx.doc();
-  bool numeric = pred.operand.IsNumeric();
-  if (numeric && !(idx.value_kinds() & kIndexValueNumeric)) return std::nullopt;
-  if (!numeric && !(idx.value_kinds() & kIndexValueString)) return std::nullopt;
-  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
-  if (tname == kNoName) return size_t{0};  // Never satisfied.
-  NodeKind tkind =
-      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
-  std::string sval = numeric ? std::string() : pred.operand.AsString();
-  double dval = numeric ? pred.operand.NumericAsDouble() : 0.0;
   size_t total = 0;
-  for (int32_t s : frontier) {
-    int32_t t = idx.FindChild(s, tkind, tname);
-    if (t < 0) continue;
-    const DocumentIndexes::ValuePostings* vp = idx.values(t);
-    if (vp == nullptr || !vp->indexable) return std::nullopt;
-    if (numeric) {
-      if (!vp->all_numeric) return std::nullopt;
-      const auto& v = vp->by_number;
-      auto nan_begin = std::partition_point(
-          v.begin(), v.end(),
-          [](const auto& p) { return !std::isnan(p.first); });
-      if (std::isnan(dval)) {
-        if (pred.op == CompOp::kGenNe) total += v.size();
-        continue;
-      }
-      auto lo = std::lower_bound(
-          v.begin(), nan_begin, dval,
-          [](const auto& p, double d) { return p.first < d; });
-      auto hi = std::upper_bound(
-          v.begin(), nan_begin, dval,
-          [](double d, const auto& p) { return d < p.first; });
-      switch (pred.op) {
-        case CompOp::kGenEq: total += hi - lo; break;
-        case CompOp::kGenNe: total += v.size() - (hi - lo); break;
-        case CompOp::kGenLt: total += lo - v.begin(); break;
-        case CompOp::kGenLe: total += hi - v.begin(); break;
-        case CompOp::kGenGt: total += nan_begin - hi; break;
-        case CompOp::kGenGe: total += nan_begin - lo; break;
-        default: break;
-      }
-    } else {
-      const auto& v = vp->by_string;
-      auto lo = std::lower_bound(
-          v.begin(), v.end(), sval,
-          [](const auto& p, const std::string& s) { return p.first < s; });
-      auto hi = std::upper_bound(
-          v.begin(), v.end(), sval,
-          [](const std::string& s, const auto& p) { return s < p.first; });
-      switch (pred.op) {
-        case CompOp::kGenEq: total += hi - lo; break;
-        case CompOp::kGenNe: total += v.size() - (hi - lo); break;
-        case CompOp::kGenLt: total += lo - v.begin(); break;
-        case CompOp::kGenLe: total += hi - v.begin(); break;
-        case CompOp::kGenGt: total += v.end() - hi; break;
-        case CompOp::kGenGe: total += v.end() - lo; break;
-        default: break;
-      }
-    }
-  }
+  const bool proved = ProbeValues(
+      idx, frontier, pred,
+      [&](const DocumentIndexes::ValuePostings&, const MatchingRuns& m) {
+        total += m.Total();
+      });
+  if (!proved) return std::nullopt;
   return total;
 }
 

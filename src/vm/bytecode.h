@@ -35,12 +35,26 @@ enum class Op : uint8_t {
   kStoreLocal,       // a = slot; pop into register `a`. flag&1: also mirror
                      //   into ctx->slots[a] for a value join to read.
   kConcat,           // a = n; pop n sequences, push their concatenation.
-  kRange,            // Pop hi, lo; push the integer range (governed).
-  kArith,            // flag = ArithOp; pop rhs, lhs; push the result.
-  kUnary,            // flag = negate; pop operand; push the result.
-  kValueCmp,         // flag = CompOp; pop rhs, lhs; push () or boolean.
-  kGeneralCmp,       // flag = CompOp; pop rhs, lhs; push boolean.
-  kNodeCmp,          // flag = CompOp; pop rhs, lhs; push () or boolean.
+  kApply,            // a = operator-plan index, b = operand count. Pop b
+                     //   operand values (in construct::ForEachOperand's
+                     //   order: a constructor's computed name first, an
+                     //   element's direct attributes as their flat value
+                     //   parts) and push the plan's materializing operator
+                     //   applied to them by the shared ApplyOperator
+                     //   (exec/operators.h): range, unary, node
+                     //   comparison, and the six node constructors. Every
+                     //   backend gets the same results, governor charges
+                     //   and error strings from that one function.
+  kArith,            // flag = ArithOp, a = operator-plan index; pop rhs,
+                     //   lhs; push the result. Singleton xs:integer
+                     //   operands take the shared checked-int64 helper
+                     //   (CheckedIntArith), singleton xs:doubles a direct
+                     //   path; anything else goes through ApplyOperator.
+  kValueCmp,         // flag = CompOp, a = operator-plan index; pop rhs,
+                     //   lhs; push () or boolean. Singleton xs:integers
+                     //   compare directly, else ApplyOperator.
+  kGeneralCmp,       // flag = CompOp, a = operator-plan index; pop rhs,
+                     //   lhs; push boolean, with kValueCmp's fast path.
   kEbv,              // Pop; push the effective boolean value as a singleton.
   kJump,             // a = target pc.
   kJumpIfFalse,      // a = target pc; pop, branch when EBV is false.
@@ -100,24 +114,6 @@ enum class Op : uint8_t {
                      //   opens the iterator over the matches and jumps to
                      //   loop_pc, a decline falls through to the domain
                      //   code (the unchanged nested loop).
-  kConstructElem,    // a = ctor-plan index, b = evaluated child count. Pop b
-                     //   sequences (the computed name first when the plan's
-                     //   expression has one, then each direct attribute's
-                     //   value parts, then the other content parts, as
-                     //   construct::EvaluatedChildren lists them; the
-                     //   expression's attribute children give the split),
-                     //   append the element to the run's construction
-                     //   arena via the shared construct::Element
-                     //   (identical namespace handling, whitespace joining,
-                     //   governor byte charges, and error strings in every
-                     //   backend), push the singleton node.
-  kConstructAttr,    // Same layout as kConstructElem for a parentless
-                     //   attribute node (construct::Attribute).
-  kConstructText,    // Pop the content sequence, push construct::Text of it
-                     //   (the empty sequence when the content is empty).
-  kConstructNode,    // flag = 0 comment / 1 pi / 2 document; a = ctor-plan
-                     //   index (the pi target; unused otherwise). Pop the
-                     //   content sequence, push the constructed node.
   kPushRoot,         // Push the root of the context item ("/"); the
                      //   interpreter's exact absent-context and non-node
                      //   errors.
@@ -139,8 +135,8 @@ enum class Op : uint8_t {
 
 std::string_view OpName(Op op);
 
-/// One instruction. `flag` carries the sub-operation (ArithOp / CompOp /
-/// negate) or the value-join mirror bit; a/b/c are pool indexes, pc
+/// One instruction. `flag` carries the sub-operation (ArithOp / CompOp)
+/// or the value-join mirror bit; a/b/c are pool indexes, pc
 /// targets, and register numbers as documented per opcode.
 struct Insn {
   Op op;
@@ -183,13 +179,10 @@ struct Program {
   };
   std::vector<PathPlan> paths;
 
-  /// A constructor lowered to kConstructElem/kConstructAttr/kConstructNode:
-  /// the expression carries the static name, namespace declarations, and
-  /// pi target the opcode needs at run time.
-  struct CtorPlan {
-    const Expr* expr = nullptr;
-  };
-  std::vector<CtorPlan> ctors;
+  /// The materializing operators referenced by kApply, kArith, kValueCmp
+  /// and kGeneralCmp: the expression ApplyOperator applies (its operator,
+  /// cast target, static name, namespace declarations or pi target).
+  std::vector<const Expr*> operators;
 
   /// The order-spec modifiers of one order-by FLWOR, in clause order;
   /// referenced by kSortOpen / kSortTuples.

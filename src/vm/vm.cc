@@ -12,10 +12,9 @@
 #include "exec/arithmetic.h"
 #include "exec/axes.h"
 #include "exec/builtins.h"
-#include "exec/compare.h"
-#include "exec/constructor.h"
 #include "exec/interpreter.h"
 #include "exec/item.h"
+#include "exec/operators.h"
 #include "exec/order_by.h"
 #include "opt/access_path.h"
 
@@ -47,19 +46,6 @@ bool IntCmp(CompOp op, int64_t a, int64_t b) {
   }
 }
 
-/// The interpreter atomizes comparison/arithmetic operands with a full
-/// copy; sequences that are already all-atomic (the common case in
-/// compiled code) are passed through without one.
-const Sequence& AtomizeView(const Sequence& in, Sequence* scratch) {
-  for (const Item& item : in) {
-    if (item.IsNode()) {
-      *scratch = Atomize(in);
-      return *scratch;
-    }
-  }
-  return in;
-}
-
 bool IsSingletonBool(const Sequence& s) {
   return s.size() == 1 && s[0].IsAtomic() &&
          s[0].AsAtomic().type() == XsType::kBoolean;
@@ -75,6 +61,18 @@ class Vm {
   uint64_t retired() const { return retired_; }
 
  private:
+  /// Replaces the top `n` stack cells above `sp` with operator plan
+  /// `plan` applied to them; returns the new stack depth.
+  Result<size_t> Apply(int32_t plan, Sequence* stack, size_t sp, size_t n) {
+    std::span<const Sequence> operands(stack + (sp - n), n);
+    XQP_RETURN_NOT_OK(ApplyOperator(*p_.operators[size_t(plan)], operands,
+                                    ctx_, &applied_));
+    sp -= n;
+    stack[sp].swap(applied_);
+    applied_.clear();
+    return sp + 1;
+  }
+
   /// The run-level focus, mirroring Interpreter::CurrentFocusInfo with an
   /// empty focus stack. Focus loops (kFocusNext) bind their own focus over
   /// it and restore it when they end.
@@ -116,8 +114,9 @@ class Vm {
   std::vector<SortState> sorts_;
   size_t ssize_ = 0;
   std::vector<Sequence> args_;
-  // Scratch for kConstructElem.
-  std::vector<construct::DirectAttribute> direct_attrs_;
+  /// ApplyOperator's result, swapped onto the stack: operands and result
+  /// never share a cell, and cells keep their capacity.
+  Sequence applied_;
   uint64_t retired_ = 0;
 };
 
@@ -173,17 +172,15 @@ Result<Sequence> Vm::Run() {
   static const void* kDispatch[] = {
       &&lbl_kPushConst,   &&lbl_kPushEmpty,   &&lbl_kPushContextItem,
       &&lbl_kLoadLocal,   &&lbl_kLoadGlobal,  &&lbl_kStoreLocal,
-      &&lbl_kConcat,      &&lbl_kRange,       &&lbl_kArith,
-      &&lbl_kUnary,       &&lbl_kValueCmp,    &&lbl_kGeneralCmp,
-      &&lbl_kNodeCmp,     &&lbl_kEbv,         &&lbl_kJump,
+      &&lbl_kConcat,      &&lbl_kApply,       &&lbl_kArith,
+      &&lbl_kValueCmp,    &&lbl_kGeneralCmp,  &&lbl_kEbv,
+      &&lbl_kJump,
       &&lbl_kJumpIfFalse, &&lbl_kJumpIfTrue,  &&lbl_kIterNew,
       &&lbl_kIterNext,    &&lbl_kBindPos,     &&lbl_kFocusNext,
       &&lbl_kFocusKeep,   &&lbl_kAccumNew,    &&lbl_kAccumAdd,
       &&lbl_kAccumEnd,    &&lbl_kCallBuiltin, &&lbl_kNavStep,
       &&lbl_kPathEnd,     &&lbl_kIndexProbe,  &&lbl_kAccessExec,
-      &&lbl_kValueJoin,
-      &&lbl_kConstructElem, &&lbl_kConstructAttr, &&lbl_kConstructText,
-      &&lbl_kConstructNode, &&lbl_kPushRoot,  &&lbl_kSortOpen,
+      &&lbl_kValueJoin,   &&lbl_kPushRoot,    &&lbl_kSortOpen,
       &&lbl_kSortKey,     &&lbl_kSortAdd,     &&lbl_kSortTuples,
       &&lbl_kPop,         &&lbl_kHalt,
   };
@@ -247,31 +244,13 @@ Result<Sequence> Vm::Run() {
     VM_NEXT();
   }
 
-  VM_CASE(kRange) : {
-    Sequence& lo_s = stack[sp - 2];
-    Sequence& hi_s = stack[sp - 1];
-    if (lo_s.empty() || hi_s.empty()) {
-      --sp;
-      stack[sp - 1].clear();
-      VM_NEXT();
+  VM_CASE(kApply) : {
+    {  // Scoped: leaving a block by VM_NEXT's computed goto skips the
+       // destructors of its locals, which would leak their buffers.
+      auto r = Apply(ip->a, stack, sp, size_t(ip->b));
+      if (!r.ok()) return r.status();
+      sp = r.value();
     }
-    if (lo_s.size() != 1 || hi_s.size() != 1) {
-      return Status::TypeError("range operands must be singletons");
-    }
-    XQP_ASSIGN_OR_RETURN(AtomicValue lo,
-                         lo_s[0].Atomized().CastTo(XsType::kInteger));
-    XQP_ASSIGN_OR_RETURN(AtomicValue hi,
-                         hi_s[0].Atomized().CastTo(XsType::kInteger));
-    Sequence out;
-    for (int64_t v = lo.AsInt(); v <= hi.AsInt(); ++v) {
-      if (gov_ != nullptr && (out.size() & 1023) == 0) {
-        XQP_RETURN_NOT_OK(gov_->Poll());
-        XQP_RETURN_NOT_OK(gov_->ChargeBytes(1024 * sizeof(Item)));
-      }
-      out.push_back(Item(AtomicValue::Integer(v)));
-    }
-    --sp;
-    stack[sp - 1] = std::move(out);
     VM_NEXT();
   }
 
@@ -286,44 +265,9 @@ Result<Sequence> Vm::Run() {
       // Integer fast path (div excepted: int div yields a decimal).
       if (a.type() == XsType::kInteger && b.type() == XsType::kInteger &&
           op != ArithOp::kDiv) {
-        int64_t x = a.AsInt();
-        int64_t y = b.AsInt();
         int64_t r = 0;
-        switch (op) {
-          case ArithOp::kAdd:
-            if (__builtin_add_overflow(x, y, &r)) {
-              return Status::DynamicError(
-                  "err:FOAR0002: integer overflow in addition");
-            }
-            break;
-          case ArithOp::kSub:
-            if (__builtin_sub_overflow(x, y, &r)) {
-              return Status::DynamicError(
-                  "err:FOAR0002: integer overflow in subtraction");
-            }
-            break;
-          case ArithOp::kMul:
-            if (__builtin_mul_overflow(x, y, &r)) {
-              return Status::DynamicError(
-                  "err:FOAR0002: integer overflow in multiplication");
-            }
-            break;
-          case ArithOp::kMod:
-            if (y == 0) return Status::DynamicError("modulus by zero");
-            r = (y == -1) ? 0 : x % y;  // INT64_MIN % -1 traps on x86.
-            break;
-          case ArithOp::kIDiv:
-            if (y == 0) {
-              return Status::DynamicError("integer division by zero");
-            }
-            if (x == INT64_MIN && y == -1) {
-              return Status::DynamicError(
-                  "err:FOAR0002: integer overflow in idiv");
-            }
-            r = x / y;
-            break;
-          case ArithOp::kDiv:
-            break;  // Unreachable (guarded above).
+        if (!CheckedIntArith(op, a.AsInt(), b.AsInt(), &r)) {
+          return ArithmeticError(op, b.AsInt() == 0);
         }
         lhs[0] = Item(AtomicValue::Integer(r));
         --sp;
@@ -348,26 +292,10 @@ Result<Sequence> Vm::Run() {
         VM_NEXT();
       }
     }
-    {
-      // Scoped: leaving a block by VM_NEXT's computed goto skips the
-      // destructors of its locals, which would leak their buffers.
-      Sequence s1, s2;
-      auto r =
-          EvalArithmetic(op, AtomizeView(lhs, &s1), AtomizeView(rhs, &s2));
+    {  // Scoped, as in kApply.
+      auto r = Apply(ip->a, stack, sp, 2);
       if (!r.ok()) return r.status();
-      --sp;
-      stack[sp - 1] = std::move(r).value();
-    }
-    VM_NEXT();
-  }
-
-  VM_CASE(kUnary) : {
-    Sequence& s = stack[sp - 1];
-    {
-      Sequence scratch;  // Scoped, as in kArith.
-      auto r = EvalUnary(ip->flag != 0, AtomizeView(s, &scratch));
-      if (!r.ok()) return r.status();
-      stack[sp - 1] = std::move(r).value();
+      sp = r.value();
     }
     VM_NEXT();
   }
@@ -386,13 +314,10 @@ Result<Sequence> Vm::Run() {
       --sp;
       VM_NEXT();
     }
-    {
-      Sequence s1, s2;  // Scoped, as in kArith.
-      auto r = EvalValueComparison(op, AtomizeView(lhs, &s1),
-                                   AtomizeView(rhs, &s2));
+    {  // Scoped, as in kApply.
+      auto r = Apply(ip->a, stack, sp, 2);
       if (!r.ok()) return r.status();
-      --sp;
-      stack[sp - 1] = std::move(r).value();
+      sp = r.value();
     }
     VM_NEXT();
   }
@@ -400,35 +325,23 @@ Result<Sequence> Vm::Run() {
   VM_CASE(kGeneralCmp) : {
     Sequence& lhs = stack[sp - 2];
     Sequence& rhs = stack[sp - 1];
-    CompOp op = static_cast<CompOp>(ip->flag);
-    bool b = false;
     if (lhs.size() == 1 && rhs.size() == 1 && lhs[0].IsAtomic() &&
         rhs[0].IsAtomic() &&
         lhs[0].AsAtomic().type() == XsType::kInteger &&
         rhs[0].AsAtomic().type() == XsType::kInteger) {
-      b = IntCmp(op, lhs[0].AsAtomic().AsInt(), rhs[0].AsAtomic().AsInt());
-    } else {
-      Sequence s1, s2;
-      auto r = EvalGeneralComparison(op, AtomizeView(lhs, &s1),
-                                     AtomizeView(rhs, &s2));
-      if (!r.ok()) return r.status();
-      b = r.value();
+      bool b = IntCmp(static_cast<CompOp>(ip->flag),
+                      lhs[0].AsAtomic().AsInt(), rhs[0].AsAtomic().AsInt());
+      --sp;
+      Sequence& dst = stack[sp - 1];
+      dst.clear();
+      dst.push_back(Item(AtomicValue::Boolean(b)));
+      VM_NEXT();
     }
-    --sp;
-    Sequence& dst = stack[sp - 1];
-    dst.clear();
-    dst.push_back(Item(AtomicValue::Boolean(b)));
-    VM_NEXT();
-  }
-
-  VM_CASE(kNodeCmp) : {
-    Sequence& lhs = stack[sp - 2];
-    Sequence& rhs = stack[sp - 1];
-    // Node comparisons take the raw (non-atomized) operands.
-    auto r = EvalNodeComparison(static_cast<CompOp>(ip->flag), lhs, rhs);
-    if (!r.ok()) return r.status();
-    --sp;
-    stack[sp - 1] = std::move(r).value();
+    {  // Scoped, as in kApply.
+      auto r = Apply(ip->a, stack, sp, 2);
+      if (!r.ok()) return r.status();
+      sp = r.value();
+    }
     VM_NEXT();
   }
 
@@ -667,79 +580,6 @@ Result<Sequence> Vm::Run() {
     it.pos = 0;
     it.resume = jp.skip_pc;
     VM_GOTO(jp.loop_pc);
-  }
-
-  VM_CASE(kConstructElem) : VM_CASE(kConstructAttr) : {
-    // Assemble the constructor from its already-evaluated children: the
-    // computed name (when present) sits below the content parts, and an
-    // element's direct attributes left their value parts flat. Building
-    // goes through the shared construct:: path into the run's arena, so
-    // byte charges (ChargeNode via the thread-local governor), whitespace
-    // joining, namespace handling, and error strings are identical to both
-    // interpreters.
-    {  // Scoped, as in kArith: `built` owns the node.
-      const Expr* ce = p_.ctors[size_t(ip->a)].expr;
-      const size_t n = size_t(ip->b);
-      std::span<const Sequence> children(stack + (sp - n), n);
-      const bool computed =
-          ip->op == Op::kConstructElem
-              ? static_cast<const ElementCtorExpr*>(ce)->computed_name
-              : static_cast<const AttributeCtorExpr*>(ce)->computed_name;
-      auto built = [&]() -> Result<Item> {
-        QName name;
-        if (computed) {
-          XQP_ASSIGN_OR_RETURN(name, construct::ComputedName(children[0]));
-          children = children.subspan(1);
-        }
-        if (ip->op == Op::kConstructAttr) {
-          const auto* attr = static_cast<const AttributeCtorExpr*>(ce);
-          return construct::Attribute(&ctx_->arena,
-                                      computed ? name : attr->name, children);
-        }
-        const auto* elem = static_cast<const ElementCtorExpr*>(ce);
-        std::span<const Sequence> content =
-            construct::SplitDirectAttributes(*elem, children, &direct_attrs_);
-        return construct::Element(&ctx_->arena,
-                                  computed ? name : elem->name,
-                                  elem->ns_decls, direct_attrs_, content);
-      }();
-      if (!built.ok()) return built.status();
-      sp -= n;
-      Sequence& dst = stack[sp++];
-      dst.clear();
-      dst.push_back(std::move(built).value());
-    }
-    VM_NEXT();
-  }
-
-  VM_CASE(kConstructText) : {
-    auto r = construct::Text(&ctx_->arena, stack[sp - 1]);
-    if (!r.ok()) return r.status();
-    stack[sp - 1] = std::move(r).value();
-    VM_NEXT();
-  }
-
-  VM_CASE(kConstructNode) : {
-    Sequence& content = stack[sp - 1];
-    auto built = [&]() -> Result<Item> {
-      switch (ip->flag) {
-        case 0:
-          return construct::Comment(&ctx_->arena, content);
-        case 1:
-          return construct::Pi(
-              &ctx_->arena,
-              static_cast<const PiCtorExpr*>(p_.ctors[size_t(ip->a)].expr)
-                  ->target,
-              content);
-        default:
-          return construct::DocumentNode(&ctx_->arena, {&content, 1});
-      }
-    }();
-    if (!built.ok()) return built.status();
-    Sequence& dst = stack[sp - 1];
-    dst.clear();
-    dst.push_back(std::move(built).value());
-    VM_NEXT();
   }
 
   VM_CASE(kPushRoot) : {

@@ -271,6 +271,21 @@ TEST(ExplainTest, DeclinedForcedAccessPathIsMarked) {
               std::string("path [sort] [access: nav, forced ") +
                   AccessPathName(force) + " declined]\n" + body);
   }
+  // With indexes disabled no strategy but navigation can run, so every
+  // forced one is declined.
+  for (AccessPath force :
+       {AccessPath::kSJoin, AccessPath::kTwig, AccessPath::kIndex}) {
+    EngineOptions options;
+    options.enable_indexes = false;
+    options.force_access_path = force;
+    XQueryEngine engine(options);
+    auto q = engine.Compile(query);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q.value()->ExplainTree(),
+              std::string("path [sort] [access: nav, forced ") +
+                  AccessPathName(force) + " declined]\n" + body)
+        << AccessPathName(force);
+  }
   for (AccessPath force : {AccessPath::kAuto, AccessPath::kNav}) {
     EngineOptions options;
     options.force_access_path = force;
