@@ -27,21 +27,27 @@ namespace testing_util {
   lhs = std::move(XQP_CONCAT(_r_, __LINE__)).value();
 
 /// Runs `query` against an engine pre-loaded with `docs` (uri -> xml) and
-/// returns the serialized result, using the requested backend.
+/// returns the serialized result, using the requested backend. With
+/// `with_context`, the document node of `doc_xml` is the initial context
+/// item.
 inline std::string RunQuery(const std::string& query,
                             const std::string& doc_xml = "",
                             ExecBackend backend = ExecBackend::kLazy,
-                            bool optimize = true) {
+                            bool optimize = true, bool with_context = false) {
   XQueryEngine engine;
+  CompiledQuery::ExecOptions eopts;
   if (!doc_xml.empty()) {
     auto doc = engine.ParseAndRegister("doc.xml", doc_xml);
     EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    if (doc.ok() && with_context) {
+      eopts.has_context_item = true;
+      eopts.context_item = Item(Node(doc.value(), 0));
+    }
   }
   XQueryEngine::CompileOptions copts;
   copts.optimize = optimize;
   auto compiled = engine.Compile(query, copts);
   if (!compiled.ok()) return "COMPILE-ERROR: " + compiled.status().ToString();
-  CompiledQuery::ExecOptions eopts;
   eopts.backend = backend;
   auto result = (*compiled)->ExecuteToXml(eopts);
   if (!result.ok()) return "ERROR: " + result.status().ToString();
@@ -50,17 +56,22 @@ inline std::string RunQuery(const std::string& query,
 
 /// Runs on every backend (lazy, eager, vm), unoptimized and optimized, and
 /// asserts they all agree with the unoptimized eager run; returns its
-/// serialization.
+/// serialization. `with_context` binds the document node of `doc_xml` as
+/// the initial context item on every run.
 inline std::string RunAllWays(const std::string& query,
-                              const std::string& doc_xml = "") {
-  std::string base = RunQuery(query, doc_xml, ExecBackend::kEager, false);
+                              const std::string& doc_xml = "",
+                              bool with_context = false) {
+  std::string base =
+      RunQuery(query, doc_xml, ExecBackend::kEager, false, with_context);
   for (bool optimize : {false, true}) {
     for (ExecBackend backend :
          {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
       if (backend == ExecBackend::kEager && !optimize) continue;
-      EXPECT_EQ(base, RunQuery(query, doc_xml, backend, optimize))
+      EXPECT_EQ(base,
+                RunQuery(query, doc_xml, backend, optimize, with_context))
           << query << " [" << ExecBackendName(backend)
-          << (optimize ? ", optimized]" : ", unoptimized]");
+          << (optimize ? ", optimized" : ", unoptimized")
+          << (with_context ? ", context item]" : "]");
     }
   }
   return base;
