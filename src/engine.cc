@@ -762,7 +762,7 @@ Status CompiledQuery::SetupContext(const ExecOptions& options,
     ctx->force_access_path = engine_->options().force_access_path;
   }
   if (options.has_context_item) {
-    ctx->initial_context = LazySeq::FromItem(options.context_item);
+    ctx->focus = FocusInfo{true, options.context_item, 1, 1};
   }
   for (const auto& [name, value] : options.variables) {
     ctx->external_variables[name] = LazySeq::FromVector(value);

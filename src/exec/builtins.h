@@ -9,18 +9,12 @@
 
 namespace xqp {
 
-/// The focus (context item / position / size) at a call site, needed by
-/// position(), last(), and the zero-argument string functions.
-struct FocusInfo {
-  bool has_focus = false;
-  Item item;
-  int64_t position = 0;
-  int64_t size = 0;
-};
-
-/// Evaluates builtin `id` over materialized argument sequences. Both
-/// engines share this; the lazy engine special-cases the short-circuiting
-/// builtins (empty/exists/head/boolean/not) before falling back here.
+/// Evaluates builtin `id` over materialized argument sequences, reading
+/// the caller's `focus` for position(), last() and the zero-argument
+/// string functions. All three backends share this; the lazy engine
+/// streams the short-circuiting builtins (empty/exists/head/boolean/not)
+/// and count before falling back here. CallBuiltin owns the last() check:
+/// a focus whose size a streaming lazy input has not counted (-1) fails.
 Result<Sequence> CallBuiltin(Builtin id, std::vector<Sequence>& args,
                              DynamicContext* ctx, const FocusInfo& focus);
 

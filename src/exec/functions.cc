@@ -360,6 +360,12 @@ Result<Sequence> CallBuiltin(Builtin id, std::vector<Sequence>& args,
       if (!focus.has_focus) {
         return Status::DynamicError("last() requires a context item");
       }
+      if (focus.size < 0) {
+        // The uses_last analysis makes the enclosing lazy path or filter
+        // materialize its input; reaching this means it could not.
+        return Status::DynamicError(
+            "last() requires a materialized context sequence");
+      }
       return Sequence{Item(AtomicValue::Integer(focus.size))};
     case Builtin::kDistinctValues: {
       std::unordered_set<AtomicValue, AtomicHash, AtomicEq> seen;

@@ -16,8 +16,8 @@ class Interpreter {
  public:
   explicit Interpreter(DynamicContext* ctx) : ctx_(ctx) {}
 
-  /// Evaluates `e` under the current context. If the dynamic context has an
-  /// initial context item, it is in scope as "." at the top level. When the
+  /// Evaluates `e` under the current context, whose focus (ctx->focus)
+  /// each path and predicate loop rebinds for its operand. When the
   /// context carries a QueryProfile, each evaluation records invocation
   /// count, result cardinality, and inclusive wall time per expression node;
   /// otherwise the profiling hook is a single pointer test.
@@ -27,12 +27,10 @@ class Interpreter {
   /// The unprofiled evaluation switch Eval dispatches to.
   Result<Sequence> EvalDispatch(const Expr* e);
 
-  struct Focus {
-    Item item;
-    int64_t position = 0;
-    int64_t size = 0;
-  };
-
+  /// Evaluates `e` with the focus bound to `item` at `position` of
+  /// `size`, then restores the enclosing focus.
+  Result<Sequence> EvalInFocus(const Expr* e, const Item& item,
+                               int64_t position, int64_t size);
   Result<Sequence> EvalPath(const PathExpr* e);
   Result<Sequence> EvalStep(const StepExpr* e);
   Result<Sequence> EvalFilter(const FilterExpr* e);
@@ -44,12 +42,7 @@ class Interpreter {
   /// operands of `e`, then applies it.
   Result<Sequence> EvalOperator(const Expr& e);
 
-  /// Current context item (error when absent).
-  Result<Item> ContextItem() const;
-  FocusInfo CurrentFocusInfo() const;
-
   DynamicContext* ctx_;
-  std::vector<Focus> focus_;
 };
 
 /// Convenience: evaluates a whole module body (after globals are bound).

@@ -10,25 +10,16 @@
 
 namespace xqp {
 
-/// The focus a compiled iterator subtree reads: owned by the enclosing
-/// path/filter iterator, bound at compile time by address. `size` is -1
-/// when unknown (fn:last() then forces the owner to materialize its input,
-/// guided by the uses_last analysis).
-struct LazyFocus {
-  bool valid = false;
-  Item item;
-  int64_t position = 0;
-  int64_t size = -1;
-};
-
 /// Compiles an expression into a pull-based iterator tree (the paper's
 /// TokenIterator execution model at item granularity): open/next via
 /// Reset/Next, lazy evaluation throughout, materialization only at the
 /// blocking points (document-order sorts, order by, aggregates, node
-/// construction). `focus` is the statically enclosing focus, or nullptr at
-/// the top level.
+/// construction). `focus` is the statically enclosing focus, owned by the
+/// enclosing path or filter iterator and bound by address, or nullptr
+/// outside any path or predicate, where the iterator reads the run-level
+/// DynamicContext::focus when it runs (FocusOf).
 Result<std::unique_ptr<ItemIterator>> CompileIterator(const Expr* e,
-                                                      const LazyFocus* focus);
+                                                      const FocusInfo* focus);
 
 /// Compiles and resets `e`, returning the iterator for incremental
 /// consumption (time-to-first-item measurements, experiment E1). Decorated
@@ -42,15 +33,21 @@ Result<bool> StreamingEbv(ItemIterator* it);
 namespace lazy_internal {
 
 Result<std::unique_ptr<ItemIterator>> CompilePath(const PathExpr* e,
-                                                  const LazyFocus* focus);
+                                                  const FocusInfo* focus);
 Result<std::unique_ptr<ItemIterator>> CompileStep(const StepExpr* e,
-                                                  const LazyFocus* focus);
+                                                  const FocusInfo* focus);
 Result<std::unique_ptr<ItemIterator>> CompileFilter(const FilterExpr* e,
-                                                    const LazyFocus* focus);
+                                                    const FocusInfo* focus);
 Result<std::unique_ptr<ItemIterator>> CompileFlwor(const FlworExpr* e,
-                                                   const LazyFocus* focus);
+                                                   const FocusInfo* focus);
 Result<std::unique_ptr<ItemIterator>> CompileQuantified(
-    const QuantifiedExpr* e, const LazyFocus* focus);
+    const QuantifiedExpr* e, const FocusInfo* focus);
+
+/// The focus an iterator compiled against `bound` reads under `ctx`.
+inline const FocusInfo& FocusOf(const FocusInfo* bound,
+                                const DynamicContext* ctx) {
+  return bound != nullptr ? *bound : ctx->focus;
+}
 
 /// Drains `it` into a vector.
 Result<Sequence> Drain(ItemIterator* it);

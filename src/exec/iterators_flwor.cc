@@ -32,7 +32,7 @@ class FlworIt : public ItemIterator {
  public:
   explicit FlworIt(const FlworExpr* e) : e_(e) {}
 
-  Status Init(const LazyFocus* focus) {
+  Status Init(const FocusInfo* focus) {
     for (const auto& c : e_->clauses) {
       if (c.type == FlworExpr::Clause::Type::kOrderSpec) {
         specs_.push_back({c.descending, c.empty_least});
@@ -329,7 +329,7 @@ class QuantifiedIt : public ItemIterator {
  public:
   explicit QuantifiedIt(const QuantifiedExpr* e) : e_(e) {}
 
-  Status Init(const LazyFocus* focus) {
+  Status Init(const FocusInfo* focus) {
     for (size_t i = 0; i < e_->NumChildren(); ++i) {
       XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> it,
                            CompileIterator(e_->child(i), focus));
@@ -384,14 +384,14 @@ class QuantifiedIt : public ItemIterator {
 }  // namespace
 
 Result<std::unique_ptr<ItemIterator>> CompileFlwor(const FlworExpr* e,
-                                                   const LazyFocus* focus) {
+                                                   const FocusInfo* focus) {
   auto it = std::make_unique<FlworIt>(e);
   XQP_RETURN_NOT_OK(it->Init(focus));
   return std::unique_ptr<ItemIterator>(std::move(it));
 }
 
 Result<std::unique_ptr<ItemIterator>> CompileQuantified(
-    const QuantifiedExpr* e, const LazyFocus* focus) {
+    const QuantifiedExpr* e, const FocusInfo* focus) {
   auto it = std::make_unique<QuantifiedIt>(e);
   XQP_RETURN_NOT_OK(it->Init(focus));
   return std::unique_ptr<ItemIterator>(std::move(it));
