@@ -3,6 +3,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "opt/properties.h"
 #include "query/expr.h"
 
 namespace xqp {
@@ -41,8 +42,17 @@ class Inliner {
       return Status::OK();
     }
 
-    // Clone and remap the body into the caller's frame.
+    // A function body has no focus; inlined, it would read its caller's.
+    // The clone is analyzed here because a callee declared after its
+    // caller has not been analyzed yet.
     ExprPtr body = fn.body->Clone();
+    AnalyzeExpr(body.get(), &module_);
+    const ExprProps& props = body->props;
+    if (props.uses_context || props.uses_position || props.uses_last) {
+      return Status::OK();
+    }
+
+    // Remap the body into the caller's frame.
     std::unordered_map<int, int> remap;
     for (size_t i = 0; i < fn.param_slots.size(); ++i) {
       remap[fn.param_slots[i]] = (*next_slot_)++;
