@@ -282,6 +282,23 @@ TEST(Robustness, DeadlineExpiryBothEngines) {
   }
 }
 
+TEST(Robustness, DeadlineStopsALongRangeOnEveryBackend) {
+  // Only the range itself can poll: count() streams it on lazy and
+  // nothing else runs long enough to reach a check site.
+  XQueryEngine engine;
+  auto compiled = engine.Compile("count(1 to 300000000)");
+  XQP_ASSERT_OK(compiled.status());
+  for (ExecBackend backend :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    CompiledQuery::ExecOptions options;
+    options.backend = backend;
+    options.limits.timeout = std::chrono::milliseconds(50);
+    ExpectFailure((*compiled)->Execute(options).status(),
+                  StatusCode::kCancelled, "deadline",
+                  std::string("range deadline/") + ExecBackendName(backend));
+  }
+}
+
 TEST(Robustness, MemoryBudgetTripsOnConstruction) {
   XQueryEngine engine;
   QueryLimits limits;
