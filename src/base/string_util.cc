@@ -46,6 +46,11 @@ bool IsNCName(std::string_view name) {
   return true;
 }
 
+bool IsReservedPiTarget(std::string_view target) {
+  return target.size() == 3 && (target[0] | 0x20) == 'x' &&
+         (target[1] | 0x20) == 'm' && (target[2] | 0x20) == 'l';
+}
+
 void SplitQName(std::string_view lexical, std::string_view* prefix,
                 std::string_view* local) {
   size_t colon = lexical.find(':');

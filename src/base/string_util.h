@@ -26,6 +26,10 @@ std::string NormalizeSpace(std::string_view s);
 /// True if `name` is a valid XML NCName (no colon).
 bool IsNCName(std::string_view name);
 
+/// True if `target` is "xml" in any letter case, which no processing
+/// instruction may be named.
+bool IsReservedPiTarget(std::string_view target);
+
 /// True if `c` may start an NCName.
 inline bool IsNameStartChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||

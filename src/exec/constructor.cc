@@ -161,6 +161,10 @@ Result<Item> Comment(Arena* arena, const Sequence& content) {
 
 Result<Item> Pi(Arena* arena, const std::string& target,
                 const Sequence& content) {
+  if (IsReservedPiTarget(target)) {
+    return Status::DynamicError(
+        "err:XQDY0064: processing-instruction target may not be 'xml'");
+  }
   const std::string value = AtomizedString(content);
   return arena->Append([&](DocumentBuilder* builder) {
     return builder->ProcessingInstruction(target, value);

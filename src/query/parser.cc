@@ -1576,6 +1576,11 @@ Result<ExprPtr> Parser::ParseDirectConstructor() {
         flush_text(false);
         lex_.AdvanceChars(2);
         XQP_ASSIGN_OR_RETURN(auto pi_parts, read_name());
+        if (pi_parts.first.empty() && IsReservedPiTarget(pi_parts.second)) {
+          ctor_ns_.pop_back();
+          return lex_.Error(
+              "err:XPST0003: processing-instruction target may not be 'xml'");
+        }
         std::string data;
         skip_ws();
         while (!lex_.LookingAt("?>")) {
