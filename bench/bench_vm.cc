@@ -1,7 +1,7 @@
 // E18 — bytecode VM backend vs the lazy and eager engines on the
 // arithmetic/FLWOR-heavy shapes the VM targets (bailout-free inner loops),
 // plus mixed XMark queries whose path domain lowers to the VM's path
-// opcodes (kNavStep/kAccessExec) alongside per-tuple bytecode arithmetic.
+// opcodes (kNavStep/kAccessPath) alongside per-tuple bytecode arithmetic.
 // Path-shape sweeps proper are E21 (bench_vm_paths).
 //
 //   bench_vm                      # human-readable

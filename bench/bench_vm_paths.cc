@@ -1,7 +1,7 @@
 // E21 — compiled path navigation in the bytecode VM vs the lazy engine
 // on XMark path shapes: pure child chains (kNavStep), descendant scans,
-// predicate chains answered by the value index (kIndexProbe), joinable
-// chains under the full strategy dispatch (kAccessExec), and the E18
+// predicate chains answered by the value index and joinable chains under
+// the full strategy dispatch (both kAccessPath), and the E18
 // aggregate now that its path domain compiles. Every shape runs on both
 // backends from one CompiledQuery, so the sweep doubles as a
 // parity-or-better check for the VM lowering.
@@ -53,7 +53,7 @@ const char kChildChain[] = "doc('xmark.xml')/site/people/person/name";
 /// Descendant scan with an aggregate shell.
 const char kDescendantScan[] = "count(doc('xmark.xml')//keyword)";
 
-/// Point predicate on an attribute — the kIndexProbe fast path.
+/// Point predicate on an attribute — kAccessPath's value-index fast path.
 const char kPointProbe[] =
     "doc('xmark.xml')/site/people/person[@id = 'person0']/name";
 

@@ -1,6 +1,7 @@
 #include "vm/compiler.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -9,55 +10,12 @@
 #include "base/fault.h"
 #include "base/metrics.h"
 #include "exec/constructor.h"
-#include "index/index_planner.h"
 #include "opt/const_fold.h"
 #include "opt/properties.h"
 #include "query/expr.h"
 
 namespace xqp {
 namespace vm {
-
-std::string_view OpName(Op op) {
-  switch (op) {
-    case Op::kPushConst: return "push-const";
-    case Op::kPushEmpty: return "push-empty";
-    case Op::kPushContextItem: return "push-context-item";
-    case Op::kLoadLocal: return "load-local";
-    case Op::kLoadGlobal: return "load-global";
-    case Op::kStoreLocal: return "store-local";
-    case Op::kConcat: return "concat";
-    case Op::kApply: return "apply";
-    case Op::kArith: return "arith";
-    case Op::kValueCmp: return "value-cmp";
-    case Op::kGeneralCmp: return "general-cmp";
-    case Op::kEbv: return "ebv";
-    case Op::kJump: return "jump";
-    case Op::kJumpIfFalse: return "jump-if-false";
-    case Op::kJumpIfTrue: return "jump-if-true";
-    case Op::kIterNew: return "iter-new";
-    case Op::kIterNext: return "iter-next";
-    case Op::kBindPos: return "bind-pos";
-    case Op::kFocusNext: return "focus-next";
-    case Op::kFocusKeep: return "focus-keep";
-    case Op::kAccumNew: return "accum-new";
-    case Op::kAccumAdd: return "accum-add";
-    case Op::kAccumEnd: return "accum-end";
-    case Op::kCallBuiltin: return "call-builtin";
-    case Op::kNavStep: return "nav-step";
-    case Op::kPathEnd: return "path-end";
-    case Op::kIndexProbe: return "index-probe";
-    case Op::kAccessExec: return "access-exec";
-    case Op::kValueJoin: return "value-join";
-    case Op::kPushRoot: return "push-root";
-    case Op::kSortOpen: return "sort-open";
-    case Op::kSortKey: return "sort-key";
-    case Op::kSortAdd: return "sort-add";
-    case Op::kSortTuples: return "sort-tuples";
-    case Op::kPop: return "pop";
-    case Op::kHalt: return "halt";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -307,7 +265,7 @@ class Compiler {
   }
 
   /// Path lowering. Layout for an index-marked chain:
-  ///   index-probe/access-exec  --answered--> JOIN
+  ///   access-path          --answered--> JOIN
   ///   <lhs>                (only reached when the probe declines)
   ///   nav-step             (A/step), or the focus loop and path-end (A/E)
   ///   JOIN:
@@ -320,10 +278,7 @@ class Compiler {
   void CompilePath(const PathExpr& e) {
     int probe_pc = -1;
     if (e.index_candidate) {
-      std::optional<IndexQuery> q = PlanIndexPath(e);
-      Op op = q.has_value() && q->HasPredicates() ? Op::kIndexProbe
-                                                  : Op::kAccessExec;
-      probe_pc = Emit(op, 0, AddPathPlan(&e, nullptr));
+      probe_pc = Emit(Op::kAccessPath, 0, AddPathPlan(&e, nullptr));
       Push();  // The answered edge pushes the result and jumps to JOIN.
       Pop();   // The fall-through edge pushes nothing.
     }

@@ -1,5 +1,5 @@
 // Bytecode VM backend: opcode-level semantics, the path opcodes
-// (kNavStep/kIndexProbe/kAccessExec across axes, name tests, and forced
+// (kNavStep/kAccessPath across axes, name tests, and forced
 // access-path strategies), focus loops (filters, general paths and bare
 // steps), declined plans (a plan with any construct outside the ISA runs
 // whole on the lazy engine with identical results), governor trips at
@@ -262,7 +262,7 @@ TEST(VmDeclines, ExplainMarksCompiledRoot) {
   }
 }
 
-// --- Path opcodes (kNavStep / kIndexProbe / kAccessExec) -------------------
+// --- Path opcodes (kNavStep / kAccessPath) ---------------------------------
 
 /// Compiles `query`, runs it on the vm backend under Profile, asserts the
 /// plan ran as compiled code (zero vm.fallbacks), and asserts the result
@@ -351,7 +351,7 @@ TEST(VmPaths, ForcedStrategiesAreBitIdentical) {
 TEST(VmPaths, PredicateChainCompilesToIndexProbe) {
   XQueryEngine engine;
   XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", kPathDoc).status());
-  // A value-predicate chain lowers to kIndexProbe with the navigation
+  // A value-predicate chain lowers to kAccessPath with the navigation
   // twin behind it; either edge must produce the lazy result.
   EXPECT_EQ(RunCompiledPath(engine, "doc('doc.xml')/r/a[@id = '2']"),
             "<a id=\"2\"><c>z</c></a>");
@@ -365,7 +365,7 @@ TEST(VmPaths, PredicateChainCompilesToIndexProbe) {
                            vm::CompileProgram(compiled.value()->module()));
   bool has_probe = false;
   for (const vm::Insn& insn : program->code) {
-    if (insn.op == vm::Op::kIndexProbe || insn.op == vm::Op::kAccessExec) {
+    if (insn.op == vm::Op::kAccessPath) {
       has_probe = true;
     }
   }
