@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine.h"
 #include "query/normalize.h"
 
 namespace xqp {
@@ -406,6 +407,68 @@ TEST(QueryParser, TreatThenInstanceOf) {
                     "xs:boolean instance of item()*"),
             "(instance-of (treat-as (castable-as (cast-as $x xs:string) "
             "xs:integer) xs:boolean) item()*)");
+}
+
+// Entity and character references decode the same way in string literals,
+// attribute values and element content, and the same way the XML parser
+// decodes them: the five predefined entities, decimal or hex digits that run
+// to the ';', code points 1 to 0x10FFFF, UTF-8 of up to four bytes. `want`
+// is the string value of the result, or the expected error text.
+struct ReferenceCase {
+  const char* query;
+  const char* want;
+  bool error;
+};
+
+TEST(QueryParser, CharacterReferencesDecodeLikeTheXmlParser) {
+  const ReferenceCase kCases[] = {
+      {"'&amp;&lt;&gt;&quot;&apos;'", "&<>\"'", false},
+      {"string(<a>&amp;&lt;&gt;&quot;&apos;</a>)", "&<>\"'", false},
+      {"string(<a b='&amp;&lt;&gt;&quot;&apos;'/>/@b)", "&<>\"'", false},
+      {"'&#65;&#x42;'", "AB", false},
+      {"string(<a>&#65;&#x42;</a>)", "AB", false},
+      {"string(<a b='&#65;&#x42;'/>/@b)", "AB", false},
+      {"'&#233;'", "\xC3\xA9", false},
+      {"string(<a>&#233;</a>)", "\xC3\xA9", false},
+      {"string(<a b='&#233;'/>/@b)", "\xC3\xA9", false},
+      {"'&#x20AC;'", "\xE2\x82\xAC", false},
+      {"string(<a>&#x20AC;</a>)", "\xE2\x82\xAC", false},
+      {"string(<a b='&#x20AC;'/>/@b)", "\xE2\x82\xAC", false},
+      {"'&#x1F600;'", "\xF0\x9F\x98\x80", false},
+      {"string(<a>&#x1F600;</a>)", "\xF0\x9F\x98\x80", false},
+      {"string(<a b='&#x1F600;'/>/@b)", "\xF0\x9F\x98\x80", false},
+      {"'&#12abc;'", "bad character reference", true},
+      {"<a>&#12abc;</a>", "bad character reference", true},
+      {"<a b='&#12abc;'/>", "bad character reference", true},
+      {"'&#xZZ;'", "bad character reference", true},
+      {"<a>&#xZZ;</a>", "bad character reference", true},
+      {"<a b='&#xZZ;'/>", "bad character reference", true},
+      {"'&#0;'", "character reference out of range", true},
+      {"<a>&#1114112;</a>", "character reference out of range", true},
+      {"<a b='&#x110000;'/>", "character reference out of range", true},
+      {"'&nope;'", "unknown entity: &nope;", true},
+      {"<a>&nope;</a>", "unknown entity: &nope;", true},
+      {"<a b='&nope;'/>", "unknown entity: &nope;", true},
+  };
+  XQueryEngine engine;
+  for (const ReferenceCase& c : kCases) {
+    Result<Sequence> r = engine.Execute(c.query);
+    if (c.error) {
+      if (r.ok()) {
+        ADD_FAILURE() << c.query << ": expected an error";
+        continue;
+      }
+      EXPECT_NE(r.status().message().find(c.want), std::string::npos)
+          << c.query << ": " << r.status().ToString();
+      continue;
+    }
+    if (!r.ok()) {
+      ADD_FAILURE() << c.query << ": " << r.status().ToString();
+      continue;
+    }
+    ASSERT_EQ(r.value().size(), 1u) << c.query;
+    EXPECT_EQ(r.value()[0].AsAtomic().Lexical(), c.want) << c.query;
+  }
 }
 
 struct BadQuery {
