@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace xqp {
@@ -103,6 +104,56 @@ void AppendEscapedAttribute(std::string_view value, std::string* out) {
         out->push_back(c);
     }
   }
+}
+
+Result<size_t> DecodeReference(std::string_view text, std::string* out) {
+  const size_t semi = text.find(';');
+  if (semi == std::string_view::npos) {
+    return Status::ParseError("unterminated entity reference");
+  }
+  const std::string_view entity = text.substr(0, semi);
+  if (entity == "amp") {
+    out->push_back('&');
+  } else if (entity == "lt") {
+    out->push_back('<');
+  } else if (entity == "gt") {
+    out->push_back('>');
+  } else if (entity == "quot") {
+    out->push_back('"');
+  } else if (entity == "apos") {
+    out->push_back('\'');
+  } else if (!entity.empty() && entity[0] == '#') {
+    const std::string digits(entity.substr(1));
+    const bool hex = !digits.empty() && (digits[0] == 'x' || digits[0] == 'X');
+    char* end = nullptr;
+    const long code = std::strtol(digits.c_str() + (hex ? 1 : 0), &end,
+                                  hex ? 16 : 10);
+    if (end != digits.c_str() + digits.size()) {
+      return Status::ParseError("bad character reference");
+    }
+    const unsigned long cp = static_cast<unsigned long>(code);
+    if (cp == 0 || cp > 0x10FFFF) {
+      return Status::ParseError("character reference out of range");
+    }
+    if (cp < 0x80) {
+      out->push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
+  } else {
+    return Status::ParseError("unknown entity: &" + std::string(entity) + ";");
+  }
+  return semi + 1;
 }
 
 std::string FormatDouble(double v) {

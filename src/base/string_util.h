@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "base/status.h"
+
 namespace xqp {
 
 /// True if `c` is an XML whitespace character (space, tab, CR, LF).
@@ -51,6 +53,14 @@ void AppendEscapedText(std::string_view text, std::string* out);
 
 /// Escapes an attribute value for XML serialization (&, <, ", newline).
 void AppendEscapedAttribute(std::string_view value, std::string* out);
+
+/// Decodes the entity or character reference that `text` starts with (the
+/// bytes after its '&') and appends the replacement to `out`: one of the
+/// five predefined entities, or `#N` / `#xH` whose digits run to the ';' and
+/// name a code point from 1 to 0x10FFFF, written as UTF-8. Returns the bytes
+/// consumed through the ';'. Errors are kParseError with the XML parser's
+/// message and no position; each caller adds its own.
+Result<size_t> DecodeReference(std::string_view text, std::string* out);
 
 /// Formats a double using XPath's canonical rules (integral doubles print
 /// without a trailing ".0"; NaN/INF use XML Schema lexical forms).

@@ -197,34 +197,10 @@ Status Lexer::Scan(Tok* out) {
         decoded.push_back(raw[i++]);
         continue;
       }
-      size_t semi = raw.find(';', i);
-      if (semi == std::string::npos) return Error("unterminated entity in string");
-      std::string ent = raw.substr(i + 1, semi - i - 1);
-      if (ent == "amp") decoded.push_back('&');
-      else if (ent == "lt") decoded.push_back('<');
-      else if (ent == "gt") decoded.push_back('>');
-      else if (ent == "quot") decoded.push_back('"');
-      else if (ent == "apos") decoded.push_back('\'');
-      else if (!ent.empty() && ent[0] == '#') {
-        long code = (ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X'))
-                        ? std::strtol(ent.c_str() + 2, nullptr, 16)
-                        : std::strtol(ent.c_str() + 1, nullptr, 10);
-        if (code <= 0 || code > 0x10FFFF) return Error("bad character reference");
-        // ASCII fast path; multi-byte handled minimally.
-        if (code < 0x80) {
-          decoded.push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          decoded.push_back(static_cast<char>(0xC0 | (code >> 6)));
-          decoded.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          decoded.push_back(static_cast<char>(0xE0 | (code >> 12)));
-          decoded.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          decoded.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-      } else {
-        return Error("unknown entity &" + ent + ";");
-      }
-      i = semi + 1;
+      Result<size_t> used =
+          DecodeReference(std::string_view(raw).substr(i + 1), &decoded);
+      if (!used.ok()) return Error(used.status().message());
+      i += 1 + used.value();
     }
     t.type = TokType::kString;
     t.text = std::move(decoded);

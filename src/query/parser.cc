@@ -1410,29 +1410,10 @@ Result<ExprPtr> Parser::ParseDirectConstructor() {
         return lex_.Error("unescaped '}' in attribute value");
       }
       if (c == '&') {
-        // Entity reference.
-        std::string ent;
-        lex_.AdvanceChars(1);
-        while (lex_.PeekChar() != ';' && lex_.PeekChar() != '\0') {
-          ent.push_back(lex_.PeekChar());
-          lex_.AdvanceChars(1);
-        }
-        if (lex_.PeekChar() != ';') return lex_.Error("unterminated entity");
-        lex_.AdvanceChars(1);
-        if (ent == "amp") literal.push_back('&');
-        else if (ent == "lt") literal.push_back('<');
-        else if (ent == "gt") literal.push_back('>');
-        else if (ent == "quot") literal.push_back('"');
-        else if (ent == "apos") literal.push_back('\'');
-        else if (!ent.empty() && ent[0] == '#') {
-          long code = (ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X'))
-                          ? std::strtol(ent.c_str() + 2, nullptr, 16)
-                          : std::strtol(ent.c_str() + 1, nullptr, 10);
-          if (code > 0 && code < 0x80) literal.push_back(static_cast<char>(code));
-          else return lex_.Error("unsupported character reference");
-        } else {
-          return lex_.Error("unknown entity &" + ent + ";");
-        }
+        Result<size_t> used = DecodeReference(
+            lex_.input().substr(lex_.CharPos() + 1), &literal);
+        if (!used.ok()) return lex_.Error(used.status().message());
+        lex_.AdvanceChars(1 + used.value());
         continue;
       }
       literal.push_back(c);
@@ -1639,35 +1620,13 @@ Result<ExprPtr> Parser::ParseDirectConstructor() {
       return lex_.Error("unescaped '}' in element content");
     }
     if (c == '&') {
-      lex_.AdvanceChars(1);
-      std::string ent;
-      while (lex_.PeekChar() != ';' && lex_.PeekChar() != '\0') {
-        ent.push_back(lex_.PeekChar());
-        lex_.AdvanceChars(1);
-      }
-      if (lex_.PeekChar() != ';') {
+      Result<size_t> used = DecodeReference(
+          lex_.input().substr(lex_.CharPos() + 1), &text);
+      if (!used.ok()) {
         ctor_ns_.pop_back();
-        return lex_.Error("unterminated entity");
+        return lex_.Error(used.status().message());
       }
-      lex_.AdvanceChars(1);
-      if (ent == "amp") text.push_back('&');
-      else if (ent == "lt") text.push_back('<');
-      else if (ent == "gt") text.push_back('>');
-      else if (ent == "quot") text.push_back('"');
-      else if (ent == "apos") text.push_back('\'');
-      else if (!ent.empty() && ent[0] == '#') {
-        long code = (ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X'))
-                        ? std::strtol(ent.c_str() + 2, nullptr, 16)
-                        : std::strtol(ent.c_str() + 1, nullptr, 10);
-        if (code > 0 && code < 0x80) text.push_back(static_cast<char>(code));
-        else {
-          ctor_ns_.pop_back();
-          return lex_.Error("unsupported character reference");
-        }
-      } else {
-        ctor_ns_.pop_back();
-        return lex_.Error("unknown entity &" + ent + ";");
-      }
+      lex_.AdvanceChars(1 + used.value());
       continue;
     }
     text.push_back(c);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 #include "base/fault.h"
@@ -163,58 +162,9 @@ Status XmlPullParser::DecodeEntitiesInto(std::string_view raw,
     size_t a = static_cast<size_t>(static_cast<const char*>(ampp) -
                                    raw.data());
     out->append(raw.data() + i, a - i);
-    size_t semi = raw.find(';', a + 1);
-    if (semi == std::string_view::npos) {
-      return Error("unterminated entity reference");
-    }
-    std::string_view entity = raw.substr(a + 1, semi - a - 1);
-    if (entity == "amp") {
-      out->push_back('&');
-    } else if (entity == "lt") {
-      out->push_back('<');
-    } else if (entity == "gt") {
-      out->push_back('>');
-    } else if (entity == "quot") {
-      out->push_back('"');
-    } else if (entity == "apos") {
-      out->push_back('\'');
-    } else if (!entity.empty() && entity[0] == '#') {
-      long code = 0;
-      char* end = nullptr;
-      std::string digits(entity.substr(1));
-      if (!digits.empty() && (digits[0] == 'x' || digits[0] == 'X')) {
-        code = std::strtol(digits.c_str() + 1, &end, 16);
-        if (end != digits.c_str() + digits.size()) {
-          return Error("bad character reference");
-        }
-      } else {
-        code = std::strtol(digits.c_str(), &end, 10);
-        if (end != digits.c_str() + digits.size()) {
-          return Error("bad character reference");
-        }
-      }
-      // Encode the code point as UTF-8.
-      unsigned long cp = static_cast<unsigned long>(code);
-      if (cp == 0 || cp > 0x10FFFF) return Error("character reference out of range");
-      if (cp < 0x80) {
-        out->push_back(static_cast<char>(cp));
-      } else if (cp < 0x800) {
-        out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-      } else if (cp < 0x10000) {
-        out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-      } else {
-        out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-      }
-    } else {
-      return Error("unknown entity: &" + std::string(entity) + ";");
-    }
-    i = semi + 1;
+    Result<size_t> used = DecodeReference(raw.substr(a + 1), out);
+    if (!used.ok()) return Error(used.status().message());
+    i = a + 1 + used.value();
   }
   return Status::OK();
 }
