@@ -71,14 +71,6 @@ Histogram::Snapshot Histogram::TakeSnapshot() const {
   return s;
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(~uint64_t{0}, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& before) const {
   MetricsSnapshot d;
   for (const auto& [name, value] : counters) {
@@ -134,12 +126,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     s.histograms[name] = h->TakeSnapshot();
   }
   return s;
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 bool TraceEnvRequested() {

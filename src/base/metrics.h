@@ -85,8 +85,6 @@ class Histogram {
   };
   Snapshot TakeSnapshot() const;
 
-  void Reset();
-
  private:
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<uint64_t> count_{0};
@@ -152,10 +150,6 @@ class MetricsRegistry {
   Histogram* histogram(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
-
-  /// Zeroes every registered metric (tests and CLI runs; metrics stay
-  /// registered).
-  void ResetAll();
 
  private:
   MetricsRegistry() = default;

@@ -11,8 +11,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Ok";
     case StatusCode::kInvalidArgument:
       return "Invalid argument";
-    case StatusCode::kNotImplemented:
-      return "Not implemented";
     case StatusCode::kInternal:
       return "Internal error";
     case StatusCode::kIoError:

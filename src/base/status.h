@@ -17,7 +17,6 @@ enum class StatusCode : uint8_t {
   kOk = 0,
   // Generic engine errors.
   kInvalidArgument,
-  kNotImplemented,
   kInternal,
   kIoError,
   // XML well-formedness errors (parser).
@@ -63,9 +62,6 @@ class Status {
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

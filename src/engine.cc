@@ -12,7 +12,6 @@
 
 #include "base/fault.h"
 #include "storage/snapshot.h"
-#include "tokens/token_stream.h"
 #include "base/limits.h"
 #include "base/parallel.h"
 #include "exec/interpreter.h"
@@ -219,7 +218,35 @@ void CountStorage(const char* which) {
   metrics::MetricsRegistry::Global().counter(which)->Add(1);
 }
 
+/// Writes a snapshot crash-atomically and counts `storage.saves`.
+Status WriteSnapshot(const std::string& path,
+                     const storage::SnapshotInput& input) {
+  XQP_RETURN_NOT_OK(storage::WriteSnapshotFile(path, input));
+  CountStorage("storage.saves");
+  return Status::OK();
+}
+
+/// `options` with an unset parse depth taken from the engine's limits.
+ParseOptions WithDefaultDepth(ParseOptions options,
+                              const EngineOptions& engine) {
+  if (options.max_parse_depth == 0) {
+    options.max_parse_depth = engine.default_limits.max_parse_depth;
+  }
+  return options;
+}
+
 }  // namespace
+
+Result<std::shared_ptr<const Document>> XQueryEngine::AdoptSnapshot(
+    const std::string& uri, const storage::LoadedSnapshot& loaded) {
+  XQP_RETURN_NOT_OK(RegisterDocument(uri, loaded.document));
+  if (options_.enable_indexes && loaded.indexes != nullptr &&
+      loaded.value_kinds == options_.index_value_kinds) {
+    index_manager_.Adopt(uri, loaded.indexes);
+  }
+  CountStorage("storage.loads");
+  return loaded.document;
+}
 
 Result<std::shared_ptr<const Document>> XQueryEngine::ParseAndRegister(
     const std::string& uri, std::string_view xml, const ParseOptions& options) {
@@ -230,42 +257,25 @@ Result<std::shared_ptr<const Document>> XQueryEngine::ParseAndRegister(
   // merely missing file stays silent (first ingest of this document).
   const bool persist = !options_.snapshot_dir.empty();
   const std::string snap_path = persist ? SnapshotPathFor(uri) : std::string();
+  const uint64_t content_hash = persist ? storage::HashContent(xml) : 0;
   if (persist) {
     Result<storage::LoadedSnapshot> loaded = storage::OpenSnapshot(snap_path);
     if (loaded.ok()) {
-      if (loaded.value().content_hash == storage::HashContent(xml) &&
+      if (loaded.value().content_hash == content_hash &&
           loaded.value().content_bytes == xml.size()) {
-        std::shared_ptr<const Document> doc = loaded.value().document;
-        {
-          std::unique_lock lock(mu_);
-          documents_[uri] = doc;
-          InvalidateCachesLocked();
-        }
-        if (options_.enable_indexes && loaded.value().indexes != nullptr &&
-            loaded.value().value_kinds == options_.index_value_kinds) {
-          index_manager_.Adopt(uri, loaded.value().indexes);
-        }
-        CountStorage("storage.loads");
-        return doc;
+        return AdoptSnapshot(uri, loaded.value());
       }
       CountStorage("storage.stale");
     } else if (loaded.status().code() == StatusCode::kSnapshotCorrupt) {
       CountStorage("storage.corrupt");
     }
   }
-  ParseOptions effective = options;
-  if (effective.max_parse_depth == 0) {
-    effective.max_parse_depth = options_.default_limits.max_parse_depth;
-  }
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc,
-                       Document::Parse(xml, effective));
+  XQP_ASSIGN_OR_RETURN(
+      std::shared_ptr<Document> doc,
+      Document::Parse(xml, WithDefaultDepth(options, options_)));
   doc->set_base_uri(uri);
   std::shared_ptr<const Document> registered(doc);
-  {
-    std::unique_lock lock(mu_);
-    documents_[uri] = registered;
-    InvalidateCachesLocked();
-  }
+  XQP_RETURN_NOT_OK(RegisterDocument(uri, registered));
   if (persist) {
     // Write-back is best effort: ingestion already succeeded, and the
     // atomic write protocol guarantees a failed save leaves any previous
@@ -278,14 +288,10 @@ Result<std::shared_ptr<const Document>> XQueryEngine::ParseAndRegister(
                                     options_.index_value_kinds);
       if (built.ok()) indexes = std::move(built.value());
     }
-    storage::SnapshotInput input;
-    input.doc = registered.get();
-    input.indexes = indexes.get();
-    input.content_hash = storage::HashContent(xml);
-    input.content_bytes = xml.size();
-    if (storage::WriteSnapshotFile(snap_path, input).ok()) {
-      CountStorage("storage.saves");
-    }
+    (void)WriteSnapshot(snap_path, {.doc = registered.get(),
+                                    .indexes = indexes.get(),
+                                    .content_hash = content_hash,
+                                    .content_bytes = xml.size()});
   }
   return registered;
 }
@@ -299,36 +305,14 @@ Status XQueryEngine::SaveSnapshot(const std::string& uri,
         indexes,
         index_manager_.GetOrBuild(uri, doc, options_.index_value_kinds));
   }
-  // A full token stream rides along so snapshot consumers that replay
-  // tokens (streaming experiments) skip rendering too.
-  TokenStream tokens = TokenStream::FromDocument(*doc);
-  storage::SnapshotInput input;
-  input.doc = doc.get();
-  input.tokens = &tokens;
-  input.indexes = indexes.get();
-  XQP_RETURN_NOT_OK(storage::WriteSnapshotFile(path, input));
-  CountStorage("storage.saves");
-  return Status::OK();
+  return WriteSnapshot(path, {.doc = doc.get(), .indexes = indexes.get()});
 }
 
 Result<std::shared_ptr<const Document>> XQueryEngine::LoadDocumentSnapshot(
     const std::string& uri, const std::string& path,
     std::string_view fallback_xml, const ParseOptions& options) {
   Result<storage::LoadedSnapshot> loaded = storage::OpenSnapshot(path);
-  if (loaded.ok()) {
-    std::shared_ptr<const Document> doc = loaded.value().document;
-    {
-      std::unique_lock lock(mu_);
-      documents_[uri] = doc;
-      InvalidateCachesLocked();
-    }
-    if (options_.enable_indexes && loaded.value().indexes != nullptr &&
-        loaded.value().value_kinds == options_.index_value_kinds) {
-      index_manager_.Adopt(uri, loaded.value().indexes);
-    }
-    CountStorage("storage.loads");
-    return doc;
-  }
+  if (loaded.ok()) return AdoptSnapshot(uri, loaded.value());
   if (loaded.status().code() == StatusCode::kSnapshotCorrupt) {
     CountStorage("storage.corrupt");
   }
@@ -364,10 +348,7 @@ XQueryEngine::LoadDocumentsParallel(std::span<const BulkDocument> docs,
   std::vector<Result<std::shared_ptr<const Document>>> out(
       docs.size(), Result<std::shared_ptr<const Document>>(
                        Status::Internal("document did not load")));
-  ParseOptions effective = options;
-  if (effective.max_parse_depth == 0) {
-    effective.max_parse_depth = options_.default_limits.max_parse_depth;
-  }
+  const ParseOptions effective = WithDefaultDepth(options, options_);
   int threads =
       options_.num_threads > 0 ? options_.num_threads : DefaultParallelism();
   // One token snapshot for the whole batch (same contract as

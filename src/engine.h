@@ -27,6 +27,10 @@
 
 namespace xqp {
 
+namespace storage {
+struct LoadedSnapshot;
+}  // namespace storage
+
 class CompiledQuery;
 
 namespace vm {
@@ -143,10 +147,10 @@ class XQueryEngine : public DocumentProvider {
   /// Registers a named collection for fn:collection.
   Status RegisterCollection(const std::string& uri, Sequence items);
 
-  /// Freezes the registered document `uri` — node table, string pool, a
-  /// freshly rendered token stream, and its path/value indexes (built now
-  /// if enabled and not yet cached) — into a crash-atomically written
-  /// snapshot file at `path` (storage/snapshot.h).
+  /// Freezes the registered document `uri` — node table, string pool and
+  /// its path/value indexes (built now if enabled and not yet cached) —
+  /// into a crash-atomically written snapshot file at `path`
+  /// (storage/snapshot.h).
   Status SaveSnapshot(const std::string& uri, const std::string& path);
 
   /// Opens the snapshot at `path` (mmap + full validation) and registers
@@ -268,6 +272,12 @@ class XQueryEngine : public DocumentProvider {
   /// Clears derived caches and bumps the epoch. Caller must hold mu_
   /// exclusively.
   void InvalidateCachesLocked();
+
+  /// Registers a loaded snapshot's document under `uri`, adopts its
+  /// indexes when they were built with this engine's value kinds, and
+  /// counts `storage.loads`. The one way a snapshot enters the engine.
+  Result<std::shared_ptr<const Document>> AdoptSnapshot(
+      const std::string& uri, const storage::LoadedSnapshot& loaded);
 
   /// ExecuteCached with an optional extra cancel token — the batch-wide
   /// snapshot ExecuteBatchParallel takes so CancelAll() reaches batch

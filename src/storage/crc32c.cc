@@ -117,7 +117,5 @@ uint32_t Crc32c(const void* data, size_t size) {
   return Crc32cExtend(0, data, size);
 }
 
-const char* Crc32cImplName() { return Impl() == 1 ? "hw" : "sw"; }
-
 }  // namespace storage
 }  // namespace xqp

@@ -17,10 +17,6 @@ uint32_t Crc32c(const void* data, size_t size);
 /// Incremental form: feed `crc` the previous return value (seed 0).
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size);
 
-/// "hw" or "sw" — which implementation Crc32c dispatches to on this CPU
-/// (diagnostics / bench labels).
-const char* Crc32cImplName();
-
 }  // namespace storage
 }  // namespace xqp
 

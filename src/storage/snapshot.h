@@ -8,15 +8,14 @@
 
 #include "base/status.h"
 #include "index/document_indexes.h"
-#include "tokens/token_stream.h"
 #include "xml/document.h"
 
 namespace xqp {
 namespace storage {
 
 /// Persistent document snapshots — the DM3 storage milestone. A snapshot
-/// freezes a loaded document (node table, string pool, optional token
-/// stream, optional path/value indexes) into one offset-based binary file
+/// freezes a loaded document (node table, string pool, optional path/value
+/// indexes) into one offset-based binary file
 /// (format: snapshot_format.h) that reopens via mmap with zero parse cost.
 ///
 /// Writing is crash-atomic: serialize to a unique temp file, fsync, rename
@@ -32,13 +31,11 @@ namespace storage {
 /// Fault sites: "storage.write" (each stage of the atomic write protocol),
 /// "storage.map" (the mmap itself), "storage.crc" (each checksum pass).
 
-/// What to freeze. `doc` is required; `tokens` and `indexes` ride along
-/// when present (the engine snapshots indexes so cold start skips the
-/// rebuild). `content_hash`/`content_bytes` identify the source XML
+/// What to freeze. `doc` is required; `indexes` ride along when present
+/// (the engine snapshots indexes so cold start skips the rebuild). `content_hash`/`content_bytes` identify the source XML
 /// (HashContent / length) for staleness detection; 0 = unknown.
 struct SnapshotInput {
   const Document* doc = nullptr;
-  const TokenStream* tokens = nullptr;
   const DocumentIndexes* indexes = nullptr;
   uint64_t content_hash = 0;
   uint64_t content_bytes = 0;
@@ -58,12 +55,11 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input);
 Status WriteSnapshotFile(const std::string& path, const SnapshotInput& input);
 
 /// A validated, opened snapshot. `document` views the mapping zero-copy
-/// (node table + pooled strings) and keeps it alive; `indexes`/`tokens`
-/// are materialized copies, present when the snapshot carried them.
+/// (node table + pooled strings) and keeps it alive; `indexes` is a
+/// materialized copy, present when the snapshot carried them.
 struct LoadedSnapshot {
   std::shared_ptr<const Document> document;
   std::shared_ptr<const DocumentIndexes> indexes;  // Null when absent.
-  std::shared_ptr<const TokenStream> tokens;       // Null when absent.
   uint32_t value_kinds = 0;    // Families `indexes` was built with.
   uint64_t content_hash = 0;   // Source-XML fingerprint (0 = unknown).
   uint64_t content_bytes = 0;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "tokens/token.h"
 #include "xml/document.h"
 
 namespace xqp {
@@ -12,19 +11,19 @@ namespace storage {
 
 /// On-disk layout of a document snapshot (DM3 of the paper's data-
 /// management life cycle): one offset-based binary file freezing a loaded
-/// document — node table, string-pool arena, token stream, and its
-/// path-synopsis / value indexes — for O(1) mmap reopen with zero parse
-/// cost.
+/// document — node table, string-pool arena, and its path-synopsis /
+/// value indexes — for O(1) mmap reopen with zero parse cost.
 ///
 ///   [SnapshotHeader][SectionEntry x section_count][section payloads...]
 ///
 /// Every section payload starts at an 8-byte-aligned offset and carries a
 /// CRC-32C; the header checksums itself and the section table separately,
 /// so a torn or bit-rotted file is detected before any pointer into the
-/// mapping is handed out. POD sections (node records, tokens, pool entry
-/// tables, postings) are used zero-copy straight out of the mapping;
-/// variable-length sections (names, namespace declarations, value
-/// postings) are bounds-checked serialized streams materialized on load.
+/// mapping is handed out. The node records and the pooled string bytes are
+/// used zero-copy straight out of the mapping; the synopsis and postings
+/// arrays are copied, and the variable-length sections (names, namespace
+/// declarations, value postings) are bounds-checked serialized streams
+/// materialized on load.
 ///
 /// The loader treats every field as hostile: magic/version/endianness/
 /// record-layout checks, bounds validation of each offset and index
@@ -34,20 +33,22 @@ namespace storage {
 
 inline constexpr char kSnapshotMagic[8] = {'X', 'Q', 'P', 'S',
                                            'N', 'A', 'P', '1'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2 dropped version 1's token-stream sections; the loader rejects
+/// every other version as corrupt, so a version-1 file is re-ingested.
+inline constexpr uint32_t kSnapshotVersion = 2;
 /// Written as 0x01020304 by the native byte order; a swapped value on read
 /// means the file came from an other-endian machine and is rejected
 /// (snapshots are a same-architecture cache, not an interchange format).
 inline constexpr uint32_t kEndianTag = 0x01020304;
 
 enum SnapshotFlags : uint32_t {
-  kFlagHasTokens = 1u << 0,
   kFlagHasIndexes = 1u << 1,
 };
 
-/// Section identifiers. Required document sections are 1..6; token
-/// sections exist iff kFlagHasTokens, index sections iff kFlagHasIndexes
-/// (kValues additionally requires value_kinds != 0).
+/// Section identifiers. Required document sections are 1..6; index
+/// sections exist iff kFlagHasIndexes (kValues additionally requires
+/// value_kinds != 0). Ids 7..10 held version 1's token stream and are
+/// unused.
 enum class SectionId : uint32_t {
   kNodes = 1,           // NodeRecord[count], zero-copy
   kNames = 2,           // serialized QName table (count entries)
@@ -55,10 +56,6 @@ enum class SectionId : uint32_t {
   kPoolArena = 4,       // raw string bytes, zero-copy
   kNsDecls = 5,         // serialized per-element namespace declarations
   kBaseUri = 6,         // raw bytes
-  kTokens = 7,          // Token[count], the frozen TokenStream
-  kTokenNames = 8,      // serialized QName table
-  kTokenPoolIndex = 9,  // PoolEntry[count] into kTokenPoolArena
-  kTokenPoolArena = 10, // raw string bytes, zero-copy
   kSynopsis = 11,       // SynopsisRec[count] (children rebuilt from parents)
   kPostingsOffsets = 12,  // uint64[count_synopsis + 1], CSR row starts
   kPostingsData = 13,   // NodeIndex[count], CSR payload
@@ -71,7 +68,7 @@ struct SnapshotHeader {
   uint32_t endian;
   uint32_t arch_bits;         // 8 * sizeof(void*) of the writing process.
   uint32_t node_record_size;  // sizeof(NodeRecord) layout check.
-  uint32_t token_size;        // sizeof(Token) layout check.
+  uint32_t reserved;          // Must be 0.
   uint32_t flags;             // SnapshotFlags.
   uint32_t value_kinds;       // IndexValueKinds the indexes were built with.
   uint32_t section_count;
@@ -114,11 +111,10 @@ struct SynopsisRec {
 static_assert(std::is_trivially_copyable_v<SynopsisRec>);
 static_assert(sizeof(SynopsisRec) == 12);
 
-// The zero-copy sections depend on these layouts being stable within one
-// build; the header records the sizes so a snapshot written by a binary
+// The zero-copy node section depends on this layout being stable within
+// one build; the header records its size so a snapshot written by a binary
 // with a different layout is rejected, not misread.
 static_assert(std::is_trivially_copyable_v<NodeRecord>);
-static_assert(std::is_trivially_copyable_v<Token>);
 
 }  // namespace storage
 }  // namespace xqp

@@ -67,14 +67,6 @@ struct Mapping {
   }
 };
 
-/// Keeps the mapping alive for a materialized-but-frozen-pool TokenStream
-/// (the stream's pool views point into the mapping; the stream itself is
-/// handed out via the shared_ptr aliasing constructor).
-struct TokenStreamHolder {
-  std::shared_ptr<const void> backing;
-  TokenStream ts;
-};
-
 /// Per-section checksum gate; hosts the "storage.crc" fault site (nth
 /// selects which of the checks — header, table, section 1, ... — fails).
 Status CheckCrc(const char* what, uint32_t expected, const void* data,
@@ -95,9 +87,6 @@ Status CheckCrc(const char* what, uint32_t expected, const void* data,
 bool ValidNodeKind(uint8_t k) {
   return k <= static_cast<uint8_t>(NodeKind::kProcessingInstruction);
 }
-bool ValidTokenKind(uint8_t k) {
-  return k <= static_cast<uint8_t>(TokenKind::kProcessingInstruction);
-}
 
 /// Mirror of document_indexes.cc NumericLess: value then node, NaNs last.
 bool NumericLess(double a, NodeIndex an, double b, NodeIndex bn) {
@@ -110,7 +99,7 @@ bool NumericLess(double a, NodeIndex an, double b, NodeIndex bn) {
 
 }  // namespace
 
-/// The validating loader. Friend of Document, StringPool, TokenStream, and
+/// The validating loader. Friend of Document, StringPool and
 /// DocumentIndexes: after the hostile-input checks pass it installs views
 /// into the mapping (node table, pooled strings) and materializes the
 /// small variable-length structures, without re-running any builder logic.
@@ -127,14 +116,12 @@ class SnapshotLoader {
     bool present = false;
   };
 
-  static Result<std::vector<QName>> ParseNames(const Sec& sec,
-                                               const char* what);
+  static Result<std::vector<QName>> ParseNames(const Sec& sec);
   static Status ValidateNodes(const Sec& nodes, size_t names_count,
                               size_t pool_count);
 };
 
-Result<std::vector<QName>> SnapshotLoader::ParseNames(const Sec& sec,
-                                                      const char* what) {
+Result<std::vector<QName>> SnapshotLoader::ParseNames(const Sec& sec) {
   std::vector<QName> names;
   Cursor cur(sec.data, sec.size);
   for (uint64_t i = 0; i < sec.count; ++i) {
@@ -143,13 +130,13 @@ Result<std::vector<QName>> SnapshotLoader::ParseNames(const Sec& sec,
     if (!cur.U32(&uri_len) || !cur.U32(&prefix_len) || !cur.U32(&local_len) ||
         !cur.Bytes(uri_len, &uri) || !cur.Bytes(prefix_len, &prefix) ||
         !cur.Bytes(local_len, &local)) {
-      return Corrupt(std::string(what) + ": truncated name entry");
+      return Corrupt("names: truncated name entry");
     }
     names.emplace_back(std::string(uri), std::string(prefix),
                        std::string(local));
   }
   if (!cur.done()) {
-    return Corrupt(std::string(what) + ": trailing bytes after name table");
+    return Corrupt("names: trailing bytes after name table");
   }
   return names;
 }
@@ -263,20 +250,19 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
   if (header.arch_bits != 8 * sizeof(void*)) {
     return Corrupt("snapshot written with different pointer width");
   }
-  if (header.node_record_size != sizeof(NodeRecord) ||
-      header.token_size != sizeof(Token)) {
+  if (header.node_record_size != sizeof(NodeRecord)) {
     return Corrupt("snapshot written with different record layout");
   }
+  if (header.reserved != 0) return Corrupt("nonzero reserved header field");
   {
     SnapshotHeader crc_view = header;
     crc_view.header_crc = 0;
     XQP_RETURN_NOT_OK(CheckCrc("header", header.header_crc, &crc_view,
                                sizeof(crc_view)));
   }
-  if ((header.flags & ~(kFlagHasTokens | kFlagHasIndexes)) != 0) {
+  if ((header.flags & ~kFlagHasIndexes) != 0) {
     return Corrupt("unknown flag bits");
   }
-  const bool has_tokens = (header.flags & kFlagHasTokens) != 0;
   const bool has_indexes = (header.flags & kFlagHasIndexes) != 0;
   if ((header.value_kinds & ~kIndexValueAll) != 0 ||
       (!has_indexes && header.value_kinds != 0)) {
@@ -290,11 +276,6 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
   std::vector<SectionId> expected = {
       SectionId::kNodes,   SectionId::kNames,   SectionId::kPoolIndex,
       SectionId::kPoolArena, SectionId::kNsDecls, SectionId::kBaseUri};
-  if (has_tokens) {
-    expected.insert(expected.end(),
-                    {SectionId::kTokens, SectionId::kTokenNames,
-                     SectionId::kTokenPoolIndex, SectionId::kTokenPoolArena});
-  }
   if (has_indexes) {
     expected.insert(expected.end(),
                     {SectionId::kSynopsis, SectionId::kPostingsOffsets,
@@ -351,7 +332,7 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
   const size_t node_count = nodes.count;
 
   XQP_ASSIGN_OR_RETURN(std::vector<QName> names,
-                       ParseNames(sec(SectionId::kNames), "names"));
+                       ParseNames(sec(SectionId::kNames)));
   if (names.size() != sec(SectionId::kNames).count) {
     return Corrupt("name count mismatch");
   }
@@ -434,53 +415,6 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
   out.content_hash = header.content_hash;
   out.content_bytes = header.content_bytes;
   out.mapped_bytes = size;
-
-  // --- Token stream (optional). -----------------------------------------
-  if (has_tokens) {
-    const Sec& toks = sec(SectionId::kTokens);
-    if (toks.size != toks.count * sizeof(Token)) {
-      return Corrupt("token array size mismatch");
-    }
-    XQP_ASSIGN_OR_RETURN(std::vector<QName> tnames,
-                         ParseNames(sec(SectionId::kTokenNames),
-                                    "token names"));
-    const Sec& tpool_index = sec(SectionId::kTokenPoolIndex);
-    const Sec& tpool_arena = sec(SectionId::kTokenPoolArena);
-    if (tpool_index.size != tpool_index.count * sizeof(PoolEntry) ||
-        tpool_index.count >= StringPool::kInvalid) {
-      return Corrupt("token pool index size mismatch");
-    }
-    std::vector<std::string_view> tviews;
-    tviews.reserve(tpool_index.count);
-    const auto* entries =
-        reinterpret_cast<const PoolEntry*>(tpool_index.data);
-    const char* arena = reinterpret_cast<const char*>(tpool_arena.data);
-    for (uint64_t i = 0; i < tpool_index.count; ++i) {
-      if (entries[i].offset > tpool_arena.size ||
-          entries[i].length > tpool_arena.size - entries[i].offset) {
-        return Corrupt("token pool entry outside arena");
-      }
-      tviews.emplace_back(arena + entries[i].offset, entries[i].length);
-    }
-    const auto* tok = reinterpret_cast<const Token*>(toks.data);
-    for (uint64_t i = 0; i < toks.count; ++i) {
-      const Token& t = tok[i];
-      if (!ValidTokenKind(static_cast<uint8_t>(t.kind)) ||
-          (t.name_id != kNoName && t.name_id >= tnames.size()) ||
-          (t.value_id != kNoValue && t.value_id >= tviews.size()) ||
-          (t.aux_id != kNoValue && t.aux_id >= tviews.size()) ||
-          (t.node_id != kNullNode && t.node_id >= node_count) ||
-          t.skip_to > toks.count) {
-        return Corrupt("token field out of range");
-      }
-    }
-    auto holder = std::make_shared<TokenStreamHolder>();
-    holder->backing = backing;
-    holder->ts.tokens_.assign(tok, tok + toks.count);
-    holder->ts.names_ = std::move(tnames);
-    holder->ts.pool_.AdoptFrozen(std::move(tviews));
-    out.tokens = std::shared_ptr<const TokenStream>(holder, &holder->ts);
-  }
 
   // --- Path/value indexes (optional). -----------------------------------
   if (has_indexes) {

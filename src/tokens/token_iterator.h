@@ -245,45 +245,6 @@ class XmlTextSink : public TokenSink {
   bool tag_open_ = false;
 };
 
-/// TokenSink appending to a TokenStream.
-class TokenStreamSink : public TokenSink {
- public:
-  explicit TokenStreamSink(TokenStream* stream) : stream_(stream) {}
-
-  Status StartElement(const QName& name) override {
-    stream_->AppendStartElement(name);
-    return Status::OK();
-  }
-  Status EndElement() override {
-    stream_->AppendEndElement();
-    return Status::OK();
-  }
-  Status Attribute(const QName& name, std::string_view value) override {
-    stream_->AppendAttribute(name, value);
-    return Status::OK();
-  }
-  Status NamespaceDecl(std::string_view prefix,
-                       std::string_view uri) override {
-    stream_->AppendNamespaceDecl(prefix, uri);
-    return Status::OK();
-  }
-  Status Text(std::string_view text) override {
-    stream_->AppendText(text);
-    return Status::OK();
-  }
-  Status Comment(std::string_view text) override {
-    stream_->AppendComment(text);
-    return Status::OK();
-  }
-  Status Pi(std::string_view target, std::string_view data) override {
-    stream_->AppendProcessingInstruction(target, data);
-    return Status::OK();
-  }
-
- private:
-  TokenStream* stream_;
-};
-
 /// Drains `iterator` into `sink` (a push-pull adapter).
 Status PumpTokens(TokenIterator* iterator, TokenSink* sink);
 

@@ -92,8 +92,6 @@ class TokenStream {
   void SealSkipLinks();
 
  private:
-  friend class storage::SnapshotLoader;
-
   uint32_t InternName(const QName& name);
 
   std::vector<Token> tokens_;

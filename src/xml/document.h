@@ -236,9 +236,6 @@ class DocumentBuilder {
   /// Number of nodes appended so far.
   size_t NumNodes() const { return doc_->nodes_.size(); }
 
-  /// Depth of currently open elements (0 = at document level).
-  size_t OpenDepth() const { return stack_.size() - 1; }
-
   /// Completes the document. All elements must be closed.
   Result<std::shared_ptr<Document>> Finish();
 

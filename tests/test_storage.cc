@@ -24,7 +24,6 @@
 #include "storage/snapshot.h"
 #include "storage/snapshot_format.h"
 #include "tests/test_util.h"
-#include "tokens/token_stream.h"
 #include "xml/document.h"
 
 namespace xqp {
@@ -57,7 +56,6 @@ std::shared_ptr<const Document> ParseDoc(std::string_view xml = kXml) {
 
 struct Frozen {
   std::shared_ptr<const Document> doc;
-  TokenStream tokens;
   std::shared_ptr<const DocumentIndexes> indexes;
   SnapshotInput input;
 };
@@ -65,10 +63,8 @@ struct Frozen {
 Frozen FreezeAll(std::string_view xml = kXml) {
   Frozen f;
   f.doc = ParseDoc(xml);
-  f.tokens = TokenStream::FromDocument(*f.doc);
   f.indexes = DocumentIndexes::Build(f.doc, kIndexValueAll).value();
   f.input.doc = f.doc.get();
-  f.input.tokens = &f.tokens;
   f.input.indexes = f.indexes.get();
   f.input.content_hash = storage::HashContent(xml);
   f.input.content_bytes = xml.size();
@@ -182,27 +178,6 @@ TEST(SnapshotRoundtrip, DocumentIsBitIdentical) {
   EXPECT_EQ(loaded.content_bytes, f.input.content_bytes);
 }
 
-TEST(SnapshotRoundtrip, TokensAreBitIdentical) {
-  Frozen f = FreezeAll();
-  std::string bytes = storage::SerializeSnapshot(f.input).value();
-  XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, OpenBytes(bytes));
-  ASSERT_NE(loaded.tokens, nullptr);
-  const TokenStream& a = f.tokens;
-  const TokenStream& b = *loaded.tokens;
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(0, std::memcmp(&a.token(i), &b.token(i), sizeof(Token)))
-        << "token " << i;
-    EXPECT_EQ(a.value(a.token(i)), b.value(b.token(i))) << "token " << i;
-    EXPECT_EQ(a.aux(a.token(i)), b.aux(b.token(i))) << "token " << i;
-  }
-  ASSERT_EQ(a.NumNames(), b.NumNames());
-  for (uint32_t n = 0; n < a.NumNames(); ++n) {
-    EXPECT_EQ(a.name_at(n).uri, b.name_at(n).uri);
-    EXPECT_EQ(a.name_at(n).local, b.name_at(n).local);
-  }
-}
-
 TEST(SnapshotRoundtrip, IndexesAreBitIdentical) {
   Frozen f = FreezeAll();
   std::string bytes = storage::SerializeSnapshot(f.input).value();
@@ -249,20 +224,18 @@ TEST(SnapshotRoundtrip, ReserializingALoadedSnapshotIsByteIdentical) {
   XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, OpenBytes(bytes));
   SnapshotInput again;
   again.doc = loaded.document.get();
-  again.tokens = loaded.tokens.get();
   again.indexes = loaded.indexes.get();
   again.content_hash = loaded.content_hash;
   again.content_bytes = loaded.content_bytes;
   EXPECT_EQ(storage::SerializeSnapshot(again).value(), bytes);
 }
 
-TEST(SnapshotRoundtrip, MinimalDocumentWithoutTokensOrIndexes) {
+TEST(SnapshotRoundtrip, MinimalDocumentWithoutIndexes) {
   auto doc = ParseDoc("<only/>");
   SnapshotInput input;
   input.doc = doc.get();
   std::string bytes = storage::SerializeSnapshot(input).value();
   XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, OpenBytes(bytes));
-  EXPECT_EQ(loaded.tokens, nullptr);
   EXPECT_EQ(loaded.indexes, nullptr);
   EXPECT_EQ(loaded.document->NumNodes(), doc->NumNodes());
   EXPECT_EQ(loaded.document->StringValue(0), doc->StringValue(0));
@@ -363,10 +336,30 @@ TEST(SnapshotCorruption, WrongMagicVersionEndianLayoutDetected) {
   mutate([](SnapshotHeader* h) { h->arch_bits ^= 96; }, "arch width");
   mutate([](SnapshotHeader* h) { h->node_record_size += 4; },
          "node record layout");
-  mutate([](SnapshotHeader* h) { h->token_size += 4; }, "token layout");
+  mutate([](SnapshotHeader* h) { h->reserved = 1; }, "reserved field");
   mutate([](SnapshotHeader* h) { h->file_size += 8; }, "file size");
   mutate([](SnapshotHeader* h) { h->section_count += 1; }, "section count");
   mutate([](SnapshotHeader* h) { h->flags = 0xff; }, "unknown flags");
+}
+
+/// `good` restamped as a version-1 file, with valid checksums.
+std::string AsVersionOne(std::string good) {
+  SnapshotHeader h = ReadHeader(good);
+  h.version = 1;
+  std::memcpy(good.data(), &h, sizeof(h));
+  ResealHeader(&good);
+  return good;
+}
+
+TEST(SnapshotCorruption, VersionOneFileRejected) {
+  Frozen f = FreezeAll();
+  Result<LoadedSnapshot> r =
+      OpenBytes(AsVersionOne(storage::SerializeSnapshot(f.input).value()));
+  ASSERT_FALSE(r.ok()) << "a version-1 snapshot was accepted";
+  EXPECT_EQ(r.status().code(), StatusCode::kSnapshotCorrupt);
+  EXPECT_NE(r.status().message().find("unsupported snapshot version 1"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(SnapshotCorruption, ForgedSectionTableRejected) {
@@ -643,6 +636,41 @@ TEST(EngineSnapshot, CorruptSnapshotDegradesToReingest) {
   XQP_ASSERT_OK(storage::OpenSnapshot(path).status());
 }
 
+TEST(EngineSnapshot, VersionOneSnapshotIsReparsedAndRewritten) {
+  std::string dir = FreshDir("xqp_snap_engine_v1");
+  EngineOptions opts;
+  opts.snapshot_dir = dir;
+  opts.collect_stats = true;
+  XQueryEngine engine(opts);
+  const std::string path = engine.SnapshotPathFor("bib.xml");
+  {
+    // A version-1 file of exactly kXml: only its version makes it unusable.
+    Frozen f = FreezeAll();
+    const std::string v1 =
+        AsVersionOne(storage::SerializeSnapshot(f.input).value());
+    FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_EQ(std::fwrite(v1.data(), 1, v1.size(), out), v1.size());
+    std::fclose(out);
+  }
+  metrics::MetricsSnapshot before = metrics::MetricsRegistry::Global().Snapshot();
+  XQP_ASSERT_OK(engine.ParseAndRegister("bib.xml", kXml).status());
+  metrics::MetricsSnapshot delta =
+      metrics::MetricsRegistry::Global().Snapshot().Delta(before);
+  EXPECT_EQ(delta.counters["storage.corrupt"], 1u);
+  EXPECT_EQ(delta.counters["storage.loads"], 0u);
+  EXPECT_EQ(delta.counters["storage.saves"], 1u);
+  XQP_ASSERT_OK_AND_ASSIGN(Sequence r,
+                           engine.Execute("count(doc('bib.xml')//book)"));
+  EXPECT_EQ(r[0].AsAtomic().Lexical(), "3");
+  // The write-back replaced the file with one the loader accepts.
+  XQP_ASSERT_OK(storage::OpenSnapshot(path).status());
+  std::string header(sizeof(SnapshotHeader), '\0');
+  FILE* in = std::fopen(path.c_str(), "rb");
+  ASSERT_EQ(std::fread(header.data(), 1, header.size(), in), header.size());
+  std::fclose(in);
+  EXPECT_EQ(ReadHeader(header).version, 2u);
+}
+
 TEST(EngineSnapshot, LoadDocumentSnapshotFallsBackOnMissingFile) {
   XQueryEngine engine;
   std::string missing = ::testing::TempDir() + "/xqp_no_such.xqps";
@@ -669,10 +697,6 @@ TEST(EngineSnapshot, SaveSnapshotThenLoadDocumentSnapshot) {
   XQP_ASSERT_OK_AND_ASSIGN(Sequence r,
                            b.Execute("count(doc('bib.xml')//book)"));
   EXPECT_EQ(r[0].AsAtomic().Lexical(), "3");
-  // The explicit save carried the token stream.
-  XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot snap, storage::OpenSnapshot(path));
-  EXPECT_NE(snap.tokens, nullptr);
-  EXPECT_GT(snap.tokens->size(), 0u);
 }
 
 TEST(EngineSnapshot, SnapshotPathsAreDistinctAndSafe) {

@@ -2,9 +2,9 @@
 // OpenSnapshotBuffer must produce either a fully validated snapshot or a
 // clean kSnapshotCorrupt — never a crash, hang, out-of-bounds read, or
 // sanitizer report. The seed corpus is built from real serialized
-// snapshots (document only, and document + tokens + indexes), so mutants
-// reach the deep validation stages — section table, node-table structural
-// replay, postings/value sortedness — instead of dying at the magic check.
+// snapshots (document only, and document + indexes), so mutants reach the
+// deep validation stages — section table, node-table structural replay,
+// postings/value sortedness — instead of dying at the magic check.
 
 #include <cstdint>
 #include <memory>
@@ -13,14 +13,13 @@
 
 #include "index/document_indexes.h"
 #include "storage/snapshot.h"
-#include "tokens/token_stream.h"
 #include "tools/fuzz_common.h"
 #include "xml/document.h"
 
 namespace {
 
 /// If the mutant validated, every pointer the loader handed out must be
-/// usable: walk the document, pool, tokens, and index postings so ASan
+/// usable: walk the document, pool, and index postings so ASan
 /// proves the adopted views stay in bounds.
 void TouchLoaded(const xqp::storage::LoadedSnapshot& s) {
   const xqp::Document& doc = *s.document;
@@ -28,11 +27,6 @@ void TouchLoaded(const xqp::storage::LoadedSnapshot& s) {
   for (xqp::NodeIndex i = 0; i < doc.NumNodes(); ++i) {
     sink += doc.value(i).size();
     if (doc.node(i).name_id != xqp::kNoName) sink += doc.name(i).local.size();
-  }
-  if (s.tokens != nullptr) {
-    for (size_t i = 0; i < s.tokens->size(); ++i) {
-      sink += s.tokens->value(s.tokens->token(i)).size();
-    }
   }
   if (s.indexes != nullptr) {
     for (size_t p = 0; p < s.indexes->NumSynopsisNodes(); ++p) {
@@ -58,7 +52,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
 namespace {
 
-std::string SerializeSeed(bool with_tokens, bool with_indexes) {
+std::string SerializeSeed(bool with_indexes) {
   auto doc = xqp::Document::Parse(
                  "<bib xmlns:p='u'><book year='1994'><p:t>a</p:t>"
                  "<price>65.95</price></book><book year='2000'>"
@@ -68,11 +62,6 @@ std::string SerializeSeed(bool with_tokens, bool with_indexes) {
   doc->set_base_uri("seed.xml");
   xqp::storage::SnapshotInput input;
   input.doc = doc.get();
-  xqp::TokenStream tokens;
-  if (with_tokens) {
-    tokens = xqp::TokenStream::FromDocument(*doc);
-    input.tokens = &tokens;
-  }
   std::shared_ptr<const xqp::DocumentIndexes> indexes;
   if (with_indexes) {
     indexes =
@@ -86,8 +75,8 @@ std::string SerializeSeed(bool with_tokens, bool with_indexes) {
 
 std::vector<std::string> BuildCorpus() {
   std::vector<std::string> corpus;
-  corpus.push_back(SerializeSeed(false, false));
-  corpus.push_back(SerializeSeed(true, true));
+  corpus.push_back(SerializeSeed(false));
+  corpus.push_back(SerializeSeed(true));
   corpus.push_back(corpus.back().substr(0, 96));  // Header + partial table.
   corpus.push_back("XQPSNAP1garbage-after-the-magic");
   corpus.push_back(std::string(64, '\0'));

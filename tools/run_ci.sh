@@ -85,7 +85,9 @@ echo "=== ASan+UBSan build + robustness and fuzz-smoke tests ==="
 # shared focus (position(), last() and its size check, the zero-argument
 # string functions), on all three backends; the engine tests run queries
 # with an initial context item and pull a result stream, whose lazy tree
-# outlives the call that opened it.
+# outlives the call that opened it. The XML parser tests and the query
+# parser tests both decode entity and character references through the
+# one shared DecodeReference, which now runs on the ingest path too.
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DXQP_SANITIZE=address,undefined
@@ -94,12 +96,12 @@ cmake --build "$ASAN_DIR" \
   test_storage test_value_join test_xmark test_document test_string_pool \
   test_differential test_axes test_lazy test_lexer test_query_parser \
   test_optimizer test_compile_goldens test_xquery test_extensions \
-  test_functions test_engine fuzz_pull_parser fuzz_query_parser \
-  fuzz_snapshot -j"$(nproc)"
+  test_functions test_engine test_xml_parser fuzz_pull_parser \
+  fuzz_query_parser fuzz_snapshot -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|test_lazy|test_lexer|test_query_parser|test_optimizer|test_compile_goldens|test_xquery|test_extensions|test_functions|test_engine|tool_fuzz_smoke'
+  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|test_lazy|test_lexer|test_query_parser|test_optimizer|test_compile_goldens|test_xquery|test_extensions|test_functions|test_engine|test_xml_parser|tool_fuzz_smoke'
 
 echo "CI run clean."
