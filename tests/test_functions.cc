@@ -12,12 +12,13 @@ struct FnCase {
   const char* label;
   const char* query;
   const char* expect;
+  const char* doc = "";  // Registered as doc.xml when non-empty.
 };
 
 class FunctionsTest : public ::testing::TestWithParam<FnCase> {};
 
 TEST_P(FunctionsTest, Expected) {
-  EXPECT_EQ(RunAllWays(GetParam().query), GetParam().expect);
+  EXPECT_EQ(RunAllWays(GetParam().query, GetParam().doc), GetParam().expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -63,6 +64,38 @@ INSTANTIATE_TEST_SUITE_P(
         FnCase{"string_join", "string-join(('a','b','c'), '-')", "a-b-c"},
         FnCase{"string_of_node", "string(<a>hi<b>!</b></a>)", "hi!"},
         FnCase{"string_empty", "string(())", ""}),
+    [](const ::testing::TestParamInfo<FnCase>& info) {
+      return info.param.label;
+    });
+
+// The string functions count characters (code points), not UTF-8 bytes:
+// U+00E9 is two bytes, U+20AC three and U+1F600 four.
+INSTANTIATE_TEST_SUITE_P(
+    Characters, FunctionsTest,
+    ::testing::Values(
+        FnCase{"string_length_two_byte", "string-length('&#233;')", "1"},
+        FnCase{"string_length_mixed", "string-length('a&#x20AC;&#x1F600;b')",
+               "4"},
+        FnCase{"substring_two_byte", "substring('&#233;a', 1, 1)", "\xC3\xA9"},
+        FnCase{"substring_after_multibyte", "substring('&#x20AC;&#x1F600;b', 2)",
+               "\xF0\x9F\x98\x80" "b"},
+        FnCase{"substring_middle", "substring('a&#233;&#x20AC;b', 2, 2)",
+               "\xC3\xA9\xE2\x82\xAC"},
+        FnCase{"translate_two_byte", "translate('&#233;', '&#233;', 'ab')",
+               "a"},
+        FnCase{"translate_into_multibyte", "translate('abc', 'b', '&#x20AC;')",
+               "a\xE2\x82\xAC" "c"},
+        FnCase{"translate_swaps_multibyte",
+               "translate('&#233;&#x20AC;', '&#x20AC;&#233;', 'ab')", "ba"},
+        FnCase{"translate_drops_multibyte",
+               "translate('&#x1F600;&#233;', '&#233;&#x1F600;', '&#x20AC;')",
+               "\xE2\x82\xAC"},
+        FnCase{"parsed_string_length", "string-length(doc('doc.xml')/a)", "1",
+               "<a>&#233;</a>"},
+        FnCase{"parsed_substring", "substring(doc('doc.xml')/a, 2, 1)",
+               "\xC3\xA9", "<a>x&#233;y</a>"},
+        FnCase{"parsed_translate", "translate(doc('doc.xml')/a, '&#233;x', 'EX')",
+               "XEy", "<a>x&#233;y</a>"}),
     [](const ::testing::TestParamInfo<FnCase>& info) {
       return info.param.label;
     });
