@@ -156,6 +156,16 @@ Result<size_t> DecodeReference(std::string_view text, std::string* out) {
   return semi + 1;
 }
 
+std::vector<std::string_view> Utf8Chars(std::string_view s) {
+  std::vector<std::string_view> chars;
+  for (size_t i = 0; i < s.size(); i += chars.back().size()) {
+    const auto lead = static_cast<unsigned char>(s[i]);
+    chars.push_back(
+        s.substr(i, lead >= 0xF0 ? 4 : lead >= 0xE0 ? 3 : lead >= 0xC0 ? 2 : 1));
+  }
+  return chars;
+}
+
 std::string FormatDouble(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "INF" : "-INF";

@@ -62,6 +62,11 @@ void AppendEscapedAttribute(std::string_view value, std::string* out);
 /// message and no position; each caller adds its own.
 Result<size_t> DecodeReference(std::string_view text, std::string* out);
 
+/// The characters (code points) of UTF-8 `s`, one view each: as many bytes
+/// as its lead byte announces, cut short at the end of `s`. A byte that
+/// leads no sequence is a character of its own.
+std::vector<std::string_view> Utf8Chars(std::string_view s);
+
 /// Formats a double using XPath's canonical rules (integral doubles print
 /// without a trailing ".0"; NaN/INF use XML Schema lexical forms).
 std::string FormatDouble(double v);

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -238,8 +239,8 @@ Result<Sequence> CallBuiltin(Builtin id, std::vector<Sequence>& args,
       XQP_ASSIGN_OR_RETURN(Sequence arg,
                            ArgOrFocus(args, focus, "string-length"));
       XQP_ASSIGN_OR_RETURN(std::string s, StringArg(arg, "string-length"));
-      return Sequence{
-          Item(AtomicValue::Integer(static_cast<int64_t>(s.size())))};
+      return Sequence{Item(
+          AtomicValue::Integer(static_cast<int64_t>(Utf8Chars(s).size())))};
     }
     case Builtin::kConcat: {
       std::string out;
@@ -281,10 +282,11 @@ Result<Sequence> CallBuiltin(Builtin id, std::vector<Sequence>& args,
       // round(start) <= p < round(start) + round(len), 1-based.
       double rs = std::round(start);
       double rl = std::round(len);
+      const std::vector<std::string_view> chars = Utf8Chars(s);
       std::string out;
-      for (size_t i = 0; i < s.size(); ++i) {
+      for (size_t i = 0; i < chars.size(); ++i) {
         double p = static_cast<double>(i + 1);
-        if (p >= rs && p < rs + rl) out.push_back(s[i]);
+        if (p >= rs && p < rs + rl) out.append(chars[i]);
       }
       return Sequence{Item(AtomicValue::String(std::move(out)))};
     }
@@ -329,13 +331,16 @@ Result<Sequence> CallBuiltin(Builtin id, std::vector<Sequence>& args,
       XQP_ASSIGN_OR_RETURN(std::string s, StringArg(args[0], "translate"));
       XQP_ASSIGN_OR_RETURN(std::string from, StringArg(args[1], "translate"));
       XQP_ASSIGN_OR_RETURN(std::string to, StringArg(args[2], "translate"));
+      const std::vector<std::string_view> from_chars = Utf8Chars(from);
+      const std::vector<std::string_view> to_chars = Utf8Chars(to);
       std::string out;
-      for (char c : s) {
-        size_t pos = from.find(c);
-        if (pos == std::string::npos) {
-          out.push_back(c);
-        } else if (pos < to.size()) {
-          out.push_back(to[pos]);
+      for (std::string_view c : Utf8Chars(s)) {
+        size_t pos = std::find(from_chars.begin(), from_chars.end(), c) -
+                     from_chars.begin();
+        if (pos == from_chars.size()) {
+          out.append(c);
+        } else if (pos < to_chars.size()) {
+          out.append(to_chars[pos]);
         }  // Else: dropped.
       }
       return Sequence{Item(AtomicValue::String(std::move(out)))};

@@ -66,6 +66,16 @@ TEST(Escaping, Attribute) {
   EXPECT_EQ(out, "x&quot;y&amp;z&lt;&#10;");
 }
 
+TEST(Utf8Chars, OneViewPerCodePoint) {
+  using Chars = std::vector<std::string_view>;
+  EXPECT_EQ(Utf8Chars(""), Chars{});
+  EXPECT_EQ(Utf8Chars("a\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80"),
+            (Chars{"a", "\xC3\xA9", "\xE2\x82\xAC", "\xF0\x9F\x98\x80"}));
+  // A stray continuation byte is one character; a truncated sequence ends
+  // with the string.
+  EXPECT_EQ(Utf8Chars("\xA9" "b\xE2\x82"), (Chars{"\xA9", "b", "\xE2\x82"}));
+}
+
 TEST(FormatDouble, Canonical) {
   EXPECT_EQ(FormatDouble(3.0), "3");
   EXPECT_EQ(FormatDouble(-3.0), "-3");
