@@ -195,7 +195,6 @@ void XQueryEngine::InvalidateCachesLocked() {
     cache_stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
   }
   result_cache_.clear();
-  tag_indexes_.clear();
   index_manager_.Invalidate();
   ++cache_epoch_;
 }
@@ -490,41 +489,28 @@ Result<Sequence> XQueryEngine::GetCollection(const std::string& uri) {
   return it->second;
 }
 
+namespace {
+
+/// The tag postings inside `indexes` (null for null), sharing their
+/// ownership.
+std::shared_ptr<const TagIndex> TagsOf(
+    const std::shared_ptr<const DocumentIndexes>& indexes) {
+  if (indexes == nullptr) return nullptr;
+  return std::shared_ptr<const TagIndex>(indexes, &indexes->tags());
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const TagIndex>> XQueryEngine::GetTagIndex(
     const std::string& uri) {
-  {
-    std::shared_lock lock(mu_);
-    auto cached = tag_indexes_.find(uri);
-    if (cached != tag_indexes_.end()) return cached->second;
-  }
-  // Build outside the lock (index construction scans the whole document);
-  // the first finished builder wins, racers adopt its index.
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<const Document> doc, GetDocument(uri));
-  auto index = std::make_shared<const TagIndex>(doc);
-  // The building query pays for the structure it materializes — without
-  // this charge a query could drive the process past XQP_MEM_BUDGET by
-  // being the first to touch a large document's tag index.
-  if (ResourceGovernor* gov = CurrentGovernor()) {
-    XQP_RETURN_NOT_OK(gov->ChargeBytes(index->MemoryUsage()));
-  }
-  std::unique_lock lock(mu_);
-  auto current = documents_.find(uri);
-  if (current == documents_.end() || current->second != doc) {
-    // The document was replaced while we built; serve the (correct) index
-    // for the snapshot we read without caching it.
-    return std::shared_ptr<const TagIndex>(index);
-  }
-  auto [it, inserted] = tag_indexes_.try_emplace(uri, index);
-  return it->second;
+  XQP_ASSIGN_OR_RETURN(std::shared_ptr<const DocumentIndexes> indexes,
+                       GetDocumentIndexes(uri));
+  return TagsOf(indexes);
 }
 
 std::shared_ptr<const TagIndex> XQueryEngine::PeekTagIndex(
     const Document& doc) {
-  std::shared_lock lock(mu_);
-  for (const auto& [uri, index] : tag_indexes_) {
-    if (index->doc_ptr().get() == &doc) return index;
-  }
-  return nullptr;
+  return TagsOf(index_manager_.Peek(doc));
 }
 
 Result<std::shared_ptr<const DocumentIndexes>>

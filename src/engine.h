@@ -75,10 +75,11 @@ struct EngineOptions {
   /// maintains its own token for CancelAll().
   QueryLimits default_limits;
 
-  /// Maintain per-document path/value indexes (index/document_indexes.h),
-  /// built lazily on first use and cached beside the tag indexes. When
+  /// Maintain per-document path/value indexes and tag postings
+  /// (index/document_indexes.h), built lazily on first use and cached. When
   /// false, compilation also skips index marking, reproducing non-indexed
-  /// plans bit-identically. The XQP_INDEXES environment knob overrides:
+  /// plans bit-identically, and no access path or descendant step reads
+  /// tag postings. The XQP_INDEXES environment knob overrides:
   /// "0"/"off" disables, "1"/"on"/"all" enables both value families,
   /// "path" enables the synopsis only, "string"/"numeric" one family.
   bool enable_indexes = true;
@@ -123,11 +124,11 @@ struct EngineOptions {
 /// Thread-safety contract: registration (RegisterDocument /
 /// ParseAndRegister / RegisterCollection) and execution (Execute /
 /// ExecuteCached / ExecuteBatchParallel / GetTagIndex / PeekTagIndex) may
-/// be called from any number of threads concurrently. The read-mostly caches
-/// (result_cache_, tag_indexes_) sit behind a shared_mutex; statistics
-/// counters are atomics. Registration invalidates derived caches under the
-/// exclusive lock, and an epoch counter keeps an in-flight execution from
-/// caching a result computed against superseded documents.
+/// be called from any number of threads concurrently. The result cache sits
+/// behind a shared_mutex and the index cache (IndexManager) behind its own;
+/// statistics counters are atomics. Registration invalidates derived caches
+/// under the exclusive lock, and an epoch counter keeps an in-flight
+/// execution from caching a result computed against superseded documents.
 class XQueryEngine : public DocumentProvider {
  public:
   XQueryEngine() : XQueryEngine(EngineOptions{}) {}
@@ -190,8 +191,9 @@ class XQueryEngine : public DocumentProvider {
   Result<std::shared_ptr<const Document>> GetDocument(
       const std::string& uri) override;
   Result<Sequence> GetCollection(const std::string& uri) override;
-  /// Path synopsis + value index for a registered document, built on first
-  /// use and cached (null, not an error, when enable_indexes is off).
+  /// Path synopsis, value index and tag postings for a registered
+  /// document, built on first use and cached (null, not an error, when
+  /// enable_indexes is off).
   Result<std::shared_ptr<const DocumentIndexes>> GetDocumentIndexes(
       const std::string& uri) override;
 
@@ -257,14 +259,13 @@ class XQueryEngine : public DocumentProvider {
   /// Returns a snapshot (counters advance concurrently with execution).
   CacheStats cache_stats() const;
 
-  /// Tag index for a registered document, built on first use and cached
-  /// (substrate for the structural/twig join execution strategy and the
-  /// sjoin/twig access paths).
-  Result<std::shared_ptr<const TagIndex>> GetTagIndex(
-      const std::string& uri) override;
+  /// The tag postings of GetDocumentIndexes(uri), sharing that entry's
+  /// ownership: built with it on first use, cached and invalidated with it,
+  /// and null when enable_indexes is off.
+  Result<std::shared_ptr<const TagIndex>> GetTagIndex(const std::string& uri);
 
-  /// The cached tag index built over `doc` itself, or null — never builds,
-  /// so a document whose index is cold (or was dropped by a
+  /// The cached tag postings built over `doc` itself, or null — never
+  /// builds, so a document whose indexes are cold (or were dropped by a
   /// re-registration) keeps its steps on the row scan.
   std::shared_ptr<const TagIndex> PeekTagIndex(const Document& doc) override;
 
@@ -292,10 +293,9 @@ class XQueryEngine : public DocumentProvider {
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<const Document>> documents_;
   std::map<std::string, Sequence> collections_;
-  std::map<std::string, std::shared_ptr<const TagIndex>> tag_indexes_;
-  /// Path/value index cache; owns its own lock (never taken while holding
-  /// mu_ exclusively except for invalidation, and it never calls back into
-  /// the engine, so the mu_ -> index lock order is acyclic).
+  /// The per-document index cache; owns its own lock (never taken while
+  /// holding mu_ exclusively except for invalidation, and it never calls
+  /// back into the engine, so the mu_ -> index lock order is acyclic).
   IndexManager index_manager_;
   std::map<std::string, Sequence, std::less<>> result_cache_;
   /// Incremented on every invalidation; ExecuteCached only inserts a

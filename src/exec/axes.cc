@@ -25,10 +25,7 @@ const TagIndex* RunTagIndex(const Node& origin, DynamicContext* ctx) {
   const Document* doc = &origin.doc();
   auto [it, inserted] = ctx->peeked_tag_indexes.try_emplace(doc);
   if (inserted) {
-    std::shared_ptr<const TagIndex> index = ctx->provider->PeekTagIndex(*doc);
-    // Postings of another document would slice rows that are not its own.
-    if (index != nullptr && &index->doc() != doc) index = nullptr;
-    it->second = {origin.doc_ptr(), std::move(index)};
+    it->second = {origin.doc_ptr(), ctx->provider->PeekTagIndex(*doc)};
   }
   return it->second.index.get();
 }

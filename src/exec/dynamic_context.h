@@ -34,26 +34,18 @@ class DocumentProvider {
   virtual Result<Sequence> GetCollection(const std::string& uri) = 0;
   /// Secondary index structures for `uri` (index/document_indexes.h), or
   /// nullptr when the provider does not maintain indexes — path evaluation
-  /// then falls back to navigation/structural joins. The engine overrides
-  /// this with the lazily built, cached IndexManager entry.
+  /// then falls back to navigation. The engine overrides this with the
+  /// lazily built, cached IndexManager entry.
   virtual Result<std::shared_ptr<const DocumentIndexes>> GetDocumentIndexes(
       const std::string& uri) {
     (void)uri;
     return std::shared_ptr<const DocumentIndexes>();
   }
-  /// Per-tag element posting lists for `uri` (join/tag_index.h), or nullptr
-  /// when the provider does not maintain them — the structural-join access
-  /// paths then decline to navigation. The engine overrides this with its
-  /// cached, build-once entry.
-  virtual Result<std::shared_ptr<const TagIndex>> GetTagIndex(
-      const std::string& uri) {
-    (void)uri;
-    return std::shared_ptr<const TagIndex>();
-  }
-  /// The already-built tag index whose document is `doc` (the same object,
-  /// not merely the same URI), or nullptr — never builds. Variable-anchored
-  /// descendant steps slice its postings (exec/axes.h); a miss sends them
-  /// to the row scan.
+  /// The already-built tag postings (join/tag_index.h) whose document is
+  /// `doc` (the same object, not merely the same URI), or nullptr — never
+  /// builds. Variable-anchored descendant steps slice them (exec/axes.h); a
+  /// miss sends them to the row scan. The engine answers from the tag
+  /// postings of its cached DocumentIndexes.
   virtual std::shared_ptr<const TagIndex> PeekTagIndex(const Document& doc) {
     (void)doc;
     return nullptr;

@@ -148,22 +148,13 @@ void DocumentIndexes::ComputeTotals() {
   // discovered top-down), so a reverse scan accumulates bottom-up.
   const size_t n = nodes_.size();
   subtree_postings_.assign(n, 0);
-  uint32_t max_name = 0;
   for (size_t s = n; s-- > 0;) {
     subtree_postings_[s] += postings_[s].size();
     if (nodes_[s].parent >= 0) {
       subtree_postings_[nodes_[s].parent] += subtree_postings_[s];
     }
-    if (nodes_[s].kind == NodeKind::kElement) {
-      max_name = std::max(max_name, nodes_[s].name_id + 1);
-    }
   }
-  element_totals_.assign(max_name, 0);
-  for (size_t s = 0; s < n; ++s) {
-    if (nodes_[s].kind == NodeKind::kElement) {
-      element_totals_[nodes_[s].name_id] += postings_[s].size();
-    }
-  }
+  tags_ = TagIndex(doc_);
 }
 
 int32_t DocumentIndexes::FindChild(int32_t s, NodeKind kind,
@@ -189,8 +180,7 @@ size_t DocumentIndexes::MemoryUsage() const {
   size_t total = nodes_.capacity() * sizeof(SynopsisNode) +
                  postings_.capacity() * sizeof(std::vector<NodeIndex>) +
                  values_.capacity() * sizeof(ValuePostings) +
-                 subtree_postings_.capacity() * sizeof(uint64_t) +
-                 element_totals_.capacity() * sizeof(uint64_t);
+                 subtree_postings_.capacity() * sizeof(uint64_t);
   for (const auto& n : nodes_) total += n.children.capacity() * sizeof(int32_t);
   for (const auto& p : postings_) total += p.capacity() * sizeof(NodeIndex);
   for (const auto& v : values_) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "join/tag_index.h"
 #include "xml/document.h"
 
 namespace xqp {
@@ -35,6 +36,10 @@ enum IndexValueKinds : uint32_t {
 ///      parses as xs:double, numerically with NaN entries last. Selective
 ///      predicates like [price < 50] or [@id = "person0"] become one range
 ///      scan plus a doc-order merge.
+///
+///   3. The *tag postings* (join/tag_index.h): per element name, its
+///      elements in document order — the streams the structural and twig
+///      joins consume and the posting slice reads.
 ///
 /// Instances are immutable after Build() and shared freely across threads;
 /// IndexManager caches them per engine with epoch invalidation.
@@ -68,9 +73,10 @@ class DocumentIndexes {
     std::vector<std::pair<double, NodeIndex>> by_number;
   };
 
-  /// Builds both structures in one scan of the node table plus one value
-  /// pass. Hosts the "alloc" fault-injection site (index construction is an
-  /// allocation burst) — the error path is exercised by XQP_FAULT=alloc:N.
+  /// Builds the synopsis and the tag postings in one scan of the node table
+  /// each, plus one value pass. Hosts the "alloc" fault-injection site
+  /// (index construction is an allocation burst) — the error path is
+  /// exercised by XQP_FAULT=alloc:N.
   static Result<std::shared_ptr<const DocumentIndexes>> Build(
       std::shared_ptr<const Document> doc, uint32_t value_kinds);
 
@@ -91,12 +97,15 @@ class DocumentIndexes {
   /// node population of the subtree (the root's is the document total).
   uint64_t subtree_postings(int32_t s) const { return subtree_postings_[s]; }
 
-  /// Elements named `name_id` on any synopsis path: the size of the full
-  /// per-tag posting list a structural join consumes (0 for kNoName or a
-  /// name no element carries).
+  /// Elements named `name_id`: the size of its tag posting list, which a
+  /// structural join consumes (0 for kNoName or a name no element carries).
   uint64_t element_total(uint32_t name_id) const {
-    return name_id < element_totals_.size() ? element_totals_[name_id] : 0;
+    const std::vector<NodeIndex>* list = tags_.Lookup(name_id);
+    return list == nullptr ? 0 : list->size();
   }
+
+  /// The per-name element postings over doc().
+  const TagIndex& tags() const { return tags_; }
 
   /// Value postings for synopsis path `s`, or nullptr when the value index
   /// was not built (value_kinds == 0).
@@ -112,8 +121,9 @@ class DocumentIndexes {
   void FindDescendants(int32_t s, NodeKind kind, uint32_t name_id,
                        std::vector<int32_t>* out) const;
 
-  /// Approximate heap footprint (synopsis + postings + value entries);
-  /// charged to the building query's ResourceGovernor memory budget.
+  /// Approximate heap footprint of the synopsis, its postings and the
+  /// value entries; tags().MemoryUsage() counts the tag postings.
+  /// IndexManager charges the sum to the building query's governor.
   size_t MemoryUsage() const;
 
  private:
@@ -121,9 +131,10 @@ class DocumentIndexes {
 
   DocumentIndexes() = default;
 
-  /// Derives subtree_postings_ and element_totals_ from the synopsis and
-  /// its postings. Build() and the snapshot loader call it once; the totals
-  /// are not stored in snapshots.
+  /// Derives subtree_postings_ from the synopsis and its postings, and
+  /// builds tags_ by one scan of the node table. Build() and the snapshot
+  /// loader call it once; neither is stored in snapshots, so a loaded tag
+  /// list holds only rows the validated node table names.
   void ComputeTotals();
 
   std::shared_ptr<const Document> doc_;
@@ -132,7 +143,7 @@ class DocumentIndexes {
   std::vector<std::vector<NodeIndex>> postings_;
   std::vector<ValuePostings> values_;  // Empty when value_kinds == 0.
   std::vector<uint64_t> subtree_postings_;  // Per synopsis node.
-  std::vector<uint64_t> element_totals_;    // Per element name id.
+  TagIndex tags_;
 };
 
 }  // namespace xqp

@@ -18,7 +18,7 @@ Result<std::shared_ptr<const DocumentIndexes>> IndexManager::GetOrBuild(
       return it->second;
     }
   }
-  // Build outside the lock (two document passes); first finished builder
+  // Build outside the lock (three document passes); first finished builder
   // wins, racers adopt its result.
   static metrics::Counter* builds =
       metrics::MetricsRegistry::Global().counter("index.builds");
@@ -28,7 +28,7 @@ Result<std::shared_ptr<const DocumentIndexes>> IndexManager::GetOrBuild(
       metrics::MetricsRegistry::Global().counter("index.synopsis_paths");
   XQP_ASSIGN_OR_RETURN(std::shared_ptr<const DocumentIndexes> built,
                        DocumentIndexes::Build(doc, value_kinds));
-  const size_t usage = built->MemoryUsage();
+  const size_t usage = built->MemoryUsage() + built->tags().MemoryUsage();
   if (metrics::Enabled()) {
     builds->Add(1);
     bytes->Add(usage);
@@ -61,6 +61,15 @@ std::shared_ptr<const DocumentIndexes> IndexManager::Peek(
   std::shared_lock lock(mu_);
   auto it = cache_.find(uri);
   return it == cache_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const DocumentIndexes> IndexManager::Peek(
+    const Document& doc) const {
+  std::shared_lock lock(mu_);
+  for (const auto& [uri, indexes] : cache_) {
+    if (&indexes->doc() == &doc) return indexes;
+  }
+  return nullptr;
 }
 
 void IndexManager::Invalidate() {

@@ -10,13 +10,14 @@
 
 namespace xqp {
 
-/// Lazily built, engine-cached DocumentIndexes, living beside the TagIndex
-/// cache on XQueryEngine. Same concurrency discipline: shared-lock probe,
-/// build outside any lock, exclusive-lock publish with a document-identity
-/// recheck — so a racing re-registration can never leave a stale index
-/// serving a new document snapshot. The builder's query pays for the index:
-/// MemoryUsage() is charged to the thread's current ResourceGovernor, and a
-/// tripped budget fails that query without poisoning the cache.
+/// Lazily built, engine-cached DocumentIndexes: the engine's only
+/// per-document index cache. Shared-lock probe, build outside any lock,
+/// exclusive-lock publish with a document-identity recheck — so a racing
+/// re-registration can never leave a stale index serving a new document
+/// snapshot. The builder's query pays for the index: its MemoryUsage() and
+/// its tags' are charged to the thread's current ResourceGovernor in one
+/// charge, and a tripped budget fails that query without poisoning the
+/// cache.
 class IndexManager {
  public:
   /// Returns the cached indexes for (uri, doc), building them on first use
@@ -41,6 +42,10 @@ class IndexManager {
   /// a query can neither charge an index build to a governor nor trip
   /// injected build faults — those belong to the first executing query.
   std::shared_ptr<const DocumentIndexes> Peek(const std::string& uri) const;
+
+  /// The cached entry built over `doc` itself (the same object, not merely
+  /// the same URI), or null — never building.
+  std::shared_ptr<const DocumentIndexes> Peek(const Document& doc) const;
 
   /// Drops every cached index (document re-registration, engine epoch bump).
   void Invalidate();

@@ -6,7 +6,6 @@
 
 #include "base/metrics.h"
 #include "join/structural_join.h"
-#include "join/tag_index.h"
 #include "join/twig.h"
 
 namespace xqp {
@@ -17,14 +16,14 @@ namespace {
 /// previous frontier plays ancestor; parent_child encodes "/" vs "//").
 /// Declines (nullopt) when the chain shape is not joinable.
 std::optional<std::vector<NodeIndex>> ExecuteSJoinChain(
-    const DocumentIndexes& idx, const TagIndex& tag, const IndexQuery& q) {
+    const DocumentIndexes& idx, const IndexQuery& q) {
   JoinChainShape shape = ClassifyJoinChain(q);
   if (!shape.joinable) return std::nullopt;
   const Document& doc = idx.doc();
   std::vector<NodeIndex> frontier{0};  // The document node contains all.
   for (size_t i = 0; i < shape.elem_steps && !frontier.empty(); ++i) {
     const IndexStep& st = q.steps[i];
-    const std::vector<NodeIndex>* list = tag.Lookup(st.uri, st.local);
+    const std::vector<NodeIndex>* list = idx.tags().Lookup(st.uri, st.local);
     if (list == nullptr) {
       frontier.clear();
       break;
@@ -42,7 +41,7 @@ std::optional<std::vector<NodeIndex>> ExecuteSJoinChain(
 /// nodes consume the full per-tag lists. Declines for shapes with fewer
 /// than two element steps (TwigStack needs an edge to be holistic about).
 Result<std::optional<std::vector<NodeIndex>>> ExecuteTwigChain(
-    const DocumentIndexes& idx, const TagIndex& tag, const IndexQuery& q) {
+    const DocumentIndexes& idx, const IndexQuery& q) {
   std::optional<std::vector<NodeIndex>> declined;
   JoinChainShape shape = ClassifyJoinChain(q);
   if (!shape.joinable || shape.elem_steps < 2) return declined;
@@ -64,7 +63,7 @@ Result<std::optional<std::vector<NodeIndex>>> ExecuteTwigChain(
     const IndexStep& st = q.steps[i];
     int node = pattern.Add(st.local, prev, /*child_edge=*/!st.descendant);
     pattern.nodes[node].uri = st.uri;
-    const std::vector<NodeIndex>* list = tag.Lookup(st.uri, st.local);
+    const std::vector<NodeIndex>* list = idx.tags().Lookup(st.uri, st.local);
     if (list == nullptr) missing_tag = true;
     lists.push_back(list);
     prev = node;
@@ -169,35 +168,15 @@ Result<std::optional<Sequence>> TryExecuteAccessPath(const PathExpr* e,
       }
       break;
     case AccessPath::kSJoin:
-    case AccessPath::kTwig: {
-      auto tag_r = ctx->provider->GetTagIndex(plan->doc_uri);
-      if (!tag_r.ok()) {
-        if (tag_r.status().code() == StatusCode::kDynamicError) {
-          if (metrics::Enabled()) fallbacks->Add(1);
-          return declined;
-        }
-        return tag_r.status();
-      }
-      std::shared_ptr<const TagIndex> tag = tag_r.value();
-      // The tag index must label the same document snapshot the synopsis
-      // indexed; a racing re-registration makes them diverge — decline.
-      if (tag != nullptr &&
-          tag->doc_ptr().get() == indexes->doc_ptr().get()) {
-        if (ctx->governor != nullptr) {
-          XQP_RETURN_NOT_OK(ctx->governor->Poll());
-        }
-        if (decision.chosen == AccessPath::kSJoin) {
-          nodes = ExecuteSJoinChain(*indexes, *tag, *plan);
-        } else {
-          XQP_ASSIGN_OR_RETURN(nodes, ExecuteTwigChain(*indexes, *tag, *plan));
-        }
-      }
-      if (nodes.has_value() && metrics::Enabled()) {
-        (decision.chosen == AccessPath::kSJoin ? chose_sjoin : chose_twig)
-            ->Add(1);
-      }
+      if (ctx->governor != nullptr) XQP_RETURN_NOT_OK(ctx->governor->Poll());
+      nodes = ExecuteSJoinChain(*indexes, *plan);
+      if (nodes.has_value() && metrics::Enabled()) chose_sjoin->Add(1);
       break;
-    }
+    case AccessPath::kTwig:
+      if (ctx->governor != nullptr) XQP_RETURN_NOT_OK(ctx->governor->Poll());
+      XQP_ASSIGN_OR_RETURN(nodes, ExecuteTwigChain(*indexes, *plan));
+      if (nodes.has_value() && metrics::Enabled()) chose_twig->Add(1);
+      break;
   }
   if (!nodes.has_value()) {
     if (metrics::Enabled()) fallbacks->Add(1);

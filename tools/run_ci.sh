@@ -76,7 +76,9 @@ echo "=== ASan+UBSan build + robustness and fuzz-smoke tests ==="
 # paths, and the rewriter's in-place tree surgery (CSE hoisting, path
 # collapse) with the node-at-a-time property refresh. The planner tests
 # include the tag-posting slice (PostingSlice.*): cursors hold spans into
-# a cached tag index that a re-registration drops from the engine. The
+# the tag postings of cached DocumentIndexes that a re-registration drops
+# from the engine. The structural-join and twig tests build TagIndex
+# directly and run every join kernel over its posting lists. The
 # xquery and extensions tests drive every materializing operator and
 # try/catch through their error paths on all three backends: the shared
 # ApplyOperator, the lazy OperatorIt's reused operand vectors, and the
@@ -96,12 +98,12 @@ cmake --build "$ASAN_DIR" \
   test_storage test_value_join test_xmark test_document test_string_pool \
   test_differential test_axes test_lazy test_lexer test_query_parser \
   test_optimizer test_compile_goldens test_xquery test_extensions \
-  test_functions test_engine test_xml_parser fuzz_pull_parser \
-  fuzz_query_parser fuzz_snapshot -j"$(nproc)"
+  test_functions test_engine test_xml_parser test_structural_join \
+  test_twig fuzz_pull_parser fuzz_query_parser fuzz_snapshot -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|test_lazy|test_lexer|test_query_parser|test_optimizer|test_compile_goldens|test_xquery|test_extensions|test_functions|test_engine|test_xml_parser|tool_fuzz_smoke'
+  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|test_value_join|test_xmark|test_document|test_string_pool|test_differential|test_axes|test_lazy|test_lexer|test_query_parser|test_optimizer|test_compile_goldens|test_xquery|test_extensions|test_functions|test_engine|test_xml_parser|test_structural_join|test_twig|tool_fuzz_smoke'
 
 echo "CI run clean."

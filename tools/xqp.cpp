@@ -106,13 +106,10 @@ const PathExpr* FindIndexedPath(const Expr& e) {
   return nullptr;
 }
 
-/// The --explain output. The registered documents' indexes are built
-/// first: EXPLAIN's access-path annotation peeks at already-built indexes
-/// only, so the tree then shows the decision execution would make.
+/// The --explain output. The caller has built the registered documents'
+/// indexes, so the tree shows the decision execution would make.
 void Explain(XQueryEngine& engine, const CompiledQuery& compiled,
-             const CompiledQuery::ExecOptions& exec,
-             const std::vector<std::string>& uris) {
-  for (const std::string& uri : uris) (void)engine.GetDocumentIndexes(uri);
+             const CompiledQuery::ExecOptions& exec) {
   std::printf("backend: %s\n",
               ExecBackendName(compiled.ResolvedBackend(exec)));
   std::fputs(compiled.ExplainTree(exec).c_str(), stdout);
@@ -266,9 +263,10 @@ int main(int argc, char** argv) {
     if (context_doc == nullptr) context_doc = *doc;
   }
 
-  // Build each document's tag index up front, as a serving engine does:
-  // variable-anchored descendant steps read its postings but never build it.
-  for (const std::string& uri : uris) (void)engine.GetTagIndex(uri);
+  // Build each document's indexes up front, as a serving engine does:
+  // EXPLAIN's annotation peeks at built indexes only, and variable-anchored
+  // descendant steps read their tag postings but never build them.
+  for (const std::string& uri : uris) (void)engine.GetDocumentIndexes(uri);
 
   auto t0 = std::chrono::steady_clock::now();
   XQueryEngine::CompileOptions copts;
@@ -283,7 +281,7 @@ int main(int argc, char** argv) {
   CompiledQuery::ExecOptions eopts;
   eopts.backend = backend;
   if (explain) {
-    Explain(engine, **compiled, eopts, uris);
+    Explain(engine, **compiled, eopts);
     return 0;
   }
   if (bind_context && context_doc != nullptr) {
